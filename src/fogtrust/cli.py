@@ -33,6 +33,7 @@ from .scheduling import Policy
 from .simulation import (
     ScenarioConfig,
     aggregate,
+    aggregate_series,
     policy_from_name,
     run_cost_scenario,
     run_state_scenario,
@@ -71,7 +72,7 @@ def exit_code_for(error: FogTrustError) -> int:
 # -- configuration plumbing --
 
 _INT_KEYS = frozenset((
-    "cluster", "trials", "eta", "seed", "fog_count", "iot_count", "deposit",
+    "cluster", "trials", "seed", "fog_count", "iot_count", "deposit",
     "deposit_deduction", "reward_step", "penalty_step", "reputation_initial",
     "reputation_min", "reputation_max", "ring_size", "horizon_per_fog",
     "iot_funds", "audit_payment", "oracle_bounty", "audit_cap",
@@ -85,7 +86,6 @@ CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
 # config/flag names that differ from the ScenarioConfig field they set
 _FIELD_NAMES = {
     "cluster": "cluster_size",
-    "eta": "audit_interval",
     "subtractive": "subtractive_adaptation",
 }
 _DEMO_ONLY = frozenset(("iot_key", "fog_key", "reputation_threshold"))
@@ -165,7 +165,7 @@ class RunConfig:
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     settings = read_config(args.config) if getattr(args, "config", None) else {}
-    for flag in ("policy", "cluster", "trials", "eta", "fee_rate"):
+    for flag in ("policy", "cluster", "trials", "fee_rate"):
         value = getattr(args, flag, None)
         if value is not None:
             settings[flag] = value
@@ -339,42 +339,37 @@ def _simulate_state(run: RunConfig, stream) -> list:
     config = run.scenario()
 
     trial_lines = ["trial,final_malicious,final_reputation,live_fogs"]
-    sums_malicious = sums_reputation = sums_live = None
-    trials = 0
-    for index, metrics in enumerate(run_state_scenario(config)):
-        trial_lines.append("%d,%s,%s,%d"
-                           % (index, _fmt(metrics.mean_malicious[-1]),
-                              _fmt(metrics.mean_reputation[-1]),
-                              metrics.live_fogs[-1]))
-        if sums_malicious is None:
-            sums_malicious = [0.0] * len(metrics.mean_malicious)
-            sums_reputation = [0.0] * len(metrics.mean_reputation)
-            sums_live = [0.0] * len(metrics.live_fogs)
-        for step, value in enumerate(metrics.mean_malicious):
-            sums_malicious[step] += value
-        for step, value in enumerate(metrics.mean_reputation):
-            sums_reputation[step] += value
-        for step, value in enumerate(metrics.live_fogs):
-            sums_live[step] += value
-        trials += 1
+
+    def joined_series():
+        # one trial's three series end to end, so a single pointwise mean
+        # covers all three; trials stream, none is kept
+        for index, metrics in enumerate(run_state_scenario(config)):
+            trial_lines.append("%d,%s,%s,%d"
+                               % (index, _fmt(metrics.mean_malicious[-1]),
+                                  _fmt(metrics.mean_reputation[-1]),
+                                  metrics.live_fogs[-1]))
+            yield metrics.mean_malicious + metrics.mean_reputation \
+                + metrics.live_fogs
+
+    means = aggregate_series(joined_series())
+    steps = len(means) // 3
+    malicious = means[:steps]
+    reputation = means[steps:2 * steps]
+    live = means[2 * steps:]
 
     series_lines = ["step,mean_malicious,mean_reputation,mean_live"]
-    for step in range(len(sums_live)):
+    for step in range(steps):
         series_lines.append("%d,%s,%s,%s"
-                            % (step + 1,
-                               _fmt(sums_malicious[step] / trials),
-                               _fmt(sums_reputation[step] / trials),
-                               _fmt(sums_live[step] / trials)))
+                            % (step + 1, _fmt(malicious[step]),
+                               _fmt(reputation[step]), _fmt(live[step])))
 
     print("state scenario: %d trials, %d fog nodes, horizon %d steps"
-          % (trials, config.fog_count,
+          % (config.trials, config.fog_count,
              config.horizon_per_fog * config.fog_count), file=stream)
     print("mean malicious rate  start %s  end %s"
-          % (_fmt(sums_malicious[0] / trials),
-             _fmt(sums_malicious[-1] / trials)), file=stream)
+          % (_fmt(malicious[0]), _fmt(malicious[-1])), file=stream)
     print("mean live fog nodes  start %s  end %s"
-          % (_fmt(sums_live[0] / trials), _fmt(sums_live[-1] / trials)),
-          file=stream)
+          % (_fmt(live[0]), _fmt(live[-1])), file=stream)
 
     trials_path = os.path.join(run.out_dir, "state_trials.csv")
     series_path = os.path.join(run.out_dir, "state_series.csv")
@@ -432,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--policy", choices=[p.value for p in Policy])
         sub.add_argument("--cluster", type=int, help="audit cluster size")
         sub.add_argument("--trials", type=int, help="number of trials")
-        sub.add_argument("--eta", type=int, help="audit interval in requests")
         sub.add_argument("--fee-rate", dest="fee_rate", help="service fee rate")
 
     keygen = commands.add_parser("keygen", help="generate key pair files")

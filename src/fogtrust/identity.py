@@ -9,7 +9,8 @@ e.g. for a lightweight stand-in during large simulations.
 from __future__ import annotations
 
 from . import aead, keys, ring, signing
-from .errors import BadSignature, InvalidSignature, MalformedRingSignature, RecoveryFailed
+from .errors import (BadSignature, InvalidSignature, MalformedRingSignature,
+                     RecoveryFailed, RingTooSmall)
 
 
 class Secp256k1Identity:
@@ -20,6 +21,8 @@ class Secp256k1Identity:
     # -- verifier half (what the ledger consumes) --
 
     def recover_public(self, message: bytes, signature):
+        if not isinstance(signature, signing.Signature):
+            raise BadSignature("not an ECDSA signature")
         try:
             return signing.recover(message, signature)
         except (InvalidSignature, RecoveryFailed) as exc:
@@ -32,21 +35,17 @@ class Secp256k1Identity:
         return keys.address_of(public)
 
     def ring_verify(self, message: bytes, signature) -> bool:
+        if not isinstance(signature, ring.RingSignature):
+            return False
         try:
             return ring.ring_verify(message, signature)
-        except MalformedRingSignature:
+        except (MalformedRingSignature, RingTooSmall):
             return False
 
     def ring_addresses(self, signature) -> tuple:
         return tuple(keys.address_of(member) for member in signature.ring)
 
     # -- signer half (what agents consume) --
-
-    def generate_keypair(self, rng=None) -> keys.KeyPair:
-        return keys.KeyPair.generate(rng)
-
-    def address_of_keypair(self, pair) -> str:
-        return pair.address
 
     def sign(self, message: bytes, secret: int, rng=None):
         return signing.sign(message, secret, rng)
@@ -62,9 +61,6 @@ class Secp256k1Identity:
 
     def decrypt(self, key: bytes, blob: bytes) -> bytes:
         return aead.decrypt(key, blob)
-
-    def public_of(self, pair):
-        return pair.public
 
 
 DEFAULT_IDENTITY = Secp256k1Identity()

@@ -38,6 +38,12 @@ from .errors import (
 from .identity import DEFAULT_IDENTITY
 
 
+def _require_amount(amount, what: str):
+    # type() rather than isinstance(): True is an int but not an amount
+    if type(amount) is not int or amount <= 0:
+        raise InvalidAmount("%s amount must be a positive integer" % what)
+
+
 class RemovalReason(enum.Enum):
     VOLUNTARY = "voluntary"
     REPUTATION_FLOOR = "reputation_floor"
@@ -61,16 +67,14 @@ class Params:
     fee_rate: object = "0.01"
     deposit_requirement: int = 10
     deposit_deduction: int = 1
-    audit_interval: int = 10
     audit_payment: int = 1
     oracle_bounty: int = 0
 
     def __post_init__(self):
         for name in ("reputation_initial", "reputation_max", "reputation_min",
                      "reward_step", "penalty_step", "deposit_requirement",
-                     "deposit_deduction", "audit_interval", "audit_payment",
-                     "oracle_bounty"):
-            if not isinstance(getattr(self, name), int):
+                     "deposit_deduction", "audit_payment", "oracle_bounty"):
+            if type(getattr(self, name)) is not int:
                 raise InvalidParams("%s must be an integer" % name)
         if not self.reputation_min <= self.reputation_initial <= self.reputation_max:
             raise InvalidParams("need reputation_min <= reputation_initial <= reputation_max")
@@ -82,8 +86,6 @@ class Params:
             raise InvalidParams("deposit_requirement must be positive")
         if self.deposit_deduction < 1:
             raise InvalidParams("deposit_deduction must be positive")
-        if self.audit_interval < 1:
-            raise InvalidParams("audit_interval must be positive")
         if self.audit_payment < 0:
             raise InvalidParams("audit_payment must not be negative")
         if self.oracle_bounty < 0:
@@ -207,8 +209,7 @@ class Ledger:
 
     def iot_registration(self, amount: int, signature) -> str:
         caller = self._caller("iot_registration", signature, amount=amount)
-        if not isinstance(amount, int) or amount <= 0:
-            raise InvalidAmount("registration amount must be a positive integer")
+        _require_amount(amount, "registration")
         if caller in self.iot_table:
             raise AlreadyRegistered("IoT device %s already registered" % caller)
         self.iot_table[caller] = IoTRecord(address=caller, available_funds=amount)
@@ -218,8 +219,7 @@ class Ledger:
 
     def iot_add_funds(self, amount: int, signature) -> int:
         caller = self._caller("iot_add_funds", signature, amount=amount)
-        if not isinstance(amount, int) or amount <= 0:
-            raise InvalidAmount("top-up amount must be a positive integer")
+        _require_amount(amount, "top-up")
         record = self._require_iot(caller)
         record.available_funds += amount
         self.total_deposited += amount
@@ -229,8 +229,7 @@ class Ledger:
 
     def iot_withdraw_funds(self, amount: int, signature) -> int:
         caller = self._caller("iot_withdraw_funds", signature, amount=amount)
-        if not isinstance(amount, int) or amount <= 0:
-            raise InvalidAmount("withdrawal amount must be a positive integer")
+        _require_amount(amount, "withdrawal")
         record = self._require_iot(caller)
         if amount > record.available_funds:
             raise InsufficientFunds("%s holds %d, asked for %d"
@@ -254,8 +253,7 @@ class Ledger:
 
     def fog_registration(self, amount: int, signature) -> str:
         caller = self._caller("fog_registration", signature, amount=amount)
-        if not isinstance(amount, int) or amount <= 0:
-            raise InvalidAmount("registration amount must be a positive integer")
+        _require_amount(amount, "registration")
         if caller in self.fog_table:
             raise AlreadyRegistered("fog node %s already registered" % caller)
         need = self.params.deposit_requirement
@@ -275,8 +273,7 @@ class Ledger:
 
     def fog_withdraw_funds(self, amount: int, signature) -> int:
         caller = self._caller("fog_withdraw_funds", signature, amount=amount)
-        if not isinstance(amount, int) or amount <= 0:
-            raise InvalidAmount("withdrawal amount must be a positive integer")
+        _require_amount(amount, "withdrawal")
         record = self._require_fog(caller)
         if amount > record.available_funds:
             raise InsufficientFunds("%s holds %d available, asked for %d"
@@ -306,12 +303,11 @@ class Ledger:
         """Move ``amount`` from the calling device to a fog node, minus the fee.
 
         Returns the fee retained by the pool.  Also advances the fog node's
-        served-request counter, which drives the audit cadence.
+        served-request counter.
         """
         caller = self._caller("iot_fog_payment", signature,
                               amount=amount, fog=fog_address)
-        if not isinstance(amount, int) or amount <= 0:
-            raise InvalidAmount("payment amount must be a positive integer")
+        _require_amount(amount, "payment")
         payer = self._require_iot(caller)
         payee = self._require_fog(fog_address)
         if amount > payer.available_funds:
@@ -437,7 +433,6 @@ class Ledger:
                 "fee_rate": str(self.params.fee_rate),
                 "deposit_requirement": self.params.deposit_requirement,
                 "deposit_deduction": self.params.deposit_deduction,
-                "audit_interval": self.params.audit_interval,
                 "audit_payment": self.params.audit_payment,
                 "oracle_bounty": self.params.oracle_bounty,
             },

@@ -124,7 +124,8 @@ def ring_verify(message: bytes, signature: RingSignature) -> bool:
     responses = signature.responses
     if len(responses) != len(ring):
         raise MalformedRingSignature("one response required per ring member")
-    if not (0 <= signature.challenge < CURVE_ORDER):
+    if not isinstance(signature.challenge, int) \
+            or not (0 <= signature.challenge < CURVE_ORDER):
         raise MalformedRingSignature("challenge out of range")
     for s in responses:
         if not isinstance(s, int) or not (0 <= s < CURVE_ORDER):

@@ -1,4 +1,4 @@
-"""Audit scheduling: cadence gating plus three cluster-sampling policies.
+"""Audit scheduling: three cluster-sampling policies.
 
 Clusters are returned as lists in draw order rather than sets so that audit
 execution order, and therefore every downstream ledger event and CSV row, is
@@ -24,11 +24,6 @@ class Policy(enum.Enum):
     RANDOM = "random"
     WEIGHTED = "weighted"
     BIBD = "bibd"
-
-
-def audit_due(request_counter: int, eta: int) -> bool:
-    """True exactly on every eta-th request (and never before the first)."""
-    return request_counter > 0 and request_counter % eta == 0
 
 
 def sample_cluster_random(live_fogs, cluster_size: int, rng) -> list:
@@ -64,15 +59,13 @@ def sample_cluster_weighted(live_fogs, weights, cluster_size: int, rng) -> list:
     return chosen
 
 
-def update_weight(weights, fog_address: str, passed: bool,
-                  gain: float = WEIGHT_GAIN, decay: float = WEIGHT_DECAY,
-                  floor: float = WEIGHT_FLOOR) -> float:
+def update_weight(weights, fog_address: str, passed: bool) -> float:
     """Scale a node's weight down on a passed audit, up on a failed one."""
     if fog_address not in weights:
         raise UnknownFog("no weight recorded for %s" % fog_address)
-    weight = weights[fog_address] * (decay if passed else gain)
-    if weight < floor:
-        weight = floor
+    weight = weights[fog_address] * (WEIGHT_DECAY if passed else WEIGHT_GAIN)
+    if weight < WEIGHT_FLOOR:
+        weight = WEIGHT_FLOOR
     weights[fog_address] = weight
     return weight
 
@@ -104,23 +97,18 @@ def next_bibd_cluster(blocks, block_cursor: int) -> tuple:
 class Scheduler:
     """Cluster selection under one policy, tracking what the policy knows.
 
-    The scheduler keeps its own roster of nodes it believes are live, which
-    the owner updates through ``eject``.  Policies differ in how much they
-    learn, so the roster is deliberately the scheduler's view rather than a
+    The scheduler keeps its own roster of nodes it believes are live.  The
+    owner reports verdicts through ``record_outcome`` and wasted attempts
+    through ``record_miss``; policies differ in what they learn from those,
+    so the roster is deliberately the scheduler's view rather than a
     reference to ground truth.
     """
 
-    def __init__(self, policy: Policy, cluster_size: int, fog_addresses, rng,
-                 gain: float = WEIGHT_GAIN, decay: float = WEIGHT_DECAY,
-                 floor: float = WEIGHT_FLOOR):
+    def __init__(self, policy: Policy, cluster_size: int, fog_addresses, rng):
         self.policy = policy
         self.cluster_size = cluster_size
         self.rng = rng
         self.roster = list(fog_addresses)
-        self.gain = gain
-        self.decay = decay
-        self.floor = floor
-        self.request_counter = 0
         self.weights = {address: float(WEIGHT_FLOOR) for address in self.roster}
         self.blocks = []
         self.block_cursor = 0
@@ -131,10 +119,6 @@ class Scheduler:
         size = min(self.cluster_size, len(self.roster))
         self.blocks = build_bibd(self.roster, size)
         self.block_cursor = 0
-
-    def note_request(self, eta: int) -> bool:
-        self.request_counter += 1
-        return audit_due(self.request_counter, eta)
 
     def next_cluster(self) -> list:
         if not self.roster:
@@ -149,10 +133,17 @@ class Scheduler:
                                                        self.block_cursor)
         return cluster
 
-    def record_outcome(self, fog_address: str, passed: bool):
+    def record_outcome(self, fog_address: str, passed: bool, removed: bool):
+        """Learn from one verdict; only the weighted policy tracks removals."""
         if self.policy is Policy.WEIGHTED:
-            update_weight(self.weights, fog_address, passed,
-                          self.gain, self.decay, self.floor)
+            update_weight(self.weights, fog_address, passed)
+            if removed:
+                self.eject(fog_address)
+
+    def record_miss(self, fog_address: str):
+        """An attempt found the node expelled; only the block design learns."""
+        if self.policy is Policy.BIBD:
+            self.eject(fog_address)
 
     def eject(self, fog_address: str):
         """Drop a node from the roster once the policy learns it is gone."""

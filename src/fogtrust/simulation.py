@@ -71,32 +71,6 @@ def token_sign(address: str, message: bytes) -> TokenSignature:
 @dataclass
 class FogBehavior:
     malicious_rate: float
-    adaptive: bool = False
-
-
-def _corrupt(data: bytes, rng) -> bytes:
-    position = rng.randrange(len(data))
-    flip = 1 + rng.randrange(255)
-    return (data[:position] + bytes([data[position] ^ flip])
-            + data[position + 1:])
-
-
-def fog_respond(behavior: FogBehavior, package: bytes, rng,
-                service=digest) -> bytes:
-    """Correct response, except one perturbed byte with probability m_f."""
-    correct = service(package)
-    if rng.random() < behavior.malicious_rate:
-        return _corrupt(correct, rng)
-    return correct
-
-
-def behavior_hook(behavior: FogBehavior, rng):
-    """Adapter plugging a FogBehavior into a protocol-level fog agent."""
-    def hook(package, result):
-        if rng.random() < behavior.malicious_rate:
-            return _corrupt(result, rng)
-        return result
-    return hook
 
 
 def adapt_on_penalty(behavior: FogBehavior, rng, subtractive: bool = False):
@@ -126,7 +100,6 @@ class ScenarioConfig:
     reputation_min: int = 0
     reputation_initial: int = 10
     reputation_max: int = 10
-    audit_interval: int = 1
     fee_rate: object = "0"
     audit_payment: int = 0
     oracle_bounty: int = 0
@@ -173,7 +146,6 @@ class ScenarioConfig:
             fee_rate=self.fee_rate,
             deposit_requirement=self.deposit,
             deposit_deduction=self.deposit_deduction,
-            audit_interval=self.audit_interval,
             audit_payment=self.audit_payment,
             oracle_bounty=self.oracle_bounty,
         )
@@ -229,8 +201,7 @@ def _build_population(config: ScenarioConfig, rng) -> _Population:
         message = call_message("fog_registration", amount=config.deposit)
         ledger.fog_registration(config.deposit, token_sign(address, message))
         behaviors[address] = FogBehavior(
-            malicious_rate=config.malicious_low + span * rng.random(),
-            adaptive=config.adaptive)
+            malicious_rate=config.malicious_low + span * rng.random())
 
     reward_messages = {}
     penalty_messages = {}
@@ -282,7 +253,6 @@ def run_cost_trial(config: ScenarioConfig, rng) -> int:
     behaviors = population.behaviors
     scheduler = Scheduler(config.policy, config.cluster_size,
                           population.fog_addresses, rng)
-    policy = config.policy
     attempts = 0
     cap = config.audit_cap
     fog_table = ledger.fog_table
@@ -297,15 +267,12 @@ def run_cost_trial(config: ScenarioConfig, rng) -> int:
                 raise NonTerminating("audit cap %d exceeded" % cap)
             if address not in fog_table:
                 # Wasted attempt: the node was expelled earlier.
-                if policy is Policy.BIBD:
-                    scheduler.eject(address)
+                scheduler.record_miss(address)
                 continue
             passed = rng.random() >= behaviors[address].malicious_rate
             outcome = _submit_verdict(population, address, passed,
                                       config.ring_size, rng)
-            scheduler.record_outcome(address, passed)
-            if outcome.removed and policy is Policy.WEIGHTED:
-                scheduler.eject(address)
+            scheduler.record_outcome(address, passed, outcome.removed)
             if not fog_table:
                 break
     return attempts
@@ -343,7 +310,7 @@ def run_state_trial(config: ScenarioConfig, rng) -> TrialMetrics:
     behaviors = population.behaviors
     scheduler = Scheduler(config.policy, config.cluster_size,
                           population.fog_addresses, rng)
-    policy = config.policy
+    adaptive = config.adaptive
     horizon = config.horizon_per_fog * config.fog_count
     metrics = TrialMetrics()
     fog_table = ledger.fog_table
@@ -362,17 +329,16 @@ def run_state_trial(config: ScenarioConfig, rng) -> TrialMetrics:
             steps += 1
             record = fog_table.get(address)
             if record is None:
-                if policy is Policy.BIBD:
-                    scheduler.eject(address)
+                scheduler.record_miss(address)
             else:
                 behavior = behaviors[address]
                 passed = rng.random() >= behavior.malicious_rate
                 before = record.reputation
                 outcome = _submit_verdict(population, address, passed,
                                           config.ring_size, rng)
-                scheduler.record_outcome(address, passed)
+                scheduler.record_outcome(address, passed, outcome.removed)
                 reputation_sum += outcome.reputation_after - before
-                if not passed and not outcome.removed and behavior.adaptive:
+                if not passed and not outcome.removed and adaptive:
                     old_rate = behavior.malicious_rate
                     adapt_on_penalty(behavior, rng,
                                      config.subtractive_adaptation)
@@ -381,8 +347,6 @@ def run_state_trial(config: ScenarioConfig, rng) -> TrialMetrics:
                     live -= 1
                     malicious_sum -= behavior.malicious_rate
                     reputation_sum -= outcome.reputation_after
-                    if policy is Policy.WEIGHTED:
-                        scheduler.eject(address)
             if live:
                 metrics.mean_malicious.append(malicious_sum / live)
                 metrics.mean_reputation.append(reputation_sum / live)

@@ -372,7 +372,7 @@ def test_acceptance_4_penalty_arithmetic(capsys):
     params = Params(reputation_initial=10, reputation_max=10, reputation_min=0,
                     reward_step=1, penalty_step=2, fee_rate="0.01",
                     deposit_requirement=3, deposit_deduction=1,
-                    audit_interval=1, audit_payment=2, oracle_bounty=1)
+                    audit_payment=2, oracle_bounty=1)
     ledger, fog, oracle = _audit_world(params, rng, behavior=_always_corrupt)
     for audit_number in (1, 2, 3):
         outcome = service_audit(oracle, fog, ledger, channel=Channel())
@@ -396,7 +396,7 @@ def test_acceptance_4_penalty_arithmetic(capsys):
     honest = Params(reputation_initial=10, reputation_max=10, reputation_min=0,
                     reward_step=1, penalty_step=2, fee_rate="0.01",
                     deposit_requirement=5, deposit_deduction=1,
-                    audit_interval=1, audit_payment=2, oracle_bounty=0)
+                    audit_payment=2, oracle_bounty=0)
     ledger2, fog2, oracle2 = _audit_world(honest, rng, behavior=None)
     for _ in range(2):
         outcome = service_audit(oracle2, fog2, ledger2, channel=Channel())
@@ -408,7 +408,7 @@ def test_acceptance_4_penalty_arithmetic(capsys):
     floor = Params(reputation_initial=10, reputation_max=10, reputation_min=5,
                    reward_step=1, penalty_step=2, fee_rate="0.01",
                    deposit_requirement=50, deposit_deduction=1,
-                   audit_interval=1, audit_payment=2, oracle_bounty=1)
+                   audit_payment=2, oracle_bounty=1)
     ledger3, fog3, oracle3 = _audit_world(floor, rng, behavior=_always_corrupt)
     for audit_number in (1, 2, 3):
         outcome = service_audit(oracle3, fog3, ledger3, channel=Channel())

@@ -1,5 +1,7 @@
 """Command-line behavior: flags, config files, outputs, exit codes."""
 
+import hashlib
+
 import pytest
 
 from fogtrust import cli
@@ -230,6 +232,36 @@ def test_simulate_state_series_live_count_never_increases(tmp_path):
     assert per_trial[0] == "trial,final_malicious,final_reputation,live_fogs"
     assert len(per_trial) == 1 + 2
     assert (tmp_path / "state_plot.gp").exists()
+
+
+# sha256 of every file and of stdout; a change that alters an RNG stream on
+# purpose updates these and says so
+PINNED_SIMULATE_DIGESTS = {
+    ("cost", "--trials", "3", "--cluster", "5"): {
+        "cost_trials.csv": "ffdada9bc854e920d34a0149fbc882574850b7d6fdfd527b5c135a2c28511397",
+        "cost_summary.csv": "7c1fe0bda3a47b8051ca5372be63d3fda964291f6057ee2f9b71adace52c59d8",
+        "cost_plot.gp": "1bb43888d8cbfeedaa93d660c3d5f42504c9c9fa1676fcfbd6b2cf574276ba01",
+        "stdout": "2615927bccca758d1281bbaf880594496d67eedb5c586f04cee0cc45501d7d51",
+    },
+    ("state", "--trials", "2"): {
+        "state_trials.csv": "b436e871e6b26c7c5c4f8403e4112146eb83082e0bff921149ad3666728d4029",
+        "state_series.csv": "8c64b963223812231f25fa2916ab388b6f7ccc6c2538d09d37f0e47ff3b48c64",
+        "state_plot.gp": "d83cd420629200eef06c1c6efce4deece66e036f23e8d3542af281fad3609f76",
+        "stdout": "2c26e17a341f7b1238625c47cdb21ff033404afc48609a11d63e2f170a6e8d71",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_SIMULATE_DIGESTS),
+                         ids=lambda args: args[0])
+def test_simulate_outputs_match_pinned_digests(args, tmp_path, capsys):
+    assert run_cli(["simulate", *args, "--seed", "7",
+                    "--out", str(tmp_path)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    digests["stdout"] = hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest()
+    assert digests == PINNED_SIMULATE_DIGESTS[args]
 
 
 def test_simulate_rejects_zero_cluster(tmp_path, capsys):

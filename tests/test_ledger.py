@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from fogtrust.ledger import (
     audit_message,
     call_message,
 )
-from fogtrust.ring import ring_sign
+from fogtrust.ring import RingSignature, ring_sign
 from fogtrust.signing import Signature
 
 import oracles
@@ -42,7 +43,7 @@ def small_params(**overrides):
     base = dict(
         reputation_initial=5, reputation_max=10, reputation_min=0,
         reward_step=1, penalty_step=2, fee_rate="0.01",
-        deposit_requirement=3, deposit_deduction=1, audit_interval=2,
+        deposit_requirement=3, deposit_deduction=1,
         audit_payment=0, oracle_bounty=0,
     )
     base.update(overrides)
@@ -128,8 +129,6 @@ def test_params_rejects_nonpositive_knobs():
         small_params(deposit_requirement=0)
     with pytest.raises(InvalidParams):
         small_params(deposit_deduction=0)
-    with pytest.raises(InvalidParams):
-        small_params(audit_interval=0)
     with pytest.raises(InvalidParams):
         small_params(audit_payment=-1)
 
@@ -241,6 +240,17 @@ def test_iot_add_and_withdraw_cycle():
     assert record.available_funds == 0
     assert bench.ledger.total_withdrawn == 15
     bench.assert_conserved()
+
+
+def test_bool_amounts_and_params_are_rejected():
+    bench = Bench()
+    pair = KeyPair.generate(RNG)
+    with pytest.raises(InvalidAmount):
+        bench.ledger.iot_registration(
+            True, bench.approve(pair, "iot_registration", amount=True))
+    assert bench.ledger.iot_table == {}
+    with pytest.raises(InvalidParams):
+        small_params(reward_step=True)
 
 
 def test_iot_withdraw_overdraft_rejected():
@@ -403,6 +413,43 @@ def test_audit_rejects_ring_signature_for_wrong_outcome():
     assert bench.ledger.fog_table[node.address].reputation == 5
 
 
+MALFORMED_ATTESTATIONS = {
+    "one-member-ring": lambda genuine: RingSignature(
+        genuine.challenge, genuine.responses[:1], genuine.ring[:1]),
+    "not-a-ring-signature": lambda genuine: object(),
+    "non-int-challenge": lambda genuine: replace(
+        genuine, challenge=str(genuine.challenge)),
+}
+
+
+@pytest.mark.parametrize("passed", [True, False])
+@pytest.mark.parametrize("malformed, error", [
+    ("one-member-ring", InvalidRingSignature),
+    ("not-a-ring-signature", InvalidRingSignature),
+    ("non-int-challenge", InvalidRingSignature),
+    ("not-a-call-signature", BadSignature),
+])
+def test_malformed_audit_inputs_are_typed_and_change_nothing(
+        passed, malformed, error):
+    bench = Bench()
+    devices = [bench.iot(10) for _ in range(2)]
+    node = bench.fog()
+    keeper = bench.oracle()
+    op = "fog_reward" if passed else "fog_penalize"
+    attestation = ring_sign(audit_message(node.address, passed),
+                            [d.public for d in devices], 0,
+                            devices[0].secret, RNG)
+    approval = bench.approve(keeper, op, fog=node.address)
+    if malformed == "not-a-call-signature":
+        approval = object()
+    else:
+        attestation = MALFORMED_ATTESTATIONS[malformed](attestation)
+    before = bench.ledger.to_snapshot()
+    with pytest.raises(error):
+        getattr(bench.ledger, op)(node.address, attestation, approval)
+    assert bench.ledger.to_snapshot() == before
+
+
 def test_audit_rejects_ring_with_unregistered_member():
     bench = Bench()
     registered = bench.iot(10)
@@ -458,7 +505,7 @@ def test_fog_survives_exactly_ceil_deposit_over_deduction_penalties(
         reputation_initial=0, reputation_max=10, reputation_min=-10**9,
         reward_step=1, penalty_step=2, fee_rate="0",
         deposit_requirement=deposit, deposit_deduction=deduction,
-        audit_interval=1, audit_payment=0, oracle_bounty=0,
+        audit_payment=0, oracle_bounty=0,
     )
     bench = Bench(params)
     devices = [bench.iot(10) for _ in range(2)]
@@ -538,7 +585,7 @@ def test_penalty_distribution_is_exact(devices, deduction):
         reputation_initial=10, reputation_max=10, reputation_min=0,
         reward_step=1, penalty_step=2, fee_rate="0",
         deposit_requirement=deduction, deposit_deduction=deduction,
-        audit_interval=1, audit_payment=0, oracle_bounty=0,
+        audit_payment=0, oracle_bounty=0,
     )
     bench = Bench(params)
     members = [bench.iot(7) for _ in range(max(devices, 2))]

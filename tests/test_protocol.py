@@ -46,7 +46,7 @@ def build_world(threshold=0, fee_rate="0.01", behavior=None, devices=3,
     params = Params(
         reputation_initial=5, reputation_max=10, reputation_min=0,
         reward_step=1, penalty_step=2, fee_rate=fee_rate,
-        deposit_requirement=3, deposit_deduction=1, audit_interval=2,
+        deposit_requirement=3, deposit_deduction=1,
         audit_payment=audit_payment, oracle_bounty=1,
     )
     ledger = Ledger(params)

@@ -1,4 +1,4 @@
-"""Cadence gating and the three cluster-sampling policies."""
+"""The three cluster-sampling policies and what each learns."""
 
 import math
 import random
@@ -9,7 +9,6 @@ from fogtrust.errors import ClusterTooLarge, EmptyDesign, InvalidDesign, Unknown
 from fogtrust.scheduling import (
     Policy,
     Scheduler,
-    audit_due,
     build_bibd,
     next_bibd_cluster,
     sample_cluster_random,
@@ -22,22 +21,6 @@ import oracles
 
 def addresses(count):
     return ["0x%040x" % n for n in range(1, count + 1)]
-
-
-# -- cadence --
-
-def test_audit_due_every_request_when_interval_is_one():
-    assert all(audit_due(n, 1) for n in range(1, 20))
-
-
-def test_audit_due_hits_exact_multiples():
-    due = [n for n in range(1, 11) if audit_due(n, 5)]
-    assert due == [5, 10]
-
-
-def test_audit_not_due_before_first_request():
-    assert not audit_due(0, 1)
-    assert not audit_due(0, 7)
 
 
 # -- random sampling --
@@ -236,19 +219,30 @@ def test_scheduler_single_survivor_keeps_returning_it():
 def test_scheduler_weighted_learns_from_outcomes():
     roster = addresses(5)
     scheduler = Scheduler(Policy.WEIGHTED, 2, roster, random.Random(15))
-    scheduler.record_outcome(roster[0], passed=False)
-    scheduler.record_outcome(roster[0], passed=False)
+    scheduler.record_outcome(roster[0], passed=False, removed=False)
+    scheduler.record_outcome(roster[0], passed=False, removed=False)
     assert scheduler.weights[roster[0]] == 4.0
-    scheduler.record_outcome(roster[0], passed=True)
+    scheduler.record_outcome(roster[0], passed=True, removed=False)
     assert scheduler.weights[roster[0]] == 2.0
     scheduler.eject(roster[0])
     assert roster[0] not in scheduler.weights
 
 
-def test_scheduler_note_request_gates_on_interval():
-    scheduler = Scheduler(Policy.RANDOM, 1, addresses(2), random.Random(16))
-    due = [scheduler.note_request(3) for _ in range(9)]
-    assert due == [False, False, True] * 3
+@pytest.mark.parametrize("policy, drops_on_removal, drops_on_miss", [
+    (Policy.RANDOM, False, False),
+    (Policy.WEIGHTED, True, False),
+    (Policy.BIBD, False, True),
+])
+def test_scheduler_learns_removals_as_its_policy_allows(
+        policy, drops_on_removal, drops_on_miss):
+    roster = addresses(5)
+    scheduler = Scheduler(policy, 2, roster, random.Random(16))
+    scheduler.record_outcome(roster[0], passed=False, removed=True)
+    assert (roster[0] not in scheduler.roster) == drops_on_removal
+    scheduler.record_miss(roster[1])
+    assert (roster[1] not in scheduler.roster) == drops_on_miss
+    scheduler.record_outcome(roster[2], passed=False, removed=False)
+    assert roster[2] in scheduler.roster
 
 
 def test_scheduler_same_seed_same_cluster_sequence():
@@ -260,7 +254,8 @@ def test_scheduler_same_seed_same_cluster_sequence():
         for step in range(20):
             cluster = scheduler.next_cluster()
             trace.append(tuple(cluster))
-            scheduler.record_outcome(cluster[0], passed=step % 2 == 0)
+            scheduler.record_outcome(cluster[0], passed=step % 2 == 0,
+                                     removed=False)
         runs.append(trace)
     assert runs[0] == runs[1]
 

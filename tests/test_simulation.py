@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fogtrust.constants import digest
 from fogtrust.errors import BadSignature, InvalidConfig, NonTerminating
 from fogtrust.scheduling import Policy
 from fogtrust.simulation import (
@@ -19,8 +18,6 @@ from fogtrust.simulation import (
     adapt_on_penalty,
     aggregate,
     aggregate_series,
-    behavior_hook,
-    fog_respond,
     policy_from_name,
     run_cost_scenario,
     run_cost_trial,
@@ -56,55 +53,10 @@ def test_token_ring_verifies_only_its_message():
 
 # -- fog behavior --
 
-def test_honest_fog_returns_correct_digest():
-    behavior = FogBehavior(malicious_rate=0.0)
-    rng = random.Random(0)
-    package = b"payload"
-    assert fog_respond(behavior, package, rng) == digest(package)
-
-
-def test_fully_malicious_fog_never_returns_correct_digest():
-    behavior = FogBehavior(malicious_rate=1.0)
-    rng = random.Random(0)
-    for n in range(200):
-        package = b"pkg%d" % n
-        assert fog_respond(behavior, package, rng) != digest(package)
-
-
-def test_corruption_preserves_length():
-    behavior = FogBehavior(malicious_rate=1.0)
-    rng = random.Random(3)
-    package = b"anything"
-    assert len(fog_respond(behavior, package, rng)) == len(digest(package))
-
-
-def test_half_malicious_fog_corrupts_about_half_the_time():
-    behavior = FogBehavior(malicious_rate=0.5)
-    rng = random.Random(11)
-    package = b"steady"
-    correct = digest(package)
-    trials = 10_000
-    bad = sum(fog_respond(behavior, package, rng) != correct
-              for _ in range(trials))
-    # 4 sigma around 5000 at sd = sqrt(10000 * 0.25) = 50
-    assert abs(bad - trials // 2) < 200
-
-
-def test_behavior_hook_passes_through_when_honest():
-    hook = behavior_hook(FogBehavior(malicious_rate=0.0), random.Random(0))
-    assert hook(b"pkg", b"result") == b"result"
-
-
-def test_behavior_hook_corrupts_when_malicious():
-    hook = behavior_hook(FogBehavior(malicious_rate=1.0), random.Random(0))
-    out = hook(b"pkg", b"result")
-    assert out != b"result" and len(out) == len(b"result")
-
-
 def test_adaptation_shrinks_rate_and_stays_nonnegative():
     rng = random.Random(5)
     for _ in range(500):
-        behavior = FogBehavior(malicious_rate=0.8, adaptive=True)
+        behavior = FogBehavior(malicious_rate=0.8)
         adapt_on_penalty(behavior, rng)
         assert 0.0 <= behavior.malicious_rate < 0.8
 
@@ -112,7 +64,7 @@ def test_adaptation_shrinks_rate_and_stays_nonnegative():
 def test_subtractive_adaptation_also_shrinks():
     rng = random.Random(6)
     for _ in range(500):
-        behavior = FogBehavior(malicious_rate=0.8, adaptive=True)
+        behavior = FogBehavior(malicious_rate=0.8)
         adapt_on_penalty(behavior, rng, subtractive=True)
         assert 0.0 <= behavior.malicious_rate < 0.8
 
@@ -124,7 +76,7 @@ def test_adaptation_halves_rate_in_expectation():
     k = 3
     total = 0.0
     for _ in range(samples):
-        behavior = FogBehavior(malicious_rate=1.0, adaptive=True)
+        behavior = FogBehavior(malicious_rate=1.0)
         for _ in range(k):
             adapt_on_penalty(behavior, rng)
         total += behavior.malicious_rate
