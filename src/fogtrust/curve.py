@@ -16,14 +16,22 @@ multiplication is then one mixed addition per nonzero digit, summed in
 XYZZ coordinates, and one inversion.
 
 Ring members and agent keys get a width-8 table (16 rows and a one-entry
-top row, 2049 entries, about 280 KB) on their third multiplication; until
-then, and for one-off points, a 4-bit windowed ladder is used. The
+top row, 2049 entries, about 280 KB) on their third multiplication. The
 generator gets a width-13 table (9 rows and a 2048-entry top row, 38912
 entries, about 5 MB) on its first multiplication rather than at import,
 so processes that never touch the curve never pay for it.
 
-``link_x`` fuses the ring-signature link s * G + c * P into a single
-accumulator and returns only the x-coordinate.
+A point without a table (a fresh nonce point, a peer's key, a ring member
+before its third use) is multiplied over the same GLV split: the odd
+multiples P, 3P, ..., 15P are normalized with one inversion, the lambda
+column is beta * x of the same rows, and the two halves' width-5 signed
+digits run interleaved, about 128 Jacobian doublings and 43 mixed
+additions in all.
+
+``mult_add`` computes s * G + c * P in a single accumulator that ends in
+one inversion, whether or not P has a table (a cold P adds the inversion
+of its odd multiples); ``link_x`` is the same sum for the ring-signature
+link, returning only the x-coordinate.
 
 Infinity is represented as None at the public API; it never appears as a
 stored key or signature component.
@@ -127,35 +135,6 @@ def _j_double(pt):
     return (X3, Y3, Z3)
 
 
-def _j_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    p = _PRIME
-    X1, Y1, Z1 = a
-    X2, Y2, Z2 = b
-    Z1Z1 = Z1 * Z1 % p
-    Z2Z2 = Z2 * Z2 % p
-    U1 = X1 * Z2Z2 % p
-    U2 = X2 * Z1Z1 % p
-    S1 = Y1 * Z2 * Z2Z2 % p
-    S2 = Y2 * Z1 * Z1Z1 % p
-    if U1 == U2:
-        if S1 != S2:
-            return None
-        return _j_double(a)
-    H = (U2 - U1) % p
-    I = 4 * H * H % p
-    J = H * I % p
-    r = 2 * (S2 - S1) % p
-    V = U1 * I % p
-    X3 = (r * r - J - 2 * V) % p
-    Y3 = (r * (V - X3) - 2 * S1 * J) % p
-    Z3 = ((Z1 + Z2) * (Z1 + Z2) - Z1Z1 - Z2Z2) % p * H % p
-    return (X3, Y3, Z3)
-
-
 def _batch_inverse(values):
     """Modular inverses of many nonzero field elements, one inversion."""
     p = _PRIME
@@ -168,34 +147,6 @@ def _batch_inverse(values):
         out[i] = inv * prefix[i] % p
         inv = inv * values[i] % p
     return out
-
-
-def _ladder_mult(k, x, y):
-    """4-bit windowed ladder for points without a cached table."""
-    base = (_bignum(x), _bignum(y), _bignum(1))
-    multiples = [None, base]
-    entry = base
-    for _ in range(14):
-        entry = _j_add(entry, base)
-        multiples.append(entry)
-
-    p = _PRIME
-    nwindows = (k.bit_length() + 3) // 4
-    acc = None
-    for w in range(nwindows - 1, -1, -1):
-        if acc is not None:
-            for _ in range(4):
-                X1, Y1, Z1 = acc
-                YY = Y1 * Y1 % p
-                S = 4 * X1 * YY % p
-                M = 3 * X1 * X1 % p
-                X3 = (M * M - 2 * S) % p
-                Y3 = (M * (S - X3) - 8 * YY * YY) % p
-                acc = (X3, Y3, 2 * Y1 * Z1 % p)
-        digit = (k >> (4 * w)) & 15
-        if digit:
-            acc = _j_add(acc, multiples[digit])
-    return acc
 
 
 # ------------------------------------------------------------------
@@ -381,14 +332,129 @@ def _xyzz_to_affine(acc):
     return int(X * ZZZ % p * inv % p), int(Y * ZZ % p * inv % p)
 
 
-def _ladder_xyzz(k, point):
-    """k * point by the ladder, as an XYZZ accumulator."""
-    raw = _ladder_mult(k, point.x, point.y)
-    if raw is None:
-        return _INFINITY
-    X, Y, Z = raw
-    ZZ = Z * Z % _PRIME
-    return (X, Y, ZZ, ZZ * Z % _PRIME)
+# ------------------------------------------------------------------
+# Points without a table: interleaved width-5 wNAF over the GLV split
+# ------------------------------------------------------------------
+
+
+def _odd_multiples(x, y):
+    """Affine x and y columns of P, 3P, ..., 15P for P = (x, y).
+
+    2P = (X, Y, Z) in Jacobian form is affine on the isomorphic curve
+    y^2 = x^3 + 7 * Z^6, reached by (x, y) -> (x * Z^2, y * Z^3). The chain
+    P + 2P + 2P ... runs there in mixed additions, which never read the
+    curve constant; each result maps back with its Z multiplied by that
+    of 2P, so one batched inversion normalizes the whole column.
+    """
+    p = _PRIME
+    dx, dy, dz = _j_double((x, y, _ONE))
+    dz2 = dz * dz % p
+    X1, Y1, Z1 = x * dz2 % p, y * dz2 % p * dz % p, _ONE
+    chain = []
+    for _ in range(7):  # 3P, 5P, ..., 15P
+        ZZ = Z1 * Z1 % p
+        H = dx * ZZ % p - X1
+        R = dy * ZZ % p * Z1 % p - Y1
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X1 * HH % p
+        X1 = (R * R - HHH - 2 * V) % p
+        Y1 = (R * (V - X1) - Y1 * HHH) % p
+        Z1 = Z1 * H % p
+        chain.append((X1, Y1, Z1 * dz % p))
+    xs = [x]
+    ys = [y]
+    for (X, Y, _), zinv in zip(chain, _batch_inverse([z for _, _, z in chain])):
+        zinv2 = zinv * zinv % p
+        xs.append(X * zinv2 % p)
+        ys.append(Y * zinv2 % p * zinv % p)
+    return xs, ys
+
+
+def _cold_xyzz(k, point):
+    """k * point, k in [1, order), for a point without a table, as an XYZZ
+    accumulator that _table_sum can start from.
+
+    Each GLV half is recoded into width-5 signed digits: odd, below 16 in
+    magnitude, at least five bits apart. A digit d of the first half adds
+    d * P from the odd multiples; one of the second half adds d * lambda * P,
+    the same row with x times beta. Both halves run interleaved from the top
+    bit: one Jacobian doubling per bit and one mixed addition per digit.
+
+    The mixed addition has no branch for meeting its own term or its
+    negation, because neither can happen. Before it adds d * P (d odd,
+    either sign) the accumulator is A * P + B * lambda * P, so a meeting
+    puts (A - d, B) or (A + d, B) in the lattice that the split rounds
+    against. (A, B) is (k1, k2) / 2^bit to within 2^5, and the split leaves
+    (k1, k2) at most half a basis vector from the origin along each basis
+    vector, so that lattice vector is 0 and A = +-d; but A is a multiple of
+    2^5 there. Additions from the second half are the same with A and B
+    swapped.
+    """
+    p = _PRIME
+    xs, ys = _odd_multiples(_bignum(point.x), _bignum(point.y))
+    terms = []  # (bit, x, y) of every addition
+    for k, column in zip(_glv_split(k), (xs, [_BETA * v % p for v in xs])):
+        negate = k < 0
+        if negate:
+            k = -k
+        bit = 0
+        while k:
+            zeros = (k & -k).bit_length() - 1
+            k >>= zeros
+            bit += zeros
+            digit = k & 31
+            if digit > 16:
+                digit -= 32
+            k = (k - digit) >> 5
+            row = abs(digit) >> 1
+            y = ys[row]
+            if (digit < 0) != negate:
+                y = p - y
+            terms.append((bit, column[row], y))
+            bit += 5
+    terms.sort(reverse=True)
+    bit, X, Y = terms[0]
+    Z = _ONE
+    for next_bit, x2, y2 in terms[1:] + [(0, None, None)]:
+        for _ in range(bit - next_bit):
+            YY = Y * Y % p
+            S = 4 * X * YY % p
+            M = 3 * X * X % p
+            Z = 2 * Y * Z % p
+            X = (M * M - 2 * S) % p
+            Y = (M * (S - X) - 8 * YY * YY) % p
+        if x2 is None:
+            break
+        bit = next_bit
+        ZZ = Z * Z % p
+        H = x2 * ZZ % p - X
+        R = y2 * ZZ % p * Z % p - Y
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X * HH % p
+        X = (R * R - HHH - 2 * V) % p
+        Y = (R * (V - X) - Y * HHH) % p
+        Z = Z * H % p
+    ZZ = Z * Z % p
+    return X, Y, ZZ, ZZ * Z % p
+
+
+def _mult_add_xyzz(s, c, point):
+    """s * G + c * point in one XYZZ accumulator, s and c any integers.
+
+    Every table term of both products goes into the accumulator; a point
+    without a table yet starts it from its cold product instead.
+    """
+    c %= CURVE_ORDER
+    products = [(s % CURVE_ORDER, _table_of(GENERATOR))]
+    table = _table_of(point)
+    start = _INFINITY
+    if table is not None:
+        products.append((c, table))
+    elif c:
+        start = _cold_xyzz(c, point)
+    return _table_sum(start, products)
 
 
 def scalar_mult(k: int, point: Point):
@@ -398,7 +464,7 @@ def scalar_mult(k: int, point: Point):
         return None
     table = _table_of(point)
     if table is None:
-        acc = _ladder_xyzz(k, point)
+        acc = _cold_xyzz(k, point)
     else:
         acc = _table_sum(_INFINITY, [(k, table)])
     affine = _xyzz_to_affine(acc)
@@ -407,23 +473,24 @@ def scalar_mult(k: int, point: Point):
     return Point(affine[0], affine[1])
 
 
+def mult_add(s: int, c: int, point: Point):
+    """s * G + c * point, or None when that sum is infinity.
+
+    The two products share one accumulator and its final inversion.
+    """
+    affine = _xyzz_to_affine(_mult_add_xyzz(s, c, point))
+    if affine is None:
+        return None
+    return Point(affine[0], affine[1])
+
+
 def link_x(s: int, c: int, point: Point):
     """x of s * G + c * point, or None when that sum is infinity.
 
-    One accumulator takes every table term of both products (or, for a
-    point without a table yet, starts from its ladder product), so the
-    link costs a single inversion; the normalized result is checked
-    against the curve equation instead of being built into a Point.
+    As mult_add, but the normalized result is checked against the curve
+    equation instead of being built into a Point.
     """
-    c %= CURVE_ORDER
-    products = [(s % CURVE_ORDER, _table_of(GENERATOR))]
-    table = _table_of(point)
-    if table is None:
-        start = _ladder_xyzz(c, point)
-    else:
-        start = _INFINITY
-        products.append((c, table))
-    affine = _xyzz_to_affine(_table_sum(start, products))
+    affine = _xyzz_to_affine(_mult_add_xyzz(s, c, point))
     if affine is None:
         return None
     x, y = affine

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -102,6 +102,9 @@ class Params:
         """Exact floor of ``amount * fee_rate``."""
         rate = self._rate
         return amount * rate.numerator // rate.denominator
+
+
+_PARAM_NAMES = frozenset(f.name for f in fields(Params))
 
 
 @dataclass
@@ -457,7 +460,11 @@ class Ledger:
     @classmethod
     def from_snapshot(cls, snapshot: dict, identity=None,
                       record_events: bool = True) -> "Ledger":
-        params = Params(**snapshot["params"])
+        values = snapshot["params"]
+        if not isinstance(values, dict) or values.keys() != _PARAM_NAMES:
+            raise InvalidParams("snapshot params must name exactly %s"
+                                % ", ".join(sorted(_PARAM_NAMES)))
+        params = Params(**values)
         ledger = cls(params, identity=identity, record_events=record_events)
         for row in snapshot["iot_table"]:
             ledger.iot_table[row["address"]] = IoTRecord(**row)

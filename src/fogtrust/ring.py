@@ -120,8 +120,10 @@ def ring_sign(message: bytes, ring: Sequence[Point], signer_index: int,
 
 def ring_verify(message: bytes, signature: RingSignature) -> bool:
     ring = signature.ring
-    _check_ring(ring)
     responses = signature.responses
+    if not (isinstance(ring, (tuple, list)) and isinstance(responses, (tuple, list))):
+        raise MalformedRingSignature("ring and responses must be tuples or lists")
+    _check_ring(ring)
     if len(responses) != len(ring):
         raise MalformedRingSignature("one response required per ring member")
     if not isinstance(signature.challenge, int) \

@@ -11,7 +11,7 @@ import secrets
 from dataclasses import dataclass
 
 from .constants import digest
-from .curve import CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, point_add, scalar_mult
+from .curve import CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, mult_add, scalar_mult
 from .errors import InvalidScalar, InvalidSignature, RecoveryFailed
 
 
@@ -62,6 +62,9 @@ def sign(message: bytes, secret: int, rng=None) -> Signature:
 def recover(message: bytes, signature: Signature) -> Point:
     """Recover the signer's public point; raises RecoveryFailed otherwise."""
     r, s, hint = signature.r, signature.s, signature.recovery_hint
+    # type() rather than isinstance(): True is an int but not a field value
+    if not (type(r) is int and type(s) is int and type(hint) is int):
+        raise InvalidSignature("signature fields must be integers")
     if not (1 <= r < CURVE_ORDER and 1 <= s < CURVE_ORDER and 0 <= hint <= 3):
         raise InvalidSignature("signature fields out of range")
     x = r + CURVE_ORDER if hint & 2 else r
@@ -78,7 +81,7 @@ def recover(message: bytes, signature: Signature) -> Point:
     r_inv = pow(r, -1, CURVE_ORDER)
     u1 = (-z * r_inv) % CURVE_ORDER
     u2 = (s * r_inv) % CURVE_ORDER
-    public = point_add(scalar_mult(u1, GENERATOR), scalar_mult(u2, nonce_point))
+    public = mult_add(u1, u2, nonce_point)
     if public is None:
         raise RecoveryFailed("recovered the point at infinity")
     return public

@@ -24,6 +24,14 @@ def from_tuple(pt):
     return curve.Point(pt[0], pt[1])
 
 
+def cold_mult(k, pt):
+    """k * pt on a fresh Point, which has no table and stays without one."""
+    point = from_tuple(pt)
+    got = as_tuple(curve.scalar_mult(k, point))
+    assert point._table is None
+    return got
+
+
 def test_curve_constants_match_reference():
     assert curve.FIELD_PRIME == oracles.FIELD_PRIME
     assert curve.CURVE_ORDER == oracles.CURVE_ORDER
@@ -62,10 +70,8 @@ def test_random_base_points_match_oracle():
     for _ in range(8):
         base_k = rng.randrange(1, curve.CURVE_ORDER)
         base = oracles.affine_scalar_mult(base_k, oracles.GEN)
-        point = from_tuple(base)
         k = rng.randrange(1, curve.CURVE_ORDER)
-        got = as_tuple(curve.scalar_mult(k, point))
-        assert got == oracles.affine_scalar_mult(k, base)
+        assert cold_mult(k, base) == oracles.affine_scalar_mult(k, base)
 
 
 def test_cached_table_path_matches_cold_path():
@@ -275,3 +281,79 @@ def test_link_x_handles_cancellation_and_doubling():
         # 763 recodes as -5 + 3 * 2^8: the accumulator passes through
         # infinity and starts again from the next term
         assert curve.link_x(5, 763, point()) == oracles.affine_scalar_mult(768, oracles.GEN)[0]
+
+
+# -- points without a table: the interleaved wNAF path and mult_add --
+
+def test_cold_points_cover_every_glv_sign_pattern_and_edge_scalar():
+    rng = random.Random(0x5164)
+    n = curve.CURVE_ORDER
+    base = oracles.affine_scalar_mult(31337, oracles.GEN)
+    scalars = [1, 2, 3, 15, 16, 17, 31, 33, n - 1, n - 2]
+    signs = set()
+    while len(signs) < 4:
+        k = rng.randrange(1, n)
+        k1, k2 = curve._glv_split(k)
+        if (k1 < 0, k2 < 0) not in signs:
+            signs.add((k1 < 0, k2 < 0))
+            scalars.append(k)
+    # one half zero: k below 2^127 leaves the second half 0, and lambda
+    # itself leaves the first half 0
+    low = (1 << 126) + 0x5EED
+    assert curve._glv_split(low)[1] == 0
+    assert curve._glv_split(curve._LAMBDA)[0] == 0
+    scalars += [low, curve._LAMBDA, n - curve._LAMBDA]
+    for k in scalars:
+        assert cold_mult(k, base) == oracles.affine_scalar_mult(k, base), hex(k)
+
+
+def oracle_mult_add(s, c, base):
+    return oracles.affine_add(oracles.affine_scalar_mult(s, oracles.GEN),
+                              oracles.affine_scalar_mult(c, base))
+
+
+def test_mult_add_matches_oracle_on_table_and_cold_points():
+    rng = random.Random(0xADD)
+    base = oracles.affine_scalar_mult(rng.randrange(1, curve.CURVE_ORDER), oracles.GEN)
+    warm = warm_point(base)
+    for _ in range(6):
+        s = rng.randrange(curve.CURVE_ORDER)
+        c = rng.randrange(curve.CURVE_ORDER)
+        want = oracle_mult_add(s, c, base)
+        assert as_tuple(curve.mult_add(s, c, warm)) == want
+        cold = from_tuple(base)
+        assert as_tuple(curve.mult_add(s, c, cold)) == want
+        assert cold._table is None
+        assert curve.link_x(s, c, from_tuple(base)) == want[0]
+
+
+def test_mult_add_zero_scalars():
+    rng = random.Random(0x2E80)
+    n = curve.CURVE_ORDER
+    base = oracles.affine_scalar_mult(55555, oracles.GEN)
+    warm = warm_point(base)
+    s = rng.randrange(1, n)
+    c = rng.randrange(1, n)
+    for point in (lambda: warm, lambda: from_tuple(base)):
+        assert as_tuple(curve.mult_add(0, c, point())) == oracles.affine_scalar_mult(c, base)
+        assert as_tuple(curve.mult_add(s, 0, point())) == \
+            oracles.affine_scalar_mult(s, oracles.GEN)
+        assert curve.mult_add(0, 0, point()) is None
+        assert curve.mult_add(n, 3 * n, point()) is None
+
+
+def test_mult_add_handles_cancellation_and_doubling():
+    # the point is a second copy of G, so s*G and c*P can meet exactly
+    n = curve.CURVE_ORDER
+    warm = warm_point(oracles.GEN)
+    s = (1 << 200) + 12345
+    for point in (lambda: warm, lambda: from_tuple(oracles.GEN)):
+        # s*G = -c*P: the sum is infinity
+        assert curve.mult_add(n - 5, 5, point()) is None
+        assert curve.mult_add(s, n - s, point()) is None
+        # s*G = c*P: the accumulator meets an equal term and doubles
+        assert as_tuple(curve.mult_add(5, 5, point())) == \
+            oracles.affine_scalar_mult(10, oracles.GEN)
+        assert as_tuple(curve.mult_add(1, 1, point())) == (G2_X, G2_Y)
+        assert as_tuple(curve.mult_add(s, s, point())) == \
+            oracles.affine_scalar_mult(2 * s, oracles.GEN)

@@ -215,6 +215,20 @@ def test_malformed_signature_rejected_before_any_state_change():
     assert bench.ledger.total_deposited == 0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r", 1.5), ("s", "1"), ("recovery_hint", 0.0), ("r", True),
+    ("recovery_hint", True),
+])
+def test_signature_fields_that_are_not_ints_change_nothing(field, value):
+    bench = Bench()
+    pair = KeyPair.generate(RNG)
+    genuine = bench.approve(pair, "iot_registration", amount=10)
+    before = bench.ledger.to_snapshot()
+    with pytest.raises(BadSignature):
+        bench.ledger.iot_registration(10, replace(genuine, **{field: value}))
+    assert bench.ledger.to_snapshot() == before
+
+
 def test_signature_over_different_arguments_is_a_different_caller():
     # Recovery-style authentication: a signature over other arguments still
     # recovers, but to an address that owns nothing here.
@@ -419,6 +433,8 @@ MALFORMED_ATTESTATIONS = {
     "not-a-ring-signature": lambda genuine: object(),
     "non-int-challenge": lambda genuine: replace(
         genuine, challenge=str(genuine.challenge)),
+    "ring-is-none": lambda genuine: RingSignature(1, (1, 1), None),
+    "responses-is-none": lambda genuine: RingSignature(1, None, genuine.ring),
 }
 
 
@@ -427,6 +443,8 @@ MALFORMED_ATTESTATIONS = {
     ("one-member-ring", InvalidRingSignature),
     ("not-a-ring-signature", InvalidRingSignature),
     ("non-int-challenge", InvalidRingSignature),
+    ("ring-is-none", InvalidRingSignature),
+    ("responses-is-none", InvalidRingSignature),
     ("not-a-call-signature", BadSignature),
 ])
 def test_malformed_audit_inputs_are_typed_and_change_nothing(
@@ -650,6 +668,20 @@ def test_snapshot_roundtrip_is_lossless_and_json_safe():
     restored = Ledger.from_snapshot(json.loads(json.dumps(snapshot)))
     assert restored.to_snapshot() == snapshot
     assert oracles.conservation_gap(restored) == 0
+
+
+@pytest.mark.parametrize("edit", ["legacy-key", "missing-key", "not-a-dict"])
+def test_snapshot_params_with_other_keys_are_invalid_params(edit):
+    snapshot = Bench().ledger.to_snapshot()
+    if edit == "legacy-key":
+        # every snapshot written before the audit cadence was removed
+        snapshot["params"]["audit_interval"] = 1
+    elif edit == "missing-key":
+        del snapshot["params"]["fee_rate"]
+    else:
+        snapshot["params"] = list(snapshot["params"].items())
+    with pytest.raises(InvalidParams):
+        Ledger.from_snapshot(snapshot)
 
 
 def test_event_csv_export(tmp_path):

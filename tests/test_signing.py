@@ -1,14 +1,17 @@
 """ECDSA sign/recover behaviour."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogtrust import keys, signing
-from fogtrust.curve import CURVE_ORDER
+from fogtrust.curve import CURVE_ORDER, FIELD_PRIME
 from fogtrust.errors import InvalidScalar, InvalidSignature, RecoveryFailed
+
+import oracles
 
 messages = st.binary(min_size=0, max_size=256)
 
@@ -74,3 +77,52 @@ def test_signature_bytes_roundtrip():
     assert signing.Signature.from_bytes(raw) == sig
     with pytest.raises(InvalidSignature):
         signing.Signature.from_bytes(raw[:64])
+
+
+def test_recover_rejects_fields_that_are_not_ints():
+    sig = signing.sign(b"x", 555, random.Random(5))
+    for field, value in (("r", 1.5), ("s", 1.5), ("recovery_hint", 0.0),
+                         ("r", True), ("s", True), ("recovery_hint", True),
+                         ("s", str(sig.s)), ("recovery_hint", None)):
+        with pytest.raises(InvalidSignature):
+            signing.recover(b"x", replace(sig, **{field: value}))
+
+
+def oracle_recover(message, sig):
+    """u1 * G + u2 * R by the affine oracle, R the nonce point."""
+    x = sig.r + CURVE_ORDER * (sig.recovery_hint >> 1)
+    y = pow(x ** 3 + 7, (FIELD_PRIME + 1) // 4, FIELD_PRIME)
+    if (y & 1) != (sig.recovery_hint & 1):
+        y = FIELD_PRIME - y
+    z = signing._hash_to_int(message)
+    r_inv = pow(sig.r, -1, CURVE_ORDER)
+    return oracles.affine_add(
+        oracles.affine_scalar_mult(-z * r_inv, oracles.GEN),
+        oracles.affine_scalar_mult(sig.s * r_inv, (x, y)))
+
+
+def test_recover_over_other_messages_matches_oracle():
+    # each recovery multiplies a fresh nonce point, so this checks the
+    # table-free path of u1*G + u2*R on arbitrary results
+    rng = random.Random(6)
+    for _ in range(6):
+        sig = signing.sign(b"signed", rng.randrange(1, CURVE_ORDER), rng)
+        message = rng.randbytes(16)
+        public = signing.recover(message, sig)
+        assert (public.x, public.y) == oracle_recover(message, sig)
+
+
+def test_recover_fails_when_the_sum_is_infinity():
+    # s = z / rho for the nonce R = rho * G makes u1*G = -u2*R
+    rng = random.Random(7)
+    message = b"cancel"
+    z = signing._hash_to_int(message)
+    rho = rng.randrange(1, CURVE_ORDER)
+    nonce = keys.derive_public(rho)
+    sig = signing.Signature(r=nonce.x % CURVE_ORDER,
+                            s=z * pow(rho, -1, CURVE_ORDER) % CURVE_ORDER,
+                            recovery_hint=(nonce.y & 1)
+                            | (2 if nonce.x >= CURVE_ORDER else 0))
+    assert oracle_recover(message, sig) is None
+    with pytest.raises(RecoveryFailed):
+        signing.recover(message, sig)
