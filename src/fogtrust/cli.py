@@ -12,7 +12,7 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import (
@@ -79,15 +79,12 @@ _INT_KEYS = frozenset((
     "reputation_threshold",
 ))
 _FLOAT_KEYS = frozenset(("malicious_low", "malicious_high"))
-_BOOL_KEYS = frozenset(("adaptive", "subtractive"))
+_BOOL_KEYS = frozenset(("adaptive",))
 _STR_KEYS = frozenset(("policy", "fee_rate", "iot_key", "fog_key"))
 CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
 
 # config/flag names that differ from the ScenarioConfig field they set
-_FIELD_NAMES = {
-    "cluster": "cluster_size",
-    "subtractive": "subtractive_adaptation",
-}
+_FIELD_NAMES = {"cluster": "cluster_size"}
 _DEMO_ONLY = frozenset(("iot_key", "fog_key", "reputation_threshold"))
 
 
@@ -126,21 +123,24 @@ def parse_flat_config(text: str) -> dict:
     return settings
 
 
-def read_config(path: str) -> dict:
+def _read_ascii(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
-        raise IoError("cannot read config %s: %s" % (path, exc))
-    return parse_flat_config(text)
+        raise IoError("cannot read %s %s: %s" % (what, path, exc))
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig("%s %s is not ASCII: %s" % (what, path, exc))
+
+
+def read_config(path: str) -> dict:
+    return parse_flat_config(_read_ascii(path, "config"))
 
 
 @dataclass
 class RunConfig:
     """Everything one invocation resolved to before running."""
 
-    subcommand: str
-    config_path: Optional[str] = None
     seed: int = 0
     out_dir: str = "."
     settings: dict = field(default_factory=dict)
@@ -171,9 +171,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             settings[flag] = value
     seed = args.seed if getattr(args, "seed", None) is not None \
         else settings.get("seed", 0)
-    return RunConfig(subcommand=args.subcommand,
-                     config_path=getattr(args, "config", None),
-                     seed=seed,
+    return RunConfig(seed=seed,
                      out_dir=getattr(args, "out", ".") or ".",
                      settings=settings)
 
@@ -208,13 +206,8 @@ def cmd_keygen(count: int, out_dir: str = ".", rng=None) -> list:
 
 
 def _load_keypair(path: str) -> KeyPair:
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise IoError("cannot read key file %s: %s" % (path, exc))
     fields = {}
-    for line in text.splitlines():
+    for line in _read_ascii(path, "key file").splitlines():
         line = line.strip()
         if not line or line.startswith("#") or "=" not in line:
             continue
@@ -334,8 +327,7 @@ def _simulate_state(run: RunConfig, stream) -> list:
         settings = dict(settings, adaptive=True)
     if "deposit" not in settings:
         settings = dict(settings, deposit=10)
-    run = RunConfig(run.subcommand, run.config_path, run.seed, run.out_dir,
-                    settings)
+    run = replace(run, settings=settings)
     config = run.scenario()
 
     trial_lines = ["trial,final_malicious,final_reputation,live_fogs"]

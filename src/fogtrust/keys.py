@@ -63,7 +63,10 @@ def secret_to_hex(secret: int) -> str:
 
 
 def secret_from_hex(text: str) -> int:
-    raw = bytes.fromhex(text.removeprefix("0x"))
+    try:
+        raw = bytes.fromhex(text.removeprefix("0x"))
+    except ValueError:
+        raise InvalidScalar(f"secret is not hex: {text!r}")
     if len(raw) != 32:
         raise InvalidScalar(f"expected 32 bytes of secret, got {len(raw)}")
     value = int.from_bytes(raw, "big")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .constants import digest
 from .errors import BadSignature, InvalidConfig, InvalidParams, NonTerminating
@@ -68,18 +67,9 @@ def token_sign(address: str, message: bytes) -> TokenSignature:
 
 # -- fog behavior --
 
-@dataclass
-class FogBehavior:
-    malicious_rate: float
-
-
-def adapt_on_penalty(behavior: FogBehavior, rng, subtractive: bool = False):
-    """Shrink the malicious rate by a random fraction after a penalty."""
-    draw = rng.random()
-    if subtractive:
-        behavior.malicious_rate -= draw * behavior.malicious_rate
-    else:
-        behavior.malicious_rate *= draw
+def adapt_on_penalty(rate: float, rng) -> float:
+    """The malicious rate shrunk by a random fraction after a penalty."""
+    return rate * rng.random()
 
 
 # -- scenario configuration --
@@ -105,7 +95,6 @@ class ScenarioConfig:
     oracle_bounty: int = 0
     trials: int = 1000
     adaptive: bool = False
-    subtractive_adaptation: bool = False
     seed: int = 0
     ring_size: int = 4
     horizon_per_fog: int = 50
@@ -131,6 +120,8 @@ class ScenarioConfig:
             raise InvalidConfig("horizon must be positive")
         if self.audit_cap < 1:
             raise InvalidConfig("audit cap must be positive")
+        if self.iot_funds < 1:
+            raise InvalidConfig("device funds must be positive")
         try:
             self.params()
         except InvalidParams as exc:
@@ -174,49 +165,36 @@ class _Population:
     ledger: Ledger
     fog_addresses: list
     iot_addresses: list
-    behaviors: dict
-    reward_messages: dict
-    penalty_messages: dict
-    reward_attestations: dict
-    penalty_attestations: dict
+    rates: dict
+    # (fog address, passed) -> (attested message, oracle's signed call)
+    verdicts: dict
 
 
 def _build_population(config: ScenarioConfig, rng) -> _Population:
     ledger = Ledger(config.params(), identity=TokenIdentity(),
                     record_events=False)
     iot_addresses = ["iot-%04d" % n for n in range(config.iot_count)]
-    for address in iot_addresses:
-        message = call_message("iot_registration", amount=config.iot_funds)
-        ledger.iot_registration(config.iot_funds, token_sign(address, message))
-    message = call_message("iot_registration", amount=config.iot_funds)
-    ledger.iot_registration(config.iot_funds,
-                            token_sign(ORACLE_DEVICE, message))
+    funding = call_message("iot_registration", amount=config.iot_funds)
+    for address in iot_addresses + [ORACLE_DEVICE]:
+        ledger.iot_registration(config.iot_funds, token_sign(address, funding))
     ledger.oracle_registration(
         token_sign(ORACLE_ADMIN, call_message("oracle_registration")))
 
     fog_addresses = ["fog-%04d" % n for n in range(config.fog_count)]
-    behaviors = {}
+    staking = call_message("fog_registration", amount=config.deposit)
+    rates = {}
     span = config.malicious_high - config.malicious_low
     for address in fog_addresses:
-        message = call_message("fog_registration", amount=config.deposit)
-        ledger.fog_registration(config.deposit, token_sign(address, message))
-        behaviors[address] = FogBehavior(
-            malicious_rate=config.malicious_low + span * rng.random())
+        ledger.fog_registration(config.deposit, token_sign(address, staking))
+        rates[address] = config.malicious_low + span * rng.random()
 
-    reward_messages = {}
-    penalty_messages = {}
-    reward_attestations = {}
-    penalty_attestations = {}
+    verdicts = {}
     for address in fog_addresses:
-        reward_messages[address] = token_sign(
-            ORACLE_ADMIN, call_message("fog_reward", fog=address))
-        penalty_messages[address] = token_sign(
-            ORACLE_ADMIN, call_message("fog_penalize", fog=address))
-        reward_attestations[address] = audit_message(address, True)
-        penalty_attestations[address] = audit_message(address, False)
-    return _Population(ledger, fog_addresses, iot_addresses, behaviors,
-                       reward_messages, penalty_messages,
-                       reward_attestations, penalty_attestations)
+        for passed, op in ((True, "fog_reward"), (False, "fog_penalize")):
+            verdicts[address, passed] = (
+                audit_message(address, passed),
+                token_sign(ORACLE_ADMIN, call_message(op, fog=address)))
+    return _Population(ledger, fog_addresses, iot_addresses, rates, verdicts)
 
 
 def _submit_verdict(population: _Population, fog_address: str, passed: bool,
@@ -224,15 +202,45 @@ def _submit_verdict(population: _Population, fog_address: str, passed: bool,
     """Ring-attested verdict through the full contract path."""
     members = rng.sample(population.iot_addresses, ring_size - 1)
     members.append(ORACLE_DEVICE)
-    if passed:
-        attestation = TokenRingSignature(
-            tuple(members), population.reward_attestations[fog_address])
-        return population.ledger.fog_reward(
-            fog_address, attestation, population.reward_messages[fog_address])
-    attestation = TokenRingSignature(
-        tuple(members), population.penalty_attestations[fog_address])
-    return population.ledger.fog_penalize(
-        fog_address, attestation, population.penalty_messages[fog_address])
+    attested, approval = population.verdicts[fog_address, passed]
+    attestation = TokenRingSignature(tuple(members), attested)
+    ledger = population.ledger
+    submit = ledger.fog_reward if passed else ledger.fog_penalize
+    return submit(fog_address, attestation, approval)
+
+
+def _attempts(config: ScenarioConfig, population: _Population, rng):
+    """Every audit attempt of one trial, until the last fog node is expelled.
+
+    Yields ``(address, passed, reputation_before, outcome)`` per attempt,
+    with ``None`` for the last three when the node was already expelled.
+    Each item comes after the scheduler has learned the outcome and before
+    the next draw from ``rng``, so a consumer may draw from it in between.
+    """
+    fog_table = population.ledger.fog_table
+    rates = population.rates
+    scheduler = Scheduler(config.policy, config.cluster_size,
+                          population.fog_addresses, rng)
+    while fog_table:
+        cluster = scheduler.next_cluster()
+        if not cluster:
+            raise NonTerminating("scheduler produced an empty cluster while "
+                                 "fog nodes remain")
+        for address in cluster:
+            record = fog_table.get(address)
+            if record is None:
+                # Wasted attempt: the node was expelled earlier.
+                scheduler.record_miss(address)
+                yield address, None, None, None
+                continue
+            passed = rng.random() >= rates[address]
+            before = record.reputation
+            outcome = _submit_verdict(population, address, passed,
+                                      config.ring_size, rng)
+            scheduler.record_outcome(address, passed, outcome.removed)
+            yield address, passed, before, outcome
+            if not fog_table:
+                return
 
 
 # -- cost scenario --
@@ -248,33 +256,11 @@ def run_cost_trial(config: ScenarioConfig, rng) -> int:
     roster.  An attempt against an already-expelled node still costs one
     audit, which is exactly the overhead the policies trade off.
     """
-    population = _build_population(config, rng)
-    ledger = population.ledger
-    behaviors = population.behaviors
-    scheduler = Scheduler(config.policy, config.cluster_size,
-                          population.fog_addresses, rng)
     attempts = 0
-    cap = config.audit_cap
-    fog_table = ledger.fog_table
-    while fog_table:
-        cluster = scheduler.next_cluster()
-        if not cluster:
-            raise NonTerminating("scheduler produced an empty cluster while "
-                                 "fog nodes remain")
-        for address in cluster:
-            attempts += 1
-            if attempts > cap:
-                raise NonTerminating("audit cap %d exceeded" % cap)
-            if address not in fog_table:
-                # Wasted attempt: the node was expelled earlier.
-                scheduler.record_miss(address)
-                continue
-            passed = rng.random() >= behaviors[address].malicious_rate
-            outcome = _submit_verdict(population, address, passed,
-                                      config.ring_size, rng)
-            scheduler.record_outcome(address, passed, outcome.removed)
-            if not fog_table:
-                break
+    for _ in _attempts(config, _build_population(config, rng), rng):
+        attempts += 1
+        if attempts > config.audit_cap:
+            raise NonTerminating("audit cap %d exceeded" % config.audit_cap)
     return attempts
 
 
@@ -291,7 +277,6 @@ def run_cost_scenario(config: ScenarioConfig) -> list:
 
 @dataclass
 class TrialMetrics:
-    total_audits: Optional[int] = None
     mean_malicious: list = field(default_factory=list)
     mean_reputation: list = field(default_factory=list)
     live_fogs: list = field(default_factory=list)
@@ -306,56 +291,33 @@ def run_state_trial(config: ScenarioConfig, rng) -> TrialMetrics:
     adaptive ones shrink their malicious rate in response.
     """
     population = _build_population(config, rng)
-    ledger = population.ledger
-    behaviors = population.behaviors
-    scheduler = Scheduler(config.policy, config.cluster_size,
-                          population.fog_addresses, rng)
-    adaptive = config.adaptive
+    rates = population.rates
+    fog_table = population.ledger.fog_table
     horizon = config.horizon_per_fog * config.fog_count
     metrics = TrialMetrics()
-    fog_table = ledger.fog_table
 
-    live = len(fog_table)
-    malicious_sum = sum(b.malicious_rate for b in behaviors.values())
+    malicious_sum = sum(rates.values())
     reputation_sum = sum(r.reputation for r in fog_table.values())
-
-    steps = 0
-    while steps < horizon and fog_table:
-        cluster = scheduler.next_cluster()
-        if not cluster:
-            raise NonTerminating("scheduler produced an empty cluster while "
-                                 "fog nodes remain")
-        for address in cluster:
-            steps += 1
-            record = fog_table.get(address)
-            if record is None:
-                scheduler.record_miss(address)
-            else:
-                behavior = behaviors[address]
-                passed = rng.random() >= behavior.malicious_rate
-                before = record.reputation
-                outcome = _submit_verdict(population, address, passed,
-                                          config.ring_size, rng)
-                scheduler.record_outcome(address, passed, outcome.removed)
-                reputation_sum += outcome.reputation_after - before
-                if not passed and not outcome.removed and adaptive:
-                    old_rate = behavior.malicious_rate
-                    adapt_on_penalty(behavior, rng,
-                                     config.subtractive_adaptation)
-                    malicious_sum += behavior.malicious_rate - old_rate
-                if outcome.removed:
-                    live -= 1
-                    malicious_sum -= behavior.malicious_rate
-                    reputation_sum -= outcome.reputation_after
-            if live:
-                metrics.mean_malicious.append(malicious_sum / live)
-                metrics.mean_reputation.append(reputation_sum / live)
-            else:
-                metrics.mean_malicious.append(0.0)
-                metrics.mean_reputation.append(0.0)
-            metrics.live_fogs.append(live)
-            if steps >= horizon or not fog_table:
-                break
+    for address, passed, before, outcome in _attempts(config, population, rng):
+        if outcome is not None:
+            reputation_sum += outcome.reputation_after - before
+            if outcome.removed:
+                malicious_sum -= rates[address]
+                reputation_sum -= outcome.reputation_after
+            elif not passed and config.adaptive:
+                rate = rates[address]
+                rates[address] = adapt_on_penalty(rate, rng)
+                malicious_sum += rates[address] - rate
+        live = len(fog_table)
+        if live:
+            metrics.mean_malicious.append(malicious_sum / live)
+            metrics.mean_reputation.append(reputation_sum / live)
+        else:
+            metrics.mean_malicious.append(0.0)
+            metrics.mean_reputation.append(0.0)
+        metrics.live_fogs.append(live)
+        if len(metrics.live_fogs) >= horizon:
+            break
 
     while len(metrics.live_fogs) < horizon:
         metrics.mean_malicious.append(0.0)

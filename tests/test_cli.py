@@ -150,6 +150,30 @@ def test_demo_auth_missing_key_file_is_an_io_error(tmp_path, capsys):
     assert "IoError" in capsys.readouterr().err
 
 
+def test_demo_auth_non_hex_key_is_a_crypto_error(tmp_path, capsys):
+    key = tmp_path / "key.txt"
+    key.write_text("private = 0xzz\n")
+    config = tmp_path / "demo.cfg"
+    config.write_text("iot_key = %s\n" % key)
+    assert run_cli(["demo-auth", "--config", str(config)]) == 9
+    assert "InvalidScalar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["config", "key file"])
+def test_non_ascii_file_is_a_config_error(where, tmp_path, capsys):
+    config = tmp_path / "demo.cfg"
+    if where == "config":
+        config.write_bytes("# caf\u00e9\ntrials = 1\n".encode("utf-8"))
+    else:
+        key = tmp_path / "key.txt"
+        key.write_bytes("# caf\u00e9\nprivate = 0x01\n".encode("utf-8"))
+        config.write_text("iot_key = %s\n" % key)
+    assert run_cli(["demo-auth", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert "InvalidConfig" in captured.err
+    assert captured.out == ""
+
+
 # -- simulate --
 
 SMALL_COST_CFG = """
@@ -234,34 +258,52 @@ def test_simulate_state_series_live_count_never_increases(tmp_path):
     assert (tmp_path / "state_plot.gp").exists()
 
 
-# sha256 of every file and of stdout; a change that alters an RNG stream on
-# purpose updates these and says so
+# sha256 of every file and of stdout at seed 7, keyed by test id; a change
+# that alters an RNG stream on purpose updates these and says so
 PINNED_SIMULATE_DIGESTS = {
-    ("cost", "--trials", "3", "--cluster", "5"): {
+    "cost": (("cost", "--trials", "3", "--cluster", "5"), {
         "cost_trials.csv": "ffdada9bc854e920d34a0149fbc882574850b7d6fdfd527b5c135a2c28511397",
         "cost_summary.csv": "7c1fe0bda3a47b8051ca5372be63d3fda964291f6057ee2f9b71adace52c59d8",
         "cost_plot.gp": "1bb43888d8cbfeedaa93d660c3d5f42504c9c9fa1676fcfbd6b2cf574276ba01",
         "stdout": "2615927bccca758d1281bbaf880594496d67eedb5c586f04cee0cc45501d7d51",
-    },
-    ("state", "--trials", "2"): {
+    }),
+    "state": (("state", "--trials", "2"), {
         "state_trials.csv": "b436e871e6b26c7c5c4f8403e4112146eb83082e0bff921149ad3666728d4029",
         "state_series.csv": "8c64b963223812231f25fa2916ab388b6f7ccc6c2538d09d37f0e47ff3b48c64",
         "state_plot.gp": "d83cd420629200eef06c1c6efce4deece66e036f23e8d3542af281fad3609f76",
         "stdout": "2c26e17a341f7b1238625c47cdb21ff033404afc48609a11d63e2f170a6e8d71",
-    },
+    }),
+    "state-random": (("state", "--trials", "2", "--policy", "random"), {
+        "state_trials.csv": "fb6ba7d41bc4ed1852de3fc47beb60d545bc26840a26efb4ce3d67117e1fc046",
+        "state_series.csv": "ccc4a271190b0f7ee5620d73094489d59e5da9718d922b747ca65a0b1357ec9c",
+        "state_plot.gp": "d83cd420629200eef06c1c6efce4deece66e036f23e8d3542af281fad3609f76",
+        "stdout": "2a8b596dc9a84dffada8181f0610750829cabb3af212c2f0b29c85904048e1ce",
+    }),
+    "state-bibd": (("state", "--trials", "2", "--policy", "bibd"), {
+        "state_trials.csv": "6e76a4a5fab16fe68fdaf4159fca188e7b8dbb091b861a454a1399e2043ba11e",
+        "state_series.csv": "b956893377a390b51d45730711c5fd48d762bab940308c762656d1eb73bc2677",
+        "state_plot.gp": "d83cd420629200eef06c1c6efce4deece66e036f23e8d3542af281fad3609f76",
+        "stdout": "dbc5aa0d48a1a86c4e27ae18ec9842fff04b4c330afb7a0efdc72537a684ac9e",
+    }),
+    "cost-cluster25": (("cost", "--trials", "2", "--cluster", "25"), {
+        "cost_trials.csv": "625d0091a694c21c320a7a330421d34ae9f8272d92822736f5f4a96684bea674",
+        "cost_summary.csv": "4437681eadc61325187cfda14e90a24c02791a7c1ddab8c9cc33566f7bce990b",
+        "cost_plot.gp": "1bb43888d8cbfeedaa93d660c3d5f42504c9c9fa1676fcfbd6b2cf574276ba01",
+        "stdout": "ffb0ce02120ce5ea97d9bf4b1005ce444ebc9f71dcc3f77a6ab108865e39f1d4",
+    }),
 }
 
 
-@pytest.mark.parametrize("args", list(PINNED_SIMULATE_DIGESTS),
-                         ids=lambda args: args[0])
-def test_simulate_outputs_match_pinned_digests(args, tmp_path, capsys):
+@pytest.mark.parametrize("pin", list(PINNED_SIMULATE_DIGESTS))
+def test_simulate_outputs_match_pinned_digests(pin, tmp_path, capsys):
+    args, expected = PINNED_SIMULATE_DIGESTS[pin]
     assert run_cli(["simulate", *args, "--seed", "7",
                     "--out", str(tmp_path)]) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     digests["stdout"] = hashlib.sha256(
         capsys.readouterr().out.encode()).hexdigest()
-    assert digests == PINNED_SIMULATE_DIGESTS[args]
+    assert digests == expected
 
 
 def test_simulate_rejects_zero_cluster(tmp_path, capsys):
@@ -271,6 +313,17 @@ def test_simulate_rejects_zero_cluster(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "InvalidConfig" in captured.err
     assert "mean" not in captured.out  # fails before any table output
+
+
+def test_simulate_rejects_zero_device_funds(tmp_path, capsys):
+    config = tmp_path / "broke.cfg"
+    config.write_text("iot_funds = 0\n")
+    code = run_cli(["simulate", "cost", "--config", str(config),
+                    "--trials", "1", "--out", str(tmp_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "InvalidConfig" in captured.err
+    assert captured.out == ""  # fails before any table output
 
 
 def test_simulate_rejects_unknown_policy_in_config(tmp_path, capsys):

@@ -102,6 +102,11 @@ def test_secret_from_hex_validates_range():
         keys.secret_from_hex("0xabcd")
 
 
+def test_secret_from_hex_rejects_non_hex():
+    with pytest.raises(InvalidScalar):
+        keys.secret_from_hex("0xzz")
+
+
 def test_public_hex_roundtrip():
     point = keys.derive_public(424242)
     text = keys.public_to_hex(point)

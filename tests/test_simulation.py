@@ -1,4 +1,4 @@
-"""Monte-Carlo scenario harness: token identities, behaviors, trials."""
+"""Monte-Carlo scenario harness: token identities, fog rates, trials."""
 
 import random
 
@@ -10,7 +10,6 @@ import oracles
 from fogtrust.errors import BadSignature, InvalidConfig, NonTerminating
 from fogtrust.scheduling import Policy
 from fogtrust.simulation import (
-    FogBehavior,
     ScenarioConfig,
     TokenIdentity,
     TokenRingSignature,
@@ -56,17 +55,7 @@ def test_token_ring_verifies_only_its_message():
 def test_adaptation_shrinks_rate_and_stays_nonnegative():
     rng = random.Random(5)
     for _ in range(500):
-        behavior = FogBehavior(malicious_rate=0.8)
-        adapt_on_penalty(behavior, rng)
-        assert 0.0 <= behavior.malicious_rate < 0.8
-
-
-def test_subtractive_adaptation_also_shrinks():
-    rng = random.Random(6)
-    for _ in range(500):
-        behavior = FogBehavior(malicious_rate=0.8)
-        adapt_on_penalty(behavior, rng, subtractive=True)
-        assert 0.0 <= behavior.malicious_rate < 0.8
+        assert 0.0 <= adapt_on_penalty(0.8, rng) < 0.8
 
 
 def test_adaptation_halves_rate_in_expectation():
@@ -76,10 +65,10 @@ def test_adaptation_halves_rate_in_expectation():
     k = 3
     total = 0.0
     for _ in range(samples):
-        behavior = FogBehavior(malicious_rate=1.0)
+        rate = 1.0
         for _ in range(k):
-            adapt_on_penalty(behavior, rng)
-        total += behavior.malicious_rate
+            rate = adapt_on_penalty(rate, rng)
+        total += rate
     mean = total / samples
     assert abs(mean - 1.0 / 2**k) < 0.01
 
@@ -176,8 +165,8 @@ def test_population_rates_fall_in_configured_band():
     config = ScenarioConfig(fog_count=50, iot_count=8, trials=1,
                             malicious_low=0.3, malicious_high=0.6)
     population = _build_population(config, random.Random(4))
-    for behavior in population.behaviors.values():
-        assert 0.3 <= behavior.malicious_rate <= 0.6
+    for rate in population.rates.values():
+        assert 0.3 <= rate <= 0.6
 
 
 # -- cost scenario --
