@@ -279,11 +279,18 @@ def _fmt(value: float) -> str:
 def cmd_simulate(scenario: str, run: RunConfig, stream=None) -> list:
     """Run all trials for one scenario and write CSVs plus a plot script."""
     stream = stream or sys.stdout
+    if scenario not in ("cost", "state"):
+        raise InvalidConfig("unknown scenario %r (choose cost or state)"
+                            % scenario)
+    # the files are written after every trial has run, so a directory that
+    # cannot take them must fail the command before the first trial
+    if not os.path.isdir(run.out_dir):
+        raise IoError("output directory %s does not exist" % run.out_dir)
+    if not os.access(run.out_dir, os.W_OK | os.X_OK):
+        raise IoError("output directory %s is not writable" % run.out_dir)
     if scenario == "cost":
         return _simulate_cost(run, stream)
-    if scenario == "state":
-        return _simulate_state(run, stream)
-    raise InvalidConfig("unknown scenario %r (choose cost or state)" % scenario)
+    return _simulate_state(run, stream)
 
 
 def _simulate_cost(run: RunConfig, stream) -> list:

@@ -405,14 +405,15 @@ class Ledger:
         The integer remainder, and the whole amount when no device is
         registered, goes to the fee pool so nothing leaks.
         """
-        devices = list(self.iot_table.values())
-        if not devices:
+        count = len(self.iot_table)
+        if not count:
             self.fee_pool += amount
             return 0, amount
-        per_device = amount // len(devices)
-        remainder = amount - per_device * len(devices)
-        for record in devices:
-            record.available_funds += per_device
+        per_device = amount // count
+        remainder = amount - per_device * count
+        if per_device:  # a share of 0 changes no device
+            for record in self.iot_table.values():
+                record.available_funds += per_device
         self.fee_pool += remainder
         return per_device, remainder
 

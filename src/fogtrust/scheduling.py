@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from .errors import ClusterTooLarge, EmptyDesign, InvalidDesign, UnknownFog
@@ -34,39 +34,45 @@ def sample_cluster_random(live_fogs, cluster_size: int, rng) -> list:
     return rng.sample(pool, cluster_size)
 
 
-def sample_cluster_weighted(live_fogs, weights, cluster_size: int, rng) -> list:
-    """Successive weighted draws without replacement.
+def sample_cluster_weighted(roster, slot_weights, cluster_size: int,
+                            rng) -> list:
+    """Successive weighted draws without replacement over parallel slots.
 
-    Each draw picks one node with probability proportional to its current
-    weight among the not-yet-chosen, which keeps heavier (more suspicious)
-    nodes strictly more likely to appear in the cluster.
+    ``slot_weights[i]`` is the weight of ``roster[i]``; a slot holding 0 is
+    out of the draw.  Each draw picks one node with probability proportional
+    to its current weight among the not-yet-chosen, which keeps heavier
+    (more suspicious) nodes strictly more likely to appear in the cluster.
+    A picked slot is zeroed until the cluster is complete and then restored,
+    so ``slot_weights`` is unchanged on return.
+
+    Each pick is the first prefix sum above ``rng.random() * total``.  A
+    zero slot never is, so the pick is the node that the same mark selects
+    among the nonzero slots alone, provided every prefix sum is exact; the
+    scheduler's weights keep them exact (see ``Scheduler``).
     """
-    pool = list(live_fogs)
-    if cluster_size > len(pool):
+    live = len(slot_weights) - slot_weights.count(0.0)
+    if cluster_size > live:
         raise ClusterTooLarge("cluster %d exceeds %d live nodes"
-                              % (cluster_size, len(pool)))
-    for address in pool:
-        if address not in weights:
-            raise UnknownFog("no weight recorded for %s" % address)
-    chosen = []
+                              % (cluster_size, live))
+    picked = []
     for _ in range(cluster_size):
-        totals = list(accumulate(weights[address] for address in pool))
-        mark = rng.random() * totals[-1]
-        index = bisect_right(totals, mark)
-        if index == len(pool):  # guard the mark == total float edge
-            index -= 1
-        chosen.append(pool.pop(index))
-    return chosen
+        totals = list(accumulate(slot_weights))
+        total = totals[-1]
+        index = bisect_right(totals, rng.random() * total)
+        if index == len(totals):  # guard the mark == total float edge
+            index = bisect_left(totals, total)
+        picked.append((index, slot_weights[index]))
+        slot_weights[index] = 0.0
+    for index, weight in picked:
+        slot_weights[index] = weight
+    return [roster[index] for index, _ in picked]
 
 
-def update_weight(weights, fog_address: str, passed: bool) -> float:
-    """Scale a node's weight down on a passed audit, up on a failed one."""
-    if fog_address not in weights:
-        raise UnknownFog("no weight recorded for %s" % fog_address)
-    weight = weights[fog_address] * (WEIGHT_DECAY if passed else WEIGHT_GAIN)
+def update_weight(weight: float, passed: bool) -> float:
+    """A node's next weight: halved on a passed audit, doubled on a failed one."""
+    weight *= WEIGHT_DECAY if passed else WEIGHT_GAIN
     if weight < WEIGHT_FLOOR:
         weight = WEIGHT_FLOOR
-    weights[fog_address] = weight
     return weight
 
 
@@ -102,6 +108,19 @@ class Scheduler:
     through ``record_miss``; policies differ in what they learn from those,
     so the roster is deliberately the scheduler's view rather than a
     reference to ground truth.
+
+    Weights live in ``slot_weights``, parallel to the initial roster
+    ``slot_addresses``: a live node's slot holds its weight, an ejected
+    node's slot holds 0.  Weighted draws stay exact because every weight is
+    a power of two of at least 1 (floor 1, gain x2, decay x0.5 with the
+    floor), so every prefix sum is exact in any order while the total stays
+    below 2^53.  It does: a weight's exponent is at most the node's failed
+    audits, and each failure seizes ``deposit_deduction`` until the deposit
+    is gone, so a node is removed after at most
+    ``ceil(deposit / deposit_deduction)`` failures.  The total is then at
+    most ``len(slot_addresses) * 2**ceil(deposit / deposit_deduction)``:
+    far below 2^53 for every shipped config, at most 100 * 2^10 (the state
+    scenario's deposit of 10).
     """
 
     def __init__(self, policy: Policy, cluster_size: int, fog_addresses, rng):
@@ -109,11 +128,20 @@ class Scheduler:
         self.cluster_size = cluster_size
         self.rng = rng
         self.roster = list(fog_addresses)
-        self.weights = {address: float(WEIGHT_FLOOR) for address in self.roster}
+        self.slot_addresses = list(self.roster)
+        self.slot_weights = [float(WEIGHT_FLOOR)] * len(self.roster)
+        self._slot_of = {address: index
+                         for index, address in enumerate(self.roster)}
         self.blocks = []
         self.block_cursor = 0
         if policy is Policy.BIBD and self.roster:
             self._rebuild()
+
+    @property
+    def weights(self) -> dict:
+        """Each live node's weight, in roster order."""
+        return {address: self.slot_weights[self._slot_of[address]]
+                for address in self.roster}
 
     def _rebuild(self):
         size = min(self.cluster_size, len(self.roster))
@@ -127,8 +155,8 @@ class Scheduler:
         if self.policy is Policy.RANDOM:
             return sample_cluster_random(self.roster, size, self.rng)
         if self.policy is Policy.WEIGHTED:
-            return sample_cluster_weighted(self.roster, self.weights, size,
-                                           self.rng)
+            return sample_cluster_weighted(self.slot_addresses,
+                                           self.slot_weights, size, self.rng)
         cluster, self.block_cursor = next_bibd_cluster(self.blocks,
                                                        self.block_cursor)
         return cluster
@@ -136,7 +164,11 @@ class Scheduler:
     def record_outcome(self, fog_address: str, passed: bool, removed: bool):
         """Learn from one verdict; only the weighted policy tracks removals."""
         if self.policy is Policy.WEIGHTED:
-            update_weight(self.weights, fog_address, passed)
+            slot = self._slot_of.get(fog_address)
+            if slot is None or not self.slot_weights[slot]:
+                raise UnknownFog("no weight recorded for %s" % fog_address)
+            self.slot_weights[slot] = update_weight(self.slot_weights[slot],
+                                                    passed)
             if removed:
                 self.eject(fog_address)
 
@@ -147,10 +179,11 @@ class Scheduler:
 
     def eject(self, fog_address: str):
         """Drop a node from the roster once the policy learns it is gone."""
-        if fog_address not in self.roster:
+        slot = self._slot_of.get(fog_address)
+        if slot is None or not self.slot_weights[slot]:
             return
+        self.slot_weights[slot] = 0.0
         self.roster.remove(fog_address)
-        self.weights.pop(fog_address, None)
         if self.policy is Policy.BIBD:
             if self.roster:
                 self._rebuild()
@@ -162,8 +195,8 @@ class Scheduler:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["fog_address", "weight"])
-            for address in self.roster:
-                writer.writerow([address, repr(self.weights[address])])
+            for address, weight in self.weights.items():
+                writer.writerow([address, repr(weight)])
 
     def export_blocks_csv(self, path: str):
         with open(path, "w", newline="") as handle:

@@ -5,6 +5,9 @@ curve description and textbook definitions, without importing the package.
 Slow is fine; these exist to catch the production code lying.
 """
 
+from bisect import bisect_right
+from itertools import accumulate
+
 # secp256k1, restated independently from the curve's published parameters
 FIELD_PRIME = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 CURVE_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -88,6 +91,25 @@ def pair_occurrence_counts(blocks):
                 key = (members[i], members[j])
                 counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def weighted_cluster(live_fogs, weights, cluster_size, rng):
+    """Successive weighted draws without replacement, the plain way.
+
+    Rebuilds the prefix sums over the not-yet-chosen nodes for every pick and
+    pops the pick from the pool; ``weights`` maps each node to its weight.
+    """
+    pool = list(live_fogs)
+    assert cluster_size <= len(pool)
+    chosen = []
+    for _ in range(cluster_size):
+        totals = list(accumulate(weights[address] for address in pool))
+        mark = rng.random() * totals[-1]
+        index = bisect_right(totals, mark)
+        if index == len(pool):  # guard the mark == total float edge
+            index -= 1
+        chosen.append(pool.pop(index))
+    return chosen
 
 
 def conservation_gap(ledger):

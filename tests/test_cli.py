@@ -335,6 +335,24 @@ def test_simulate_rejects_unknown_policy_in_config(tmp_path, capsys):
     assert "InvalidConfig" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, runner", [
+    ("cost", "run_cost_scenario"),
+    ("state", "run_state_scenario"),
+])
+def test_simulate_missing_out_dir_fails_before_any_trial(
+        scenario, runner, tmp_path, capsys, monkeypatch):
+    def no_trials(config):
+        raise AssertionError("a trial ran before --out was checked")
+    monkeypatch.setattr(cli, runner, no_trials)
+    code = run_cli(["simulate", scenario, "--trials", "1",
+                    "--out", str(tmp_path / "missing")])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "IoError" in captured.err
+    assert captured.out == ""  # no table row, no statistics line
+    assert not (tmp_path / "missing").exists()
+
+
 def test_simulate_unknown_scenario_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["simulate", "drift"])

@@ -503,6 +503,23 @@ def test_penalty_updates_reputation_deposit_and_distribution():
     bench.assert_conserved()
 
 
+def test_penalty_share_of_zero_goes_wholly_to_the_fee_pool():
+    params = small_params(deposit_requirement=9, deposit_deduction=2)
+    bench = Bench(params)
+    devices = [bench.iot(10) for _ in range(3)]
+    node = bench.fog(stake=9)
+    keeper = bench.oracle()
+    pool_before = bench.ledger.fee_pool
+    outcome = bench.audit(keeper, node.address, devices, passed=False)
+    assert (outcome.deducted, outcome.per_device) == (2, 0)
+    assert outcome.distributed_remainder == 2
+    for device in devices:
+        assert bench.ledger.iot_table[device.address].available_funds == 10
+    assert bench.ledger.fee_pool == pool_before + 2
+    assert bench.ledger.conservation_gap() == 0
+    bench.assert_conserved()
+
+
 def test_distribution_with_no_devices_goes_to_pool():
     # A penalty can only be attested by registered devices, so the empty-table
     # branch of the split is exercised on the helper directly.

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogtrust.errors import ClusterTooLarge, EmptyDesign, InvalidDesign, UnknownFog
 from fogtrust.scheduling import (
@@ -61,26 +63,30 @@ def test_random_single_draws_are_uniform():
 
 def test_weighted_cluster_too_large_rejected():
     roster = addresses(3)
-    weights = {a: 1.0 for a in roster}
     with pytest.raises(ClusterTooLarge):
-        sample_cluster_weighted(roster, weights, 4, random.Random(5))
+        sample_cluster_weighted(roster, [1.0] * 3, 4, random.Random(5))
+    with pytest.raises(ClusterTooLarge):  # a zero slot is not live
+        sample_cluster_weighted(roster, [1.0, 0.0, 1.0], 3, random.Random(5))
 
 
-def test_weighted_sampling_requires_weights_for_all_nodes():
-    roster = addresses(3)
-    weights = {roster[0]: 1.0, roster[1]: 1.0}
-    with pytest.raises(UnknownFog):
-        sample_cluster_weighted(roster, weights, 2, random.Random(6))
+def test_weighted_never_draws_a_zero_slot_and_restores_weights():
+    roster = addresses(6)
+    slot_weights = [0.0, 2.0, 0.0, 1.0, 4.0, 0.0]
+    rng = random.Random(6)
+    for _ in range(200):
+        cluster = sample_cluster_weighted(roster, slot_weights, 3, rng)
+        assert sorted(cluster) == sorted([roster[1], roster[3], roster[4]])
+    assert slot_weights == [0.0, 2.0, 0.0, 1.0, 4.0, 0.0]
 
 
 def test_weighted_with_uniform_weights_matches_uniform_sampling():
     roster = addresses(20)
-    weights = {a: 1.0 for a in roster}
+    slot_weights = [1.0] * 20
     rng = random.Random(7)
     draws = 20_000
     counts = {a: 0 for a in roster}
     for _ in range(draws):
-        for address in sample_cluster_weighted(roster, weights, 5, rng):
+        for address in sample_cluster_weighted(roster, slot_weights, 5, rng):
             counts[address] += 1
     inclusion = 5 / 20
     sigma = math.sqrt(draws * inclusion * (1 - inclusion))
@@ -90,13 +96,13 @@ def test_weighted_with_uniform_weights_matches_uniform_sampling():
 
 def test_weighted_heavy_node_frequency_matches_analytic_probability():
     roster = addresses(10)
-    weights = {a: 1.0 for a in roster}
-    weights[roster[0]] = 10.0
+    slot_weights = [1.0] * 10
+    slot_weights[0] = 10.0
     rng = random.Random(8)
     draws = 100_000
     hits = 0
     for _ in range(draws):
-        if sample_cluster_weighted(roster, weights, 1, rng)[0] == roster[0]:
+        if sample_cluster_weighted(roster, slot_weights, 1, rng)[0] == roster[0]:
             hits += 1
     p = 10.0 / 19.0
     sigma = math.sqrt(draws * p * (1 - p))
@@ -105,28 +111,101 @@ def test_weighted_heavy_node_frequency_matches_analytic_probability():
 
 def test_weighted_inclusion_grows_with_repeated_failures():
     roster = addresses(8)
-    suspect = roster[3]
+    suspect = 3
     frequencies = []
     for failures in (0, 2, 4):
-        weights = {a: 1.0 for a in roster}
+        slot_weights = [1.0] * 8
         for _ in range(failures):
-            update_weight(weights, suspect, passed=False)
+            slot_weights[suspect] = update_weight(slot_weights[suspect],
+                                                  passed=False)
         rng = random.Random(9)
         hits = sum(
-            suspect in sample_cluster_weighted(roster, weights, 2, rng)
+            roster[suspect] in sample_cluster_weighted(roster, slot_weights,
+                                                       2, rng)
             for _ in range(5000))
         frequencies.append(hits)
     assert frequencies[0] < frequencies[1] < frequencies[2]
 
 
 def test_update_weight_rules():
-    weights = {"a": 1.0, "b": 4.0}
-    assert update_weight(weights, "a", passed=False) == 2.0
-    assert update_weight(weights, "b", passed=True) == 2.0
-    weights["a"] = 1.0
-    assert update_weight(weights, "a", passed=True) == 1.0  # floor holds
-    with pytest.raises(UnknownFog):
-        update_weight(weights, "missing", passed=True)
+    assert update_weight(1.0, passed=False) == 2.0
+    assert update_weight(4.0, passed=True) == 2.0
+    assert update_weight(1.0, passed=True) == 1.0  # floor holds
+
+
+class _Marks:
+    """A stand-in rng replaying fixed marks, 1.0 included, which a real
+    ``random()`` never returns, to reach the ``mark == total`` edge."""
+
+    def __init__(self, marks):
+        self.marks = marks
+        self.calls = 0
+
+    def random(self):
+        mark = self.marks[self.calls % len(self.marks)]
+        self.calls += 1
+        return mark
+
+
+def _model_weight(outcomes):
+    weight = 1.0
+    for passed in outcomes:
+        weight = max(1.0, weight / 2) if passed else weight * 2
+    return weight
+
+
+@st.composite
+def weighted_rosters(draw):
+    count = draw(st.integers(min_value=1, max_value=24))
+    outcomes = draw(st.lists(st.lists(st.booleans(), max_size=12),
+                             min_size=count, max_size=count))
+    ejected = draw(st.sets(st.integers(min_value=0, max_value=count - 1),
+                           max_size=count - 1))
+    cluster = draw(st.integers(min_value=1, max_value=count - len(ejected)))
+    marks = draw(st.one_of(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.one_of(st.just(1.0), st.floats(min_value=0, max_value=1)),
+                 min_size=1, max_size=8)))
+    return count, outcomes, ejected, cluster, marks
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_rosters())
+def test_scheduler_draw_equals_the_reference_draw(case):
+    count, outcomes, ejected, cluster, marks = case
+
+    def fresh_rng():
+        return random.Random(marks) if isinstance(marks, int) else _Marks(marks)
+
+    roster = addresses(count)
+    scheduler = Scheduler(Policy.WEIGHTED, cluster, roster, fresh_rng())
+    for address, history in zip(roster, outcomes):
+        for passed in history:
+            scheduler.record_outcome(address, passed, removed=False)
+    for index in sorted(ejected):
+        scheduler.eject(roster[index])
+    expected_weights = {address: _model_weight(history)
+                        for index, (address, history)
+                        in enumerate(zip(roster, outcomes))
+                        if index not in ejected}
+    reference_rng = fresh_rng()
+    for _ in range(3):
+        expected = oracles.weighted_cluster(list(expected_weights),
+                                            expected_weights, cluster,
+                                            reference_rng)
+        assert scheduler.next_cluster() == expected
+        assert scheduler.weights == expected_weights
+
+
+def test_weighted_edge_mark_picks_the_last_live_node():
+    roster = addresses(5)
+    scheduler = Scheduler(Policy.WEIGHTED, 2, roster, _Marks([1.0]))
+    scheduler.eject(roster[4])
+    scheduler.eject(roster[1])
+    assert scheduler.next_cluster() == [roster[3], roster[2]]
+    assert oracles.weighted_cluster([roster[0], roster[2], roster[3]],
+                                    dict.fromkeys(roster, 1.0), 2,
+                                    _Marks([1.0])) == [roster[3], roster[2]]
 
 
 # -- block designs --
@@ -226,6 +305,10 @@ def test_scheduler_weighted_learns_from_outcomes():
     assert scheduler.weights[roster[0]] == 2.0
     scheduler.eject(roster[0])
     assert roster[0] not in scheduler.weights
+    with pytest.raises(UnknownFog):  # ejected
+        scheduler.record_outcome(roster[0], passed=True, removed=False)
+    with pytest.raises(UnknownFog):  # never on the roster
+        scheduler.record_outcome("missing", passed=True, removed=False)
 
 
 @pytest.mark.parametrize("policy, drops_on_removal, drops_on_miss", [
