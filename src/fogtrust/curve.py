@@ -2,31 +2,48 @@
 
 Affine points at the API surface; Jacobian and XYZZ coordinates internally.
 
-A point that gets multiplied repeatedly carries a precomputed table in
-``Point._table``. Every table has one format: signed windows over the GLV
-split. secp256k1 has an endomorphism lambda * (x, y) = (beta * x, y), so
-each scalar k splits as k = k1 + k2 * lambda (mod order) with both halves
-below 2^128 in magnitude (Gallant, Lambert and Vanstone, CRYPTO 2001; the
-split constants are libsecp256k1's). A table of width w holds, for each
-w-bit row i of a half, the affine multiples d * 2^(w*i) * P for
-d = 1..2^(w-1). Digits are recoded into (-2^(w-1), 2^(w-1)], so a negative
-digit costs only y -> p - y, and the lambda half reuses the same rows: its
-terms are summed apart and the sum is mapped once by x -> beta * x. A
-multiplication is then one mixed addition per nonzero digit, summed in
-XYZZ coordinates, and one inversion.
+A point that gets multiplied repeatedly gets a precomputed table. Every
+table has one format: signed windows over the GLV split. secp256k1 has an
+endomorphism lambda * (x, y) = (beta * x, y), so each scalar k splits as
+k = k1 + k2 * lambda (mod order) with both halves below 2^128 in magnitude
+(Gallant, Lambert and Vanstone, CRYPTO 2001; the split constants are
+libsecp256k1's). A table of width w holds, for each w-bit row i of a half,
+the affine multiples d * 2^(w*i) * P for d = 1..2^(w-1). Digits are recoded
+into (-2^(w-1), 2^(w-1)], so a negative digit costs only y -> p - y, and
+the lambda half reuses the same rows: its terms are summed apart and the
+sum is mapped once by x -> beta * x. A multiplication is then one mixed
+addition per nonzero digit, summed in XYZZ coordinates, and one inversion.
+Each entry is one packed int, x << 256 | y, split again by a shift and a
+mask when it is read; two separate ints per entry take about 30% more
+memory.
 
-Ring members and agent keys get a width-8 table (16 rows and a one-entry
-top row, 2049 entries, about 280 KB) on their third multiplication. The
-generator gets a width-13 table (9 rows and a 2048-entry top row, 38912
-entries, about 5 MB) on its first multiplication rather than at import,
-so processes that never touch the curve never pay for it.
+Tables live in one module-level cache keyed by coordinates, not on Point
+objects, so a key decoded afresh from bytes finds the table of an equal
+key decoded earlier. The policy:
 
-A point without a table (a fresh nonce point, a peer's key, a ring member
-before its third use) is multiplied over the same GLV split: the odd
-multiples P, 3P, ..., 15P are normalized with one inversion, the lambda
-column is beta * x of the same rows, and the two halves' width-5 signed
-digits run interleaved, about 128 Jacobian doublings and 43 mixed
-additions in all.
+- ``scalar_mult`` and ``link_x`` count one use of their point per call;
+  a point gets a width-8 table (16 rows and a one-entry top row, 2049
+  entries, about 213 KB) on its third use.
+- The cache holds at most ``_CACHE_ENTRIES`` (128) tables and as many
+  admission counts, each evicted least recently used first. 128 is above
+  every key set the workloads keep in use at once, so a full cache is
+  about 27 MB.
+- ``mult_add``'s point is a signature's nonce point, which recurs only
+  when that signature is replayed: it uses a table it finds but is never
+  counted.
+- ``GENERATOR``, the object every fixed-base multiplication passes, keeps
+  its own width-13 table (9 rows and a 2048-entry top row, 38912
+  entries, about 4 MB) outside the cache. It is built on the first
+  fixed-base multiplication rather than at import, so processes that
+  never touch the curve never pay for it, and it is never evicted. A
+  separately built copy of the generator is counted like any other
+  point.
+
+A point without a table (a nonce point, any other point before its third
+use) is multiplied over the same GLV split: the odd multiples P, 3P, ...,
+15P are normalized with one inversion, the lambda column is beta * x of the
+same rows, and the two halves' width-5 signed digits run interleaved, about
+128 Jacobian doublings and 43 mixed additions in all.
 
 ``mult_add`` computes s * G + c * P in a single accumulator that ends in
 one inversion, whether or not P has a table (a cold P adds the inversion
@@ -38,6 +55,8 @@ stored key or signature component.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 from .errors import InvalidPoint
 
@@ -70,7 +89,20 @@ _HALF_BITS = 128  # both halves of the split stay below 2^128 in magnitude
 
 _MEMBER_WIDTH = 8
 _GENERATOR_WIDTH = 13
-_TABLE_AFTER_USES = 3
+_TABLE_ON_USE = 3
+# Above every key set in use at once, so a warm key is never evicted by
+# its peers: protocol-mix keeps 73 long-lived keys (64 devices, 8 fogs, the
+# oracle) plus the fogs it re-registers, and contract-verify's rings draw
+# from 64 devices. At about 213 KB a member table, a full cache is 27 MB.
+_CACHE_ENTRIES = 128
+_COORDINATE_BITS = 256
+_COORDINATE_MASK = (1 << _COORDINATE_BITS) - 1
+
+_generator_table = None
+# member tables and the admission counts of points without one, both keyed
+# by (x, y) and in least-recently-used order
+_tables = OrderedDict()
+_use_counts = OrderedDict()
 
 # XYZZ accumulator (X, Y, ZZ, ZZZ) for x = X / ZZ, y = Y / ZZZ; ZZ == 0
 # is infinity
@@ -80,7 +112,7 @@ _INFINITY = (0, 0, 0, 0)
 class Point:
     """A point on secp256k1 (never infinity)."""
 
-    __slots__ = ("x", "y", "_table", "_uses")
+    __slots__ = ("x", "y")
 
     def __init__(self, x: int, y: int):
         if not isinstance(x, int) or not isinstance(y, int):
@@ -91,8 +123,6 @@ class Point:
             raise InvalidPoint("point not on curve")
         self.x = x
         self.y = y
-        self._table = None
-        self._uses = 0
 
     def __eq__(self, other):
         return isinstance(other, Point) and self.x == other.x and self.y == other.y
@@ -166,7 +196,8 @@ def _glv_split(k):
 
 
 def _build_table(x, y, width):
-    """(width, xs, ys): entry row * 2^(width-1) + d - 1 is d * 2^(width*row) * P.
+    """(width, entries): entry row * 2^(width-1) + d - 1 is d * 2^(width*row) * P,
+    packed as x << 256 | y.
 
     Full rows hold d = 1..2^(width-1). A half below 2^_HALF_BITS leaves
     the top row at most 2^(_HALF_BITS - width * full rows) (its carry
@@ -221,32 +252,59 @@ def _build_table(x, y, width):
                 rx.append(x3)
                 ry.append((slope * (xj - x3) - yj) % p)
         span *= 2
-    return (width, [v for row in xs for v in row], [v for row in ys for v in row])
+    # each row is freed once packed, so the build peaks near the final size
+    entries = []
+    for row_x, row_y in zip(xs, ys):
+        entries += [ex << _COORDINATE_BITS | ey for ex, ey in zip(row_x, row_y)]
+        row_x.clear()
+        row_y.clear()
+    return (width, entries)
 
 
 def _table_of(point):
-    """point's table, built on its third use (the generator's on its first)."""
-    table = point._table
-    if table is None:
-        if point is GENERATOR:
-            table = point._table = _build_table(point.x, point.y, _GENERATOR_WIDTH)
-        else:
-            point._uses += 1
-            if point._uses >= _TABLE_AFTER_USES:
-                table = point._table = _build_table(point.x, point.y,
-                                                    _MEMBER_WIDTH)
+    """point's table, or None while it has none; counts one use of point.
+
+    GENERATOR's table is built on its first use. Any other point is counted
+    by its coordinates and gets a table on its third use, however many
+    separate Point objects carried those coordinates.
+    """
+    global _generator_table
+    if point is GENERATOR:
+        if _generator_table is None:
+            _generator_table = _build_table(point.x, point.y, _GENERATOR_WIDTH)
+        return _generator_table
+    key = (point.x, point.y)
+    table = _tables.get(key)
+    if table is not None:
+        _tables.move_to_end(key)
+        return table
+    uses = _use_counts.pop(key, 0) + 1
+    if uses < _TABLE_ON_USE:
+        _use_counts[key] = uses
+        if len(_use_counts) > _CACHE_ENTRIES:
+            _use_counts.popitem(last=False)
+        return None
+    table = _tables[key] = _build_table(point.x, point.y, _MEMBER_WIDTH)
+    if len(_tables) > _CACHE_ENTRIES:
+        _tables.popitem(last=False)
     return table
+
+
+def _cached(point):
+    """The cached table of point's coordinates, or None; counts nothing."""
+    return _tables.get((point.x, point.y))
 
 
 def _gather(k, table, plain, mapped):
     """Append the affine terms of k * P, k in [0, order), to plain (those
     of the first GLV half) and mapped (the second half, whose sum is still
     to be taken through the endomorphism)."""
-    width, xs, ys = table
+    width, entries = table
     half = 1 << (width - 1)
     full = half << 1
     mask = full - 1
     p = _PRIME
+    low = _COORDINATE_MASK
     k1, k2 = _glv_split(k)
     for k, terms in ((k1, plain), (k2, mapped)):
         negate = k < 0
@@ -258,16 +316,17 @@ def _gather(k, table, plain, mapped):
             k >>= width
             if digit:
                 if digit > half:
-                    digit = full - digit
+                    entry = entries[index + full - digit]
                     k += 1
-                    y = ys[index + digit]
+                    y = entry & low
                     if not negate:
                         y = p - y
                 else:
-                    y = ys[index + digit]
+                    entry = entries[index + digit]
+                    y = entry & low
                     if negate:
                         y = p - y
-                terms.append((xs[index + digit], y))
+                terms.append((entry >> _COORDINATE_BITS, y))
             index += half
 
 
@@ -440,15 +499,15 @@ def _cold_xyzz(k, point):
     return X, Y, ZZ, ZZ * Z % p
 
 
-def _mult_add_xyzz(s, c, point):
-    """s * G + c * point in one XYZZ accumulator, s and c any integers.
+def _mult_add_xyzz(s, c, point, table):
+    """s * G + c * point in one XYZZ accumulator, s and c any integers,
+    table point's table or None.
 
     Every table term of both products goes into the accumulator; a point
-    without a table yet starts it from its cold product instead.
+    without a table starts it from its cold product instead.
     """
     c %= CURVE_ORDER
     products = [(s % CURVE_ORDER, _table_of(GENERATOR))]
-    table = _table_of(point)
     start = _INFINITY
     if table is not None:
         products.append((c, table))
@@ -476,9 +535,11 @@ def scalar_mult(k: int, point: Point):
 def mult_add(s: int, c: int, point: Point):
     """s * G + c * point, or None when that sum is infinity.
 
-    The two products share one accumulator and its final inversion.
+    The two products share one accumulator and its final inversion. point
+    is a signature's nonce point, which recurs only when that signature is
+    replayed, so it is never counted towards a table.
     """
-    affine = _xyzz_to_affine(_mult_add_xyzz(s, c, point))
+    affine = _xyzz_to_affine(_mult_add_xyzz(s, c, point, _cached(point)))
     if affine is None:
         return None
     return Point(affine[0], affine[1])
@@ -490,7 +551,7 @@ def link_x(s: int, c: int, point: Point):
     As mult_add, but the normalized result is checked against the curve
     equation instead of being built into a Point.
     """
-    affine = _xyzz_to_affine(_mult_add_xyzz(s, c, point))
+    affine = _xyzz_to_affine(_mult_add_xyzz(s, c, point, _table_of(point)))
     if affine is None:
         return None
     x, y = affine

@@ -76,6 +76,12 @@ def update_weight(weight: float, passed: bool) -> float:
     return weight
 
 
+def _check_block_size(block_size: int, count: int):
+    if block_size < 1 or block_size > count:
+        raise InvalidDesign("block size %d needs between 1 and %d nodes"
+                            % (block_size, count))
+
+
 def build_bibd(live_fogs, block_size: int) -> list:
     """Cyclic-window block design: block i covers positions i..i+B-1 mod |F|.
 
@@ -85,9 +91,7 @@ def build_bibd(live_fogs, block_size: int) -> list:
     """
     roster = list(live_fogs)
     count = len(roster)
-    if block_size < 1 or block_size > count:
-        raise InvalidDesign("block size %d needs between 1 and %d nodes"
-                            % (block_size, count))
+    _check_block_size(block_size, count)
     return [[roster[(i + j) % count] for j in range(block_size)]
             for i in range(count)]
 
@@ -121,6 +125,10 @@ class Scheduler:
     most ``len(slot_addresses) * 2**ceil(deposit / deposit_deduction)``:
     far below 2^53 for every shipped config, at most 100 * 2^10 (the state
     scenario's deposit of 10).
+
+    Under the block design, block i is ``build_bibd(roster, size)[i]``,
+    computed when it is drawn rather than stored, so an ejection only
+    resets ``block_cursor`` to 0 instead of rebuilding every block.
     """
 
     def __init__(self, policy: Policy, cluster_size: int, fog_addresses, rng):
@@ -132,10 +140,10 @@ class Scheduler:
         self.slot_weights = [float(WEIGHT_FLOOR)] * len(self.roster)
         self._slot_of = {address: index
                          for index, address in enumerate(self.roster)}
-        self.blocks = []
         self.block_cursor = 0
         if policy is Policy.BIBD and self.roster:
-            self._rebuild()
+            _check_block_size(min(cluster_size, len(self.roster)),
+                              len(self.roster))
 
     @property
     def weights(self) -> dict:
@@ -143,10 +151,12 @@ class Scheduler:
         return {address: self.slot_weights[self._slot_of[address]]
                 for address in self.roster}
 
-    def _rebuild(self):
-        size = min(self.cluster_size, len(self.roster))
-        self.blocks = build_bibd(self.roster, size)
-        self.block_cursor = 0
+    @property
+    def blocks(self) -> list:
+        """The current block design, empty unless the policy is BIBD."""
+        if self.policy is not Policy.BIBD or not self.roster:
+            return []
+        return build_bibd(self.roster, min(self.cluster_size, len(self.roster)))
 
     def next_cluster(self) -> list:
         if not self.roster:
@@ -157,9 +167,11 @@ class Scheduler:
         if self.policy is Policy.WEIGHTED:
             return sample_cluster_weighted(self.slot_addresses,
                                            self.slot_weights, size, self.rng)
-        cluster, self.block_cursor = next_bibd_cluster(self.blocks,
-                                                       self.block_cursor)
-        return cluster
+        roster = self.roster
+        count = len(roster)
+        cursor = self.block_cursor
+        self.block_cursor = (cursor + 1) % count
+        return [roster[(cursor + j) % count] for j in range(size)]
 
     def record_outcome(self, fog_address: str, passed: bool, removed: bool):
         """Learn from one verdict; only the weighted policy tracks removals."""
@@ -184,12 +196,7 @@ class Scheduler:
             return
         self.slot_weights[slot] = 0.0
         self.roster.remove(fog_address)
-        if self.policy is Policy.BIBD:
-            if self.roster:
-                self._rebuild()
-            else:
-                self.blocks = []
-                self.block_cursor = 0
+        self.block_cursor = 0
 
     def export_weights_csv(self, path: str):
         with open(path, "w", newline="") as handle:

@@ -1,6 +1,9 @@
 """Authenticated encryption wrapper."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -64,3 +67,25 @@ def test_key_length_enforced():
         aead.encrypt(b"short", b"x")
     with pytest.raises(ValueError):
         aead.decrypt(b"short", b"\x00" * 28)
+
+
+def test_cryptography_loads_only_when_a_payload_is_encrypted():
+    script = "\n".join([
+        "import random, sys",
+        "import fogtrust",
+        "from fogtrust import Ledger, Params, KeyPair, sign",
+        "from fogtrust.ledger import call_message",
+        "pair = KeyPair.generate(random.Random(1))",
+        "ledger = Ledger(Params())",
+        "ledger.iot_registration(5, sign(call_message('iot_registration', amount=5),",
+        "                                pair.secret, random.Random(2)))",
+        "assert ledger.iot_table[pair.address].available_funds == 5",
+        "print('cryptography' in sys.modules)",
+        "fogtrust.encrypt(bytes(32), b'x')",
+        "print('cryptography' in sys.modules)",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

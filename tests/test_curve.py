@@ -24,11 +24,31 @@ def from_tuple(pt):
     return curve.Point(pt[0], pt[1])
 
 
+def empty_cache():
+    curve._tables.clear()
+    curve._use_counts.clear()
+
+
+@pytest.fixture(autouse=True)
+def _empty_table_cache():
+    """Every test starts with no member table, so "cold" stays cold."""
+    empty_cache()
+    yield
+    empty_cache()
+
+
+def cold_point(pt):
+    """A fresh Point for pt with the cache emptied: it has no table, and
+    one use leaves it without one."""
+    empty_cache()
+    return from_tuple(pt)
+
+
 def cold_mult(k, pt):
     """k * pt on a fresh Point, which has no table and stays without one."""
-    point = from_tuple(pt)
+    point = cold_point(pt)
     got = as_tuple(curve.scalar_mult(k, point))
-    assert point._table is None
+    assert curve._cached(point) is None
     return got
 
 
@@ -80,11 +100,12 @@ def test_cached_table_path_matches_cold_path():
     rng = random.Random(7)
     point = from_tuple(oracles.affine_scalar_mult(12345, oracles.GEN))
     scalars = [rng.randrange(1, curve.CURVE_ORDER) for _ in range(8)]
-    cold = [as_tuple(curve.scalar_mult(k, from_tuple((point.x, point.y)))) for k in scalars[:2]]
+    cold = [cold_mult(k, (point.x, point.y)) for k in scalars[:2]]
+    empty_cache()
     warm = []
     for uses, k in enumerate(scalars, start=1):
         warm.append(as_tuple(curve.scalar_mult(k, point)))
-        assert (point._table is not None) == (uses >= 3), f"after use {uses}"
+        assert (curve._cached(point) is not None) == (uses >= 3), f"after use {uses}"
     for k, got in zip(scalars, warm):
         assert got == oracles.affine_scalar_mult(k, (point.x, point.y))
     for k, got, again in zip(scalars, cold, warm):
@@ -188,7 +209,7 @@ def warm_point(pt):
     point = from_tuple(pt)
     for _ in range(3):
         curve.scalar_mult(2, point)
-    assert point._table is not None
+    assert curve._cached(point) is not None
     return point
 
 
@@ -235,15 +256,14 @@ def test_scalars_with_negative_glv_halves_match_oracle():
 def test_link_x_matches_oracle_on_table_and_cold_points():
     rng = random.Random(0x117C)
     base = oracles.affine_scalar_mult(rng.randrange(1, curve.CURVE_ORDER), oracles.GEN)
-    warm = warm_point(base)
     for _ in range(6):
         s = rng.randrange(curve.CURVE_ORDER)
         c = rng.randrange(curve.CURVE_ORDER)
         want = oracle_link_x(s, c, base)
-        assert curve.link_x(s, c, warm) == want
-        cold = from_tuple(base)
+        assert curve.link_x(s, c, warm_point(base)) == want
+        cold = cold_point(base)
         assert curve.link_x(s, c, cold) == want
-        assert cold._table is None
+        assert curve._cached(cold) is None
 
 
 def test_link_x_zero_scalars_and_scalars_past_the_order():
@@ -253,8 +273,8 @@ def test_link_x_zero_scalars_and_scalars_past_the_order():
     warm = warm_point(base)
     s = rng.randrange(1, n)
     c = rng.randrange(1, n)
-    # a fresh copy per call stays on the ladder path
-    for point in (lambda: warm, lambda: from_tuple(base)):
+    # a fresh copy from an emptied cache per call stays on the cold path
+    for point in (lambda: warm, lambda: cold_point(base)):
         assert curve.link_x(0, c, point()) == oracles.affine_scalar_mult(c, base)[0]
         assert curve.link_x(s, 0, point()) == oracles.affine_scalar_mult(s, oracles.GEN)[0]
         assert curve.link_x(0, 0, point()) is None
@@ -269,8 +289,8 @@ def test_link_x_handles_cancellation_and_doubling():
     n = curve.CURVE_ORDER
     warm = warm_point(oracles.GEN)
     s = (1 << 200) + 12345
-    # a fresh copy per call stays on the ladder path
-    for point in (lambda: warm, lambda: from_tuple(oracles.GEN)):
+    # a fresh copy from an emptied cache per call stays on the cold path
+    for point in (lambda: warm, lambda: cold_point(oracles.GEN)):
         # s*G = -c*P: the sum is infinity
         assert curve.link_x(n - 5, 5, point()) is None
         assert curve.link_x(5, n - 5, point()) is None
@@ -315,16 +335,15 @@ def oracle_mult_add(s, c, base):
 def test_mult_add_matches_oracle_on_table_and_cold_points():
     rng = random.Random(0xADD)
     base = oracles.affine_scalar_mult(rng.randrange(1, curve.CURVE_ORDER), oracles.GEN)
-    warm = warm_point(base)
     for _ in range(6):
         s = rng.randrange(curve.CURVE_ORDER)
         c = rng.randrange(curve.CURVE_ORDER)
         want = oracle_mult_add(s, c, base)
-        assert as_tuple(curve.mult_add(s, c, warm)) == want
-        cold = from_tuple(base)
+        assert as_tuple(curve.mult_add(s, c, warm_point(base))) == want
+        cold = cold_point(base)
         assert as_tuple(curve.mult_add(s, c, cold)) == want
-        assert cold._table is None
-        assert curve.link_x(s, c, from_tuple(base)) == want[0]
+        assert curve._cached(cold) is None
+        assert curve.link_x(s, c, cold_point(base)) == want[0]
 
 
 def test_mult_add_zero_scalars():
@@ -334,7 +353,7 @@ def test_mult_add_zero_scalars():
     warm = warm_point(base)
     s = rng.randrange(1, n)
     c = rng.randrange(1, n)
-    for point in (lambda: warm, lambda: from_tuple(base)):
+    for point in (lambda: warm, lambda: cold_point(base)):
         assert as_tuple(curve.mult_add(0, c, point())) == oracles.affine_scalar_mult(c, base)
         assert as_tuple(curve.mult_add(s, 0, point())) == \
             oracles.affine_scalar_mult(s, oracles.GEN)
@@ -347,7 +366,7 @@ def test_mult_add_handles_cancellation_and_doubling():
     n = curve.CURVE_ORDER
     warm = warm_point(oracles.GEN)
     s = (1 << 200) + 12345
-    for point in (lambda: warm, lambda: from_tuple(oracles.GEN)):
+    for point in (lambda: warm, lambda: cold_point(oracles.GEN)):
         # s*G = -c*P: the sum is infinity
         assert curve.mult_add(n - 5, 5, point()) is None
         assert curve.mult_add(s, n - s, point()) is None
@@ -357,3 +376,92 @@ def test_mult_add_handles_cancellation_and_doubling():
         assert as_tuple(curve.mult_add(1, 1, point())) == (G2_X, G2_Y)
         assert as_tuple(curve.mult_add(s, s, point())) == \
             oracles.affine_scalar_mult(2 * s, oracles.GEN)
+
+
+# -- the coordinate-keyed table cache --
+
+def counting_builds(monkeypatch):
+    built = []
+    original = curve._build_table
+
+    def build(x, y, width):
+        built.append((x, y, width))
+        return original(x, y, width)
+
+    monkeypatch.setattr(curve, "_build_table", build)
+    return built
+
+
+def test_separately_decoded_equal_points_build_one_table(monkeypatch):
+    built = counting_builds(monkeypatch)
+    raw = curve.scalar_mult(0xFACE, curve.GENERATOR).to_bytes()
+    first = curve.Point.from_bytes(raw)
+    second = curve.Point.from_bytes(raw)
+    for _ in range(3):
+        curve.scalar_mult(3, first)
+    for _ in range(3):
+        curve.link_x(5, 7, second)
+    assert [entry[:2] for entry in built] == [(first.x, first.y)]
+    assert curve._cached(second) is curve._cached(first) is not None
+
+
+def test_point_gets_its_table_on_the_third_use_per_coordinate():
+    pt = oracles.affine_scalar_mult(0xBEAD, oracles.GEN)
+    uses = [lambda: curve.scalar_mult(11, from_tuple(pt)),
+            lambda: curve.link_x(13, 17, from_tuple(pt)),
+            lambda: curve.scalar_mult(19, from_tuple(pt))]
+    for count, use in enumerate(uses, start=1):
+        use()
+        assert (curve._cached(from_tuple(pt)) is not None) == (count == 3), count
+    assert not curve._use_counts
+
+
+def test_cache_evicts_least_recently_used_at_its_cap(monkeypatch):
+    monkeypatch.setattr(curve, "_CACHE_ENTRIES", 2)
+    a, b, c = (oracles.affine_scalar_mult(k, oracles.GEN) for k in (101, 102, 103))
+    warm_point(a)
+    warm_point(b)
+    curve.scalar_mult(5, from_tuple(a))  # a is now the most recently used
+    warm_point(c)
+    assert [curve._cached(from_tuple(pt)) is not None for pt in (a, b, c)] == \
+        [True, False, True]
+    # the admission counts are bounded by the same cap
+    for k in (201, 202, 203):
+        curve.scalar_mult(2, from_tuple(oracles.affine_scalar_mult(k, oracles.GEN)))
+    assert len(curve._use_counts) == 2
+    assert oracles.affine_scalar_mult(201, oracles.GEN) not in curve._use_counts
+
+
+def test_recovering_one_signature_five_times_admits_nothing():
+    from fogtrust import keys, signing
+    pair = keys.KeyPair.generate(random.Random(0x5EC))
+    signature = signing.sign(b"replayed call", pair.secret, random.Random(1))
+    empty_cache()
+    for _ in range(5):
+        assert signing.recover(b"replayed call", signature) == pair.public
+    assert not curve._tables
+    assert not curve._use_counts
+
+
+def test_packed_table_entries_and_products_match_oracle():
+    rng = random.Random(0x9AC)
+    base = oracles.affine_scalar_mult(0xC0DE, oracles.GEN)
+    point = warm_point(base)
+    width, entries = curve._cached(point)
+    half = 1 << (width - 1)
+    mask = (1 << 256) - 1
+    rows = (len(entries) - 1) // half
+    for index in (0, 1, half - 1, half, rows * half - 1, rows * half):
+        row, d = divmod(index, half)
+        want = oracles.affine_scalar_mult((d + 1) << (width * row), base)
+        assert (entries[index] >> 256, entries[index] & mask) == want, index
+    signs = set()
+    while len(signs) < 4:
+        k = rng.randrange(1, curve.CURVE_ORDER)
+        k1, k2 = curve._glv_split(k)
+        if (k1 < 0, k2 < 0) in signs:
+            continue
+        signs.add((k1 < 0, k2 < 0))
+        s = rng.randrange(1, curve.CURVE_ORDER)
+        assert as_tuple(curve.scalar_mult(k, point)) == oracles.affine_scalar_mult(k, base)
+        assert curve.link_x(s, k, point) == oracle_link_x(s, k, base)

@@ -287,6 +287,38 @@ def test_scheduler_ejection_rebuilds_design_and_resets_cursor():
     assert all(c == 3 for c in counts.values())
 
 
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(1, 30), size=st.integers(1, 35),
+       steps=st.lists(st.one_of(st.none(), st.integers(0, 29)), max_size=60))
+def test_scheduler_blocks_equal_a_design_rebuilt_at_every_ejection(
+        count, size, steps):
+    # None draws a cluster; an integer ejects that node (again, maybe)
+    roster = addresses(count)
+    scheduler = Scheduler(Policy.BIBD, size, roster, random.Random(0))
+    live = list(roster)
+    blocks = build_bibd(live, min(size, count))
+    cursor = 0
+    for step in steps:
+        if step is None:
+            want = []
+            if live:
+                want, cursor = next_bibd_cluster(blocks, cursor)
+            assert scheduler.next_cluster() == want
+            continue
+        gone = roster[step % count]
+        scheduler.eject(gone)
+        if gone in live:
+            live.remove(gone)
+            blocks = build_bibd(live, min(size, len(live))) if live else []
+            cursor = 0
+        assert scheduler.blocks == blocks
+
+
+def test_scheduler_block_design_rejects_an_empty_cluster():
+    with pytest.raises(InvalidDesign):
+        Scheduler(Policy.BIBD, 0, addresses(3), random.Random(19))
+
+
 def test_scheduler_single_survivor_keeps_returning_it():
     scheduler = Scheduler(Policy.BIBD, 1, addresses(3), random.Random(14))
     scheduler.eject(addresses(3)[0])
