@@ -7,9 +7,6 @@ consistent. Changing it invalidates every stored address and signature.
 
 import hashlib
 
-HASH_NAME = "sha256"
-DIGEST_SIZE = 32
-
 
 def digest(data: bytes) -> bytes:
     """The protocol hash: SHA-256."""

@@ -578,12 +578,6 @@ def point_add(a, b):
     return Point(x3, y3)
 
 
-def point_neg(point):
-    if point is None:
-        return None
-    return Point(point.x, (-point.y) % FIELD_PRIME)
-
-
 GENERATOR = Point(
     0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
     0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,

@@ -149,10 +149,6 @@ class ChannelFailure(ProtocolError):
     """A frame the protocol cannot proceed without was lost in transit."""
 
 
-class AuditChannelFailure(ChannelFailure):
-    """Audit aborted before a result could be judged."""
-
-
 # ------------------------------------------------------------ simulation
 
 

@@ -1,9 +1,12 @@
 """Agent-level flows: mutual authentication, paid service exchange, audits.
 
-Agents talk over an in-process channel that records a transcript and can
-drop or delay frames, which is enough to reproduce timeouts and tampering
-deterministically.  The disguised audit reuses the exact same request path
-as a genuine device, so a fog node cannot tell the two apart by framing.
+Devices, fog nodes and the oracle sign with ``signing``, derive session keys
+with ``keys``, seal traffic with ``aead`` and attest verdicts with ``ring``;
+only the ledger's verifier is swappable.  Agents talk over an in-process
+channel that records a transcript and can drop or delay frames, which is
+enough to reproduce timeouts and tampering deterministically.  The disguised
+audit reuses the exact same request path as a genuine device, so a fog node
+cannot tell the two apart by framing.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from . import aead, keys, ring, signing
 from . import ledger as ledger_mod
 from .constants import digest
 from .errors import (
-    AuditChannelFailure,
     BadSignature,
     ChannelFailure,
     DecryptionFailed,
@@ -28,12 +31,12 @@ from .errors import (
     SignerMismatch,
     UnknownOracle,
 )
-from .identity import DEFAULT_IDENTITY
 from .keys import KeyPair
 
 IOT_AUTH_CONTEXT = b"auth/iot/v1"
 FOG_AUTH_CONTEXT = b"auth/fog/v1"
 DEFAULT_TIMEOUT_TICKS = 10
+PAYMENT_LIMIT = 2**64  # payments travel as 8-byte unsigned integers
 DEFAULT_RING_SIZE = 8
 
 # Sentinel a fog behavior hook returns to refuse a request outright.
@@ -52,20 +55,6 @@ class FrameType(enum.Enum):
 class Frame:
     frame_type: FrameType
     payload: bytes
-
-    def encode(self) -> bytes:
-        return (bytes([self.frame_type.value])
-                + len(self.payload).to_bytes(4, "big") + self.payload)
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "Frame":
-        if len(raw) < 5:
-            raise ValueError("frame shorter than its header")
-        frame_type = FrameType(raw[0])
-        length = int.from_bytes(raw[1:5], "big")
-        if len(raw) != 5 + length:
-            raise ValueError("frame length prefix disagrees with payload")
-        return cls(frame_type, raw[5:])
 
 
 @dataclass(frozen=True)
@@ -122,19 +111,17 @@ class Session:
 
 
 class ExchangeStatus(enum.Enum):
-    PROPOSED = "proposed"
     REJECTED = "rejected"
     TIMED_OUT = "timed_out"
-    COMPLETED = "completed"
     PAID = "paid"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServiceExchange:
     package: bytes
     payment: int
+    status: ExchangeStatus
     result: Optional[bytes] = None
-    status: ExchangeStatus = ExchangeStatus.PROPOSED
 
 
 @dataclass
@@ -142,7 +129,6 @@ class IoTAgent:
     keypair: KeyPair
     reputation_threshold: int = 0
     rng: object = None
-    identity: object = DEFAULT_IDENTITY
     sessions: dict = field(default_factory=dict)
 
     @property
@@ -150,29 +136,23 @@ class IoTAgent:
         return self.keypair.address
 
     def register(self, ledger, funds: int) -> str:
-        approval = self.identity.sign(
+        approval = signing.sign(
             ledger_mod.call_message("iot_registration", amount=funds),
             self.keypair.secret, self.rng)
         return ledger.iot_registration(funds, approval)
 
-    def available_funds(self, ledger) -> int:
-        record = ledger.iot_table.get(self.address)
-        return 0 if record is None else record.available_funds
-
 
 @dataclass
 class FogAgent:
-    """Serves opaque packages; the behavior hook lets tests inject faults.
+    """Serves a package with its digest; the behavior hook injects faults.
 
     ``behavior(package, result)`` may return the (possibly modified) result
     bytes, REJECT_REQUEST to refuse, or None to stay silent.
     """
 
     keypair: KeyPair
-    service: Callable = staticmethod(lambda package: digest(package))
     behavior: Optional[Callable] = None
     rng: object = None
-    identity: object = DEFAULT_IDENTITY
     sessions: dict = field(default_factory=dict)
 
     @property
@@ -180,13 +160,13 @@ class FogAgent:
         return self.keypair.address
 
     def register(self, ledger, stake: int) -> str:
-        approval = self.identity.sign(
+        approval = signing.sign(
             ledger_mod.call_message("fog_registration", amount=stake),
             self.keypair.secret, self.rng)
         return ledger.fog_registration(stake, approval)
 
     def serve(self, package: bytes):
-        result = self.service(package)
+        result = digest(package)
         if self.behavior is not None:
             return self.behavior(package, result)
         return result
@@ -205,24 +185,24 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
         channel = Channel()
 
     # Step 1: device signs its context and opens.
-    iot_sig = iot.identity.sign(IOT_AUTH_CONTEXT, iot.keypair.secret, iot.rng)
+    iot_sig = signing.sign(IOT_AUTH_CONTEXT, iot.keypair.secret, iot.rng)
     if channel.send("iot", Frame(FrameType.AUTH1, iot_sig.to_bytes())) is None:
         raise ChannelFailure("device hello lost")
 
     # Steps 2-3: fog recovers the device key and checks the registry.
-    iot_public = fog.identity.recover_public(IOT_AUTH_CONTEXT, iot_sig)
-    iot_address = fog.identity.address_of_public(iot_public)
+    iot_public = signing.recover(IOT_AUTH_CONTEXT, iot_sig)
+    iot_address = keys.address_of(iot_public)
     if iot_address not in ledger.iot_table:
         raise IoTNotRegistered("%s is not in the device registry" % iot_address)
 
     # Step 4: fog answers with its own signed context.
-    fog_sig = fog.identity.sign(FOG_AUTH_CONTEXT, fog.keypair.secret, fog.rng)
+    fog_sig = signing.sign(FOG_AUTH_CONTEXT, fog.keypair.secret, fog.rng)
     if channel.send("fog", Frame(FrameType.AUTH2, fog_sig.to_bytes())) is None:
         raise ChannelFailure("fog answer lost")
 
     # Steps 5-6: device recovers the fog key, checks registry and reputation.
-    fog_public = iot.identity.recover_public(FOG_AUTH_CONTEXT, fog_sig)
-    fog_address = iot.identity.address_of_public(fog_public)
+    fog_public = signing.recover(FOG_AUTH_CONTEXT, fog_sig)
+    fog_address = keys.address_of(fog_public)
     record = ledger.fog_table.get(fog_address)
     if record is None:
         raise FogNotRegistered("%s is not in the fog registry" % fog_address)
@@ -233,8 +213,8 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
 
     # Step 7: both sides derive the key from their own secret and the
     # recovered peer key; the constructions agree by ECDH symmetry.
-    iot_key = iot.identity.shared_key(iot.keypair.secret, fog_public)
-    fog_key = fog.identity.shared_key(fog.keypair.secret, iot_public)
+    iot_key = keys.shared_secret(iot.keypair.secret, fog_public)
+    fog_key = keys.shared_secret(fog.keypair.secret, iot_public)
     iot.sessions[fog_address] = iot_key
     fog.sessions[iot_address] = fog_key
     return Session(iot_address=iot_address, fog_address=fog_address,
@@ -248,64 +228,38 @@ def request_message(payment: int, package: bytes) -> bytes:
 
 def service_exchange(session: Session, iot: IoTAgent, fog: FogAgent,
                      package: bytes, payment: int, ledger,
-                     channel: Optional[Channel] = None,
-                     timeout_ticks: int = DEFAULT_TIMEOUT_TICKS) -> ServiceExchange:
+                     channel: Optional[Channel] = None) -> ServiceExchange:
     """One paid request/response round over an established session.
 
     The package and result travel encrypted under the session key.  Payment
     is released only after the device holds a result it could decrypt; a
-    rejection or a silent fog costs nothing.
+    rejection, or no reply within DEFAULT_TIMEOUT_TICKS, costs nothing.  A
+    payment the ledger could never accept fails before any frame is sent.
     """
+    # type() rather than isinstance(): True is an int but not an amount
+    if type(payment) is not int or not 0 < payment < PAYMENT_LIMIT:
+        raise PaymentFailed("payment must be an int in [1, 2**64), got %r"
+                            % (payment,))
     if channel is None:
         channel = Channel()
-    exchange = ServiceExchange(package=package, payment=payment)
 
-    request_sig = iot.identity.sign(request_message(payment, package),
-                                    iot.keypair.secret, iot.rng)
-    sealed = iot.identity.encrypt(session.symmetric_key, package, iot.rng)
+    request_sig = signing.sign(request_message(payment, package),
+                               iot.keypair.secret, iot.rng)
+    sealed = aead.encrypt(session.symmetric_key, package, iot.rng)
     payload = payment.to_bytes(8, "big") + request_sig.to_bytes() + sealed
-    sent_at = channel.clock + 1
-    deadline = sent_at + timeout_ticks
-    if channel.send("iot", Frame(FrameType.REQUEST, payload)) is None:
-        channel.wait(timeout_ticks)
-        exchange.status = ExchangeStatus.TIMED_OUT
-        return exchange
-
-    # Fog side: unseal, check the request signature against the session
-    # peer, then serve.
-    fog_key = fog.sessions.get(session.iot_address, session.symmetric_key)
-    opened = fog.identity.decrypt(fog_key, sealed)
-    claimed = int.from_bytes(payload[:8], "big")
-    signer = fog.identity.recover_address(request_message(claimed, opened),
-                                          request_sig)
-    if signer != session.iot_address:
-        raise BadSignature("request was not signed by the session peer")
-
-    outcome = fog.serve(opened)
-    if outcome is None:
-        channel.wait(timeout_ticks)
-        exchange.status = ExchangeStatus.TIMED_OUT
-        return exchange
-    if outcome is REJECT_REQUEST:
-        arrival = channel.send("fog", Frame(FrameType.REJECT, b""))
-        if arrival is None or arrival > deadline:
-            channel.wait(timeout_ticks)
-            exchange.status = ExchangeStatus.TIMED_OUT
-        else:
-            exchange.status = ExchangeStatus.REJECTED
-        return exchange
-
-    sealed_result = fog.identity.encrypt(fog_key, outcome, fog.rng)
-    arrival = channel.send("fog", Frame(FrameType.RESULT, sealed_result))
+    deadline = channel.clock + 1 + DEFAULT_TIMEOUT_TICKS
+    reply = None
+    if channel.send("iot", Frame(FrameType.REQUEST, payload)) is not None:
+        reply = _fog_reply(session, fog, payload)
+    arrival = None if reply is None else channel.send("fog", reply)
     if arrival is None or arrival > deadline:
-        channel.wait(timeout_ticks)
-        exchange.status = ExchangeStatus.TIMED_OUT
-        return exchange
+        channel.wait(DEFAULT_TIMEOUT_TICKS)
+        return ServiceExchange(package, payment, ExchangeStatus.TIMED_OUT)
+    if reply.frame_type is FrameType.REJECT:
+        return ServiceExchange(package, payment, ExchangeStatus.REJECTED)
 
-    exchange.result = iot.identity.decrypt(session.symmetric_key, sealed_result)
-    exchange.status = ExchangeStatus.COMPLETED
-
-    payment_sig = iot.identity.sign(
+    result = aead.decrypt(session.symmetric_key, reply.payload)
+    payment_sig = signing.sign(
         ledger_mod.call_message("iot_fog_payment", amount=payment,
                                 fog=session.fog_address),
         iot.keypair.secret, iot.rng)
@@ -313,24 +267,37 @@ def service_exchange(session: Session, iot: IoTAgent, fog: FogAgent,
         ledger.iot_fog_payment(session.fog_address, payment, payment_sig)
     except LedgerError as exc:
         raise PaymentFailed(str(exc)) from exc
-    exchange.status = ExchangeStatus.PAID
-    return exchange
+    return ServiceExchange(package, payment, ExchangeStatus.PAID, result)
 
 
-class AuditOutcome(enum.Enum):
-    PASSED = "passed"
-    FAILED = "failed"
+def _fog_reply(session: Session, fog: FogAgent,
+               payload: bytes) -> Optional[Frame]:
+    """Fog side of a REQUEST: unseal, check the request signature against
+    the session peer, serve.  Returns the RESULT or REJECT frame, or None
+    for silence."""
+    # payload: 8-byte payment | 65-byte signature | sealed package
+    fog_key = fog.sessions.get(session.iot_address, session.symmetric_key)
+    opened = aead.decrypt(fog_key, payload[73:])
+    claimed = int.from_bytes(payload[:8], "big")
+    request_sig = signing.Signature.from_bytes(payload[8:73])
+    signer = keys.address_of(
+        signing.recover(request_message(claimed, opened), request_sig))
+    if signer != session.iot_address:
+        raise BadSignature("request was not signed by the session peer")
+
+    outcome = fog.serve(opened)
+    if outcome is None:
+        return None
+    if outcome is REJECT_REQUEST:
+        return Frame(FrameType.REJECT, b"")
+    return Frame(FrameType.RESULT, aead.encrypt(fog_key, outcome, fog.rng))
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    outcome: AuditOutcome
+    passed: bool
     exchange: Optional[ServiceExchange]
     application: object  # the ledger's arithmetic trail for this audit
-
-    @property
-    def passed(self) -> bool:
-        return self.outcome is AuditOutcome.PASSED
 
 
 @dataclass
@@ -347,8 +314,6 @@ class OracleAgent:
     oracle_keypair: KeyPair
     ring_size: int = DEFAULT_RING_SIZE
     rng: object = None
-    identity: object = DEFAULT_IDENTITY
-    ground_truth: Callable = staticmethod(lambda package: digest(package))
     key_directory: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -370,11 +335,11 @@ class OracleAgent:
 
     def register(self, ledger, device_funds: int) -> tuple:
         """Enroll both identities: the device with funds, the oracle in T_O."""
-        device_sig = self.identity.sign(
+        device_sig = signing.sign(
             ledger_mod.call_message("iot_registration", amount=device_funds),
             self.iot_keypair.secret, self.rng)
         device_address = ledger.iot_registration(device_funds, device_sig)
-        oracle_sig = self.identity.sign(
+        oracle_sig = signing.sign(
             ledger_mod.call_message("oracle_registration"),
             self.oracle_keypair.secret, self.rng)
         oracle_address = ledger.oracle_registration(oracle_sig)
@@ -384,100 +349,76 @@ class OracleAgent:
         # Threshold at the floor so an audit never bounces off reputation.
         return IoTAgent(keypair=self.iot_keypair,
                         reputation_threshold=ledger.params.reputation_min,
-                        rng=self.rng, identity=self.identity)
+                        rng=self.rng)
 
 
-def select_ring(oracle: OracleAgent, ledger, rng=None) -> list:
+def select_ring(oracle: OracleAgent, ledger) -> list:
     """Uniform ring of registry addresses that hides the oracle's device.
 
     Picks ring_size - 1 other registered devices the oracle knows keys for,
-    then shuffles the oracle's own device address in among them.
+    then shuffles the oracle's own device address in among them, drawing
+    from the oracle's rng.
     """
-    rng = rng if rng is not None else oracle.rng
     pool = [address for address in ledger.iot_table
             if address != oracle.device_address
             and address in oracle.key_directory]
     others = min(oracle.ring_size - 1, len(pool))
     if others < 1:
         raise RingTooSmall("need at least one other registered device")
-    members = rng.sample(pool, others) + [oracle.device_address]
-    rng.shuffle(members)
+    members = oracle.rng.sample(pool, others) + [oracle.device_address]
+    oracle.rng.shuffle(members)
     return members
 
 
 def service_audit(oracle: OracleAgent, fog: FogAgent, ledger,
-                  ring_members: Optional[list] = None,
-                  channel: Optional[Channel] = None,
-                  payment: Optional[int] = None,
-                  timeout_ticks: int = DEFAULT_TIMEOUT_TICKS,
-                  penalize_on_silence: bool = True) -> AuditReport:
+                  channel: Optional[Channel] = None) -> AuditReport:
     """Disguised integrity check with an on-ledger verdict.
 
     The oracle behaves exactly like a paying device: authenticate, send a
-    package whose correct result it already knows, pay on delivery.  It then
-    compares the delivered result with the expected one and submits a
-    ring-signed reward or penalty.  A fog node that stays silent, rejects,
-    or tampers is judged failed; with penalize_on_silence=False a silent
-    node aborts the audit instead.
+    package whose digest it already knows, pay the contract's audit_payment
+    on delivery.  It then compares the delivered result with the digest and
+    submits a ring-signed reward or penalty, the ring drawn by select_ring.
+    A fog node that stays silent, rejects, tampers, or loses a handshake
+    frame is judged failed.
     """
     if oracle.oracle_address not in ledger.oracle_table:
         raise UnknownOracle("%s is not a registered oracle"
                             % oracle.oracle_address)
     if channel is None:
         channel = Channel()
-    if payment is None:
-        payment = ledger.params.audit_payment
-    if ring_members is None:
-        ring_members = select_ring(oracle, ledger)
-    if oracle.device_address not in ring_members:
-        raise SignerMismatch("ring must contain the oracle's device address")
-
-    package = _fresh_package(oracle.rng)
-    expected = oracle.ground_truth(package)
+    ring_members = select_ring(oracle, ledger)
+    package = oracle.rng.getrandbits(128).to_bytes(16, "big")
 
     requester = oracle.device_agent(ledger)
     exchange = None
-    answered = False
     try:
         session = mutual_authenticate(requester, fog, ledger, channel)
-        exchange = service_exchange(session, requester, fog, package, payment,
-                                    ledger, channel, timeout_ticks)
-        answered = exchange.status is ExchangeStatus.PAID
+        exchange = service_exchange(session, requester, fog, package,
+                                    ledger.params.audit_payment, ledger,
+                                    channel)
     except (ChannelFailure, DecryptionFailed):
-        answered = False
-
-    passed = bool(answered and exchange.result == expected)
-    if not answered and not penalize_on_silence:
-        raise AuditChannelFailure("no judgeable response from %s"
-                                  % fog.address)
-
+        pass
+    passed = (exchange is not None
+              and exchange.status is ExchangeStatus.PAID
+              and exchange.result == digest(package))
     application = submit_verdict(oracle, fog.address, passed, ledger,
                                  ring_members)
-    outcome = AuditOutcome.PASSED if passed else AuditOutcome.FAILED
-    return AuditReport(outcome=outcome, exchange=exchange,
+    return AuditReport(passed=passed, exchange=exchange,
                        application=application)
 
 
 def submit_verdict(oracle: OracleAgent, fog_address: str, passed: bool,
                    ledger, ring_members: list):
     """Ring-sign the verdict and apply it through the contract."""
-    ring = [oracle.key_directory[address] for address in ring_members]
+    members = [oracle.key_directory[address] for address in ring_members]
     signer_index = ring_members.index(oracle.device_address)
     message = ledger_mod.audit_message(fog_address, passed)
-    attestation = oracle.identity.ring_sign(message, ring, signer_index,
-                                            oracle.iot_keypair.secret,
-                                            oracle.rng)
+    attestation = ring.ring_sign(message, members, signer_index,
+                                 oracle.iot_keypair.secret, oracle.rng)
     op = "fog_reward" if passed else "fog_penalize"
-    approval = oracle.identity.sign(
+    approval = signing.sign(
         ledger_mod.call_message(op, fog=fog_address),
         oracle.oracle_keypair.secret, oracle.rng)
     if passed:
         return ledger.fog_reward(fog_address, attestation, approval)
     return ledger.fog_penalize(fog_address, attestation, approval)
-
-
-def _fresh_package(rng) -> bytes:
-    if rng is None:
-        import secrets
-        return secrets.token_bytes(16)
-    return rng.getrandbits(128).to_bytes(16, "big")

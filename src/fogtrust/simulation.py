@@ -47,8 +47,6 @@ class TokenIdentity:
     how a curve signature only recovers over the signed message.
     """
 
-    name = "token"
-
     def recover_address(self, message: bytes, signature) -> str:
         if signature.message != message:
             raise BadSignature("token was minted for a different message")

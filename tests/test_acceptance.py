@@ -262,8 +262,8 @@ def test_acceptance_3_ledger_conservation_fuzzing(capsys):
         rng.shuffle(ring_addresses)
         index = ring_addresses.index(device_pair.address)
         ring = [iot_pool[address].public for address in ring_addresses]
-        attestation = identity.ring_sign(audit_message(fog_address, passed),
-                                         ring, index, device_pair.secret, rng)
+        attestation = ring_sign(audit_message(fog_address, passed),
+                                ring, index, device_pair.secret, rng)
         op = "fog_reward" if passed else "fog_penalize"
         approval = _signed_call(identity, oracle_pair, op, fog=fog_address)
         if passed:

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, config files, outputs, exit codes."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,15 @@ def test_keygen_unwritable_output_is_an_io_error(tmp_path, capsys):
     code = run_cli(["keygen", "--out", str(blocker / "sub")])
     assert code == 4
     assert "IoError" in capsys.readouterr().err
+
+
+def test_readme_config_block_names_every_config_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = [line.partition("=")[0].strip() for line in block.splitlines()
+            if line.strip() and not line.startswith("#")]
+    assert sorted(keys) == sorted(cli.CONFIG_KEYS)
+    assert set(cli.parse_flat_config(block)) == cli.CONFIG_KEYS
 
 
 # -- demo-auth --

@@ -22,7 +22,6 @@ from fogtrust.errors import (
     UnknownFog,
     UnknownOracle,
 )
-from fogtrust.identity import DEFAULT_IDENTITY
 from fogtrust.keys import KeyPair
 from fogtrust.ledger import (
     Ledger,
