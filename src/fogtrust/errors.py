@@ -137,6 +137,10 @@ class ReputationBelowThreshold(AuthError):
     pass
 
 
+class NoSession(AuthError):
+    """The fog node holds no session with the requesting device."""
+
+
 class ProtocolError(FogTrustError):
     """Base class for service-exchange failures."""
 

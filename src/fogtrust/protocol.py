@@ -12,6 +12,7 @@ cannot tell the two apart by framing.
 from __future__ import annotations
 
 import enum
+import secrets
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,6 +26,7 @@ from .errors import (
     FogNotRegistered,
     IoTNotRegistered,
     LedgerError,
+    NoSession,
     PaymentFailed,
     ReputationBelowThreshold,
     RingTooSmall,
@@ -147,13 +149,17 @@ class FogAgent:
     """Serves a package with its digest; the behavior hook injects faults.
 
     ``behavior(package, result)`` may return the (possibly modified) result
-    bytes, REJECT_REQUEST to refuse, or None to stay silent.
+    bytes, REJECT_REQUEST to refuse, or None to stay silent.  ``sessions``
+    maps each authenticated device's address to the session key and
+    ``peer_keys`` to the public key recovered in its handshake, which the
+    fog checks every request against.
     """
 
     keypair: KeyPair
     behavior: Optional[Callable] = None
     rng: object = None
     sessions: dict = field(default_factory=dict)
+    peer_keys: dict = field(default_factory=dict)
 
     @property
     def address(self) -> str:
@@ -217,6 +223,7 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
     fog_key = keys.shared_secret(fog.keypair.secret, iot_public)
     iot.sessions[fog_address] = iot_key
     fog.sessions[iot_address] = fog_key
+    fog.peer_keys[iot_address] = iot_public
     return Session(iot_address=iot_address, fog_address=fog_address,
                    symmetric_key=iot_key)
 
@@ -272,17 +279,21 @@ def service_exchange(session: Session, iot: IoTAgent, fog: FogAgent,
 
 def _fog_reply(session: Session, fog: FogAgent,
                payload: bytes) -> Optional[Frame]:
-    """Fog side of a REQUEST: unseal, check the request signature against
-    the session peer, serve.  Returns the RESULT or REJECT frame, or None
-    for silence."""
+    """Fog side of a REQUEST: unseal with the fog's own session key, verify
+    the request signature against the device key from the handshake, serve.
+    Returns the RESULT or REJECT frame, or None for silence.  A fog node
+    without a session for the device refuses with NoSession; only the
+    contract recovers signers on every call."""
     # payload: 8-byte payment | 65-byte signature | sealed package
-    fog_key = fog.sessions.get(session.iot_address, session.symmetric_key)
+    fog_key = fog.sessions.get(session.iot_address)
+    peer = fog.peer_keys.get(session.iot_address)
+    if fog_key is None or peer is None:
+        raise NoSession("%s holds no session with %s"
+                        % (fog.address, session.iot_address))
     opened = aead.decrypt(fog_key, payload[73:])
     claimed = int.from_bytes(payload[:8], "big")
     request_sig = signing.Signature.from_bytes(payload[8:73])
-    signer = keys.address_of(
-        signing.recover(request_message(claimed, opened), request_sig))
-    if signer != session.iot_address:
+    if not signing.verify(request_message(claimed, opened), request_sig, peer):
         raise BadSignature("request was not signed by the session peer")
 
     outcome = fog.serve(opened)
@@ -307,7 +318,8 @@ class OracleAgent:
     The device identity makes audits look like ordinary paid requests; the
     oracle identity is the one the contract trusts to submit verdicts.  The
     key directory maps device addresses to public keys so rings can be
-    assembled from registry addresses.
+    assembled from registry addresses.  Without an rng the oracle draws
+    rings, packages and nonces from ``secrets.SystemRandom()``.
     """
 
     iot_keypair: KeyPair
@@ -317,6 +329,8 @@ class OracleAgent:
     key_directory: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.rng is None:
+            self.rng = secrets.SystemRandom()
         if self.iot_keypair.address == self.oracle_keypair.address:
             raise SignerMismatch("the two oracle identities must differ")
         self.key_directory.setdefault(self.iot_keypair.address,

@@ -1,8 +1,11 @@
 """ECDSA signing with public-key recovery.
 
-Verification works blockchain-style: the verifier recovers the signer's
-public point from (message, signature) and compares the derived address
-against the ledger, so no public key travels with the call.
+A verifier that holds no keys works blockchain-style: it recovers the
+signer's public point from (message, signature) and compares the derived
+address against the ledger, so no public key travels with the call.  A
+verifier that already holds the signer's key, as a fog node does after the
+handshake, checks against it with ``verify``, which accepts exactly the
+signatures whose recovery returns that key.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ import secrets
 from dataclasses import dataclass
 
 from .constants import digest
-from .curve import CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, mult_add, scalar_mult
+from .curve import (CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, _key_mult_add,
+                    mult_add, scalar_mult)
 from .errors import InvalidScalar, InvalidSignature, RecoveryFailed
 
 
@@ -59,14 +63,20 @@ def sign(message: bytes, secret: int, rng=None) -> Signature:
         return Signature(r=r, s=s, recovery_hint=hint)
 
 
-def recover(message: bytes, signature: Signature) -> Point:
-    """Recover the signer's public point; raises RecoveryFailed otherwise."""
+def _fields(signature: Signature) -> tuple:
+    """(r, s, hint), or InvalidSignature when they are not in range."""
     r, s, hint = signature.r, signature.s, signature.recovery_hint
     # type() rather than isinstance(): True is an int but not a field value
     if not (type(r) is int and type(s) is int and type(hint) is int):
         raise InvalidSignature("signature fields must be integers")
     if not (1 <= r < CURVE_ORDER and 1 <= s < CURVE_ORDER and 0 <= hint <= 3):
         raise InvalidSignature("signature fields out of range")
+    return r, s, hint
+
+
+def recover(message: bytes, signature: Signature) -> Point:
+    """Recover the signer's public point; raises RecoveryFailed otherwise."""
+    r, s, hint = _fields(signature)
     x = r + CURVE_ORDER if hint & 2 else r
     if x >= FIELD_PRIME:
         raise RecoveryFailed("nonce x-coordinate outside the field")
@@ -85,3 +95,25 @@ def recover(message: bytes, signature: Signature) -> Point:
     if public is None:
         raise RecoveryFailed("recovered the point at infinity")
     return public
+
+
+def verify(message: bytes, signature: Signature, public: Point) -> bool:
+    """True exactly when recover(message, signature) would return public;
+    False wherever recover would raise.
+
+    With w = 1/s, the nonce point is R = (z * w) * G + (r * w) * public
+    (SEC 1 v2, 4.1.4), summed in one accumulator with one inversion. R
+    must be the point the hint names: x equal to r (plus the order when
+    bit 1 is set) and y of the parity in bit 0. That pins the one R whose
+    recovery gives public, with no square root taken. public is counted
+    towards a table like any long-lived key.
+    """
+    try:
+        r, s, hint = _fields(signature)
+    except InvalidSignature:
+        return False
+    w = pow(s, -1, CURVE_ORDER)
+    nonce = _key_mult_add(_hash_to_int(message) * w, r * w, public)
+    return (nonce is not None
+            and nonce[0] == (r + CURVE_ORDER if hint & 2 else r)
+            and nonce[1] & 1 == hint & 1)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fogtrust import cli
+from fogtrust import cli, signing
 from fogtrust.constants import digest
 from fogtrust.errors import (
     BadSignature,
@@ -14,6 +14,7 @@ from fogtrust.errors import (
     DecryptionFailed,
     FogNotRegistered,
     IoTNotRegistered,
+    NoSession,
     PaymentFailed,
     ReputationBelowThreshold,
     RingTooSmall,
@@ -216,6 +217,39 @@ def test_exchange_request_must_be_signed_by_session_peer():
         service_exchange(session, impostor, fog, b"job", 10, ledger)
 
 
+def test_exchange_refused_by_fog_without_session():
+    ledger, iot, fog, _, _ = build_world()
+    channel = Channel()
+    session = mutual_authenticate(iot, fog, ledger, channel)
+    fog.sessions.clear()
+    before = ledger.to_snapshot()
+    funds = ledger.iot_table[iot.address].available_funds
+    with pytest.raises(NoSession):
+        service_exchange(session, iot, fog, b"job", 10, ledger, channel)
+    kinds = [entry.frame.frame_type for entry in channel.transcript]
+    assert FrameType.RESULT not in kinds
+    assert ledger.to_snapshot() == before
+    assert ledger.iot_table[iot.address].available_funds == funds
+
+
+def test_exchange_recovers_only_the_contracts_caller(monkeypatch):
+    # the fog verifies against the handshake's key; the ledger recovers
+    # the payer, so a paid exchange costs exactly one recovery
+    ledger, iot, fog, _, _ = build_world()
+    session = mutual_authenticate(iot, fog, ledger)
+    calls = []
+    recover = signing.recover
+
+    def counting_recover(message, signature):
+        calls.append(message)
+        return recover(message, signature)
+
+    monkeypatch.setattr(signing, "recover", counting_recover)
+    exchange = service_exchange(session, iot, fog, b"job", 10, ledger)
+    assert exchange.status is ExchangeStatus.PAID
+    assert len(calls) == 1
+
+
 def test_exchange_payment_failure_propagates():
     ledger, iot, fog, _, _ = build_world(iot_funds=5)
     session = mutual_authenticate(iot, fog, ledger)
@@ -284,6 +318,18 @@ def test_audit_rejecting_fog_is_penalized():
     report = service_audit(oracle, fog, ledger)
     assert not report.passed
     assert ledger.fog_table[fog.address].reputation == 3
+
+
+def test_audit_by_oracle_without_rng_draws_system_randomness():
+    ledger, _, fog, _, extras = build_world()
+    rng = random.Random(0x0AC1E)
+    oracle = OracleAgent(KeyPair.generate(rng), KeyPair.generate(rng))
+    oracle.register(ledger, device_funds=100)
+    for extra in extras:
+        oracle.learn_key(extra.address, extra.keypair.public)
+    report = service_audit(oracle, fog, ledger)
+    assert report.passed is True
+    assert oracles.conservation_gap(ledger) == 0
 
 
 def test_audit_requires_registered_oracle_identity():

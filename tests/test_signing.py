@@ -1,4 +1,4 @@
-"""ECDSA sign/recover behaviour."""
+"""ECDSA sign/recover/verify behaviour."""
 
 import random
 from dataclasses import replace
@@ -126,3 +126,56 @@ def test_recover_fails_when_the_sum_is_infinity():
     assert oracle_recover(message, sig) is None
     with pytest.raises(RecoveryFailed):
         signing.recover(message, sig)
+
+
+def _recovers_to(message, sig, public):
+    try:
+        return signing.recover(message, sig) == public
+    except (InvalidSignature, RecoveryFailed):
+        return False
+
+
+TAMPERINGS = ("none", "hint_bit_0", "hint_bit_1", "r_bit", "s_bit",
+              "s_negated", "low_s_twin", "out_of_range", "not_int",
+              "other_key")
+OUT_OF_RANGE = {"r": (0, -1, CURVE_ORDER, FIELD_PRIME),
+                "s": (0, -1, CURVE_ORDER),
+                "recovery_hint": (-1, 4, 255)}
+NOT_INT = (1.5, True, None, "1")
+scalars = st.integers(min_value=1, max_value=CURVE_ORDER - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(message=messages, secret=scalars, other=scalars,
+       tampering=st.sampled_from(TAMPERINGS), data=st.data())
+def test_verify_agrees_with_recover_then_compare(message, secret, other,
+                                                 tampering, data):
+    sig = signing.sign(message, secret, random.Random(secret))
+    public = keys.derive_public(secret)
+    if tampering == "hint_bit_0":
+        sig = replace(sig, recovery_hint=sig.recovery_hint ^ 1)
+    elif tampering == "hint_bit_1":
+        sig = replace(sig, recovery_hint=sig.recovery_hint ^ 2)
+    elif tampering in ("r_bit", "s_bit"):
+        name = tampering[0]
+        bit = data.draw(st.integers(min_value=0, max_value=255))
+        sig = replace(sig, **{name: getattr(sig, name) ^ (1 << bit)})
+    elif tampering == "s_negated":
+        sig = replace(sig, s=CURVE_ORDER - sig.s)
+    elif tampering == "low_s_twin":
+        # -s with the other parity names -R, which recovers the same key
+        sig = replace(sig, s=CURVE_ORDER - sig.s,
+                      recovery_hint=sig.recovery_hint ^ 1)
+    elif tampering == "out_of_range":
+        name = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        sig = replace(sig, **{name: data.draw(
+            st.sampled_from(OUT_OF_RANGE[name]))})
+    elif tampering == "not_int":
+        name = data.draw(st.sampled_from(["r", "s", "recovery_hint"]))
+        sig = replace(sig, **{name: data.draw(st.sampled_from(NOT_INT))})
+    elif tampering == "other_key":
+        public = keys.derive_public(other)
+    expected = _recovers_to(message, sig, public)
+    assert signing.verify(message, sig, public) is expected
+    if tampering in ("none", "low_s_twin"):
+        assert expected
