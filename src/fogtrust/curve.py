@@ -21,10 +21,9 @@ Tables live in one module-level cache keyed by coordinates, not on Point
 objects, so a key decoded afresh from bytes finds the table of an equal
 key decoded earlier. The policy:
 
-- ``scalar_mult``, ``link_x`` and ``signing.verify`` (through
-  ``_key_mult_add``, for the key it checks against) count one use of
-  their point per call; a point gets a width-8 table (16 rows and a
-  one-entry top row, 2049 entries, about 213 KB) on its third use.
+- ``scalar_mult`` and ``link_x`` count one use of their point per call;
+  a point gets a width-8 table (16 rows and a one-entry top row, 2049
+  entries, about 213 KB) on its third use.
 - The cache holds at most ``_CACHE_ENTRIES`` (128) tables and as many
   admission counts, each evicted least recently used first. 128 is above
   every key set the workloads keep in use at once, so a full cache is
@@ -49,8 +48,7 @@ same rows, and the two halves' width-5 signed digits run interleaved, about
 ``mult_add`` computes s * G + c * P in a single accumulator that ends in
 one inversion, whether or not P has a table (a cold P adds the inversion
 of its odd multiples); ``link_x`` is the same sum for the ring-signature
-link, returning only the x-coordinate, and ``_key_mult_add`` the same sum
-for ``signing.verify``, returning both coordinates.
+link, returning only the x-coordinate.
 
 Infinity is represented as None at the public API; it never appears as a
 stored key or signature component.
@@ -547,20 +545,13 @@ def mult_add(s: int, c: int, point: Point):
     return Point(affine[0], affine[1])
 
 
-def _key_mult_add(s, c, point):
-    """Affine (x, y) of s * G + c * point, or None when that sum is
-    infinity. point is a long-lived key, counted towards a table."""
-    return _xyzz_to_affine(_mult_add_xyzz(s, c, point, _table_of(point)))
-
-
 def link_x(s: int, c: int, point: Point):
     """x of s * G + c * point, or None when that sum is infinity.
 
-    As mult_add, but point is counted towards a table and the normalized
-    result is checked against the curve equation instead of being built
-    into a Point.
+    As mult_add, but the normalized result is checked against the curve
+    equation instead of being built into a Point.
     """
-    affine = _key_mult_add(s, c, point)
+    affine = _xyzz_to_affine(_mult_add_xyzz(s, c, point, _table_of(point)))
     if affine is None:
         return None
     x, y = affine

@@ -159,7 +159,7 @@ class FogAgent:
     behavior: Optional[Callable] = None
     rng: object = None
     sessions: dict = field(default_factory=dict)
-    peer_keys: dict = field(default_factory=dict)
+    peer_keys: dict = field(default_factory=dict, init=False)
 
     @property
     def address(self) -> str:

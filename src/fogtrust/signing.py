@@ -14,8 +14,7 @@ import secrets
 from dataclasses import dataclass
 
 from .constants import digest
-from .curve import (CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, _key_mult_add,
-                    mult_add, scalar_mult)
+from .curve import CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, mult_add, scalar_mult
 from .errors import InvalidScalar, InvalidSignature, RecoveryFailed
 
 
@@ -105,15 +104,15 @@ def verify(message: bytes, signature: Signature, public: Point) -> bool:
     (SEC 1 v2, 4.1.4), summed in one accumulator with one inversion. R
     must be the point the hint names: x equal to r (plus the order when
     bit 1 is set) and y of the parity in bit 0. That pins the one R whose
-    recovery gives public, with no square root taken. public is counted
-    towards a table like any long-lived key.
+    recovery gives public, with no square root taken. public uses its
+    table when one is cached; this call does not count towards one.
     """
     try:
         r, s, hint = _fields(signature)
     except InvalidSignature:
         return False
     w = pow(s, -1, CURVE_ORDER)
-    nonce = _key_mult_add(_hash_to_int(message) * w, r * w, public)
+    nonce = mult_add(_hash_to_int(message) * w, r * w, public)
     return (nonce is not None
-            and nonce[0] == (r + CURVE_ORDER if hint & 2 else r)
-            and nonce[1] & 1 == hint & 1)
+            and nonce.x == (r + CURVE_ORDER if hint & 2 else r)
+            and nonce.y & 1 == hint & 1)

@@ -217,11 +217,12 @@ def test_exchange_request_must_be_signed_by_session_peer():
         service_exchange(session, impostor, fog, b"job", 10, ledger)
 
 
-def test_exchange_refused_by_fog_without_session():
+@pytest.mark.parametrize("forgotten", ["sessions", "peer_keys"])
+def test_exchange_refused_by_fog_without_session(forgotten):
     ledger, iot, fog, _, _ = build_world()
     channel = Channel()
     session = mutual_authenticate(iot, fog, ledger, channel)
-    fog.sessions.clear()
+    getattr(fog, forgotten).clear()
     before = ledger.to_snapshot()
     funds = ledger.iot_table[iot.address].available_funds
     with pytest.raises(NoSession):
