@@ -31,6 +31,7 @@ from .ledger import Ledger
 from .protocol import Channel, FogAgent, IoTAgent, mutual_authenticate
 from .scheduling import Policy
 from .simulation import (
+    DEVICE_FUNDS,
     ScenarioConfig,
     aggregate,
     aggregate_series,
@@ -75,12 +76,11 @@ _INT_KEYS = frozenset((
     "cluster", "trials", "seed", "fog_count", "iot_count", "deposit",
     "deposit_deduction", "reward_step", "penalty_step", "reputation_initial",
     "reputation_min", "reputation_max", "ring_size", "horizon_per_fog",
-    "iot_funds", "audit_payment", "oracle_bounty", "audit_cap",
-    "reputation_threshold",
+    "audit_cap", "reputation_threshold",
 ))
 _FLOAT_KEYS = frozenset(("malicious_low", "malicious_high"))
 _BOOL_KEYS = frozenset(("adaptive",))
-_STR_KEYS = frozenset(("policy", "fee_rate", "iot_key", "fog_key"))
+_STR_KEYS = frozenset(("policy", "iot_key", "fog_key"))
 CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
 
 # config/flag names that differ from the ScenarioConfig field they set
@@ -165,7 +165,7 @@ class RunConfig:
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     settings = read_config(args.config) if getattr(args, "config", None) else {}
-    for flag in ("policy", "cluster", "trials", "fee_rate"):
+    for flag in ("policy", "cluster", "trials"):
         value = getattr(args, flag, None)
         if value is not None:
             settings[flag] = value
@@ -245,7 +245,7 @@ def cmd_demo_auth(run: RunConfig, stream=None) -> None:
 
     print("iot address  %s" % iot_pair.address, file=stream)
     print("fog address  %s" % fog_pair.address, file=stream)
-    iot.register(ledger, funds=scenario.iot_funds)
+    iot.register(ledger, funds=DEVICE_FUNDS)
     fog.register(ledger, stake=scenario.deposit)
     print("registered both parties on a fresh ledger", file=stream)
 
@@ -422,11 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sub):
         sub.add_argument("--config", help="flat key = value config file")
         sub.add_argument("--seed", type=int, help="master RNG seed")
-        sub.add_argument("--out", default=".", help="output directory")
-        sub.add_argument("--policy", choices=[p.value for p in Policy])
-        sub.add_argument("--cluster", type=int, help="audit cluster size")
-        sub.add_argument("--trials", type=int, help="number of trials")
-        sub.add_argument("--fee-rate", dest="fee_rate", help="service fee rate")
 
     keygen = commands.add_parser("keygen", help="generate key pair files")
     keygen.add_argument("--count", type=int, default=1)
@@ -439,6 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser("simulate", help="run Monte-Carlo scenarios")
     simulate.add_argument("scenario", choices=["cost", "state"])
     common(simulate)
+    simulate.add_argument("--out", default=".", help="output directory")
+    simulate.add_argument("--policy", choices=[p.value for p in Policy])
+    simulate.add_argument("--cluster", type=int, help="audit cluster size")
+    simulate.add_argument("--trials", type=int, help="number of trials")
     return parser
 
 

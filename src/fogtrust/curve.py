@@ -60,27 +60,16 @@ from collections import OrderedDict
 
 from .errors import InvalidPoint
 
-try:
-    # gmpy2 makes the 256-bit modular arithmetic below cheaper when it is
-    # installed; without it everything runs on plain ints, the path the
-    # test budgets are measured on. Coordinates handed to Point and
-    # returned by link_x are plain ints either way.
-    from gmpy2 import mpz as _bignum
-except ImportError:  # pragma: no cover
-    _bignum = int
-
 FIELD_PRIME = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 CURVE_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 CURVE_B = 7
 
-_PRIME = _bignum(FIELD_PRIME)
-_ONE = _bignum(1)
 
 # GLV endomorphism: LAMBDA * (x, y) = (BETA * x, y); the lattice basis
 # (A1, B1), (A2, B2) of {(a, b) : a + b * LAMBDA = 0 mod order}
 _LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
-_BETA = _bignum(0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE)
-_BETA2 = _BETA * _BETA % _PRIME
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_BETA2 = _BETA * _BETA % FIELD_PRIME
 _A1 = 0x3086D221A7D46BCDE86C90E49284EB15
 _B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
@@ -155,7 +144,7 @@ def _j_double(pt):
     if pt is None:
         return None
     X1, Y1, Z1 = pt
-    p = _PRIME
+    p = FIELD_PRIME
     YY = Y1 * Y1 % p
     S = 4 * X1 * YY % p
     M = 3 * X1 * X1 % p
@@ -167,8 +156,8 @@ def _j_double(pt):
 
 def _batch_inverse(values):
     """Modular inverses of many nonzero field elements, one inversion."""
-    p = _PRIME
-    prefix = [_ONE] * (len(values) + 1)
+    p = FIELD_PRIME
+    prefix = [1] * (len(values) + 1)
     for i, v in enumerate(values):
         prefix[i + 1] = prefix[i] * v % p
     inv = pow(prefix[-1], -1, p)
@@ -207,11 +196,11 @@ def _build_table(x, y, width):
     the rows then fill in parallel in affine form, doubling the known span
     of each row per step (d + m from d and m), one batched inversion a step.
     """
-    p = _PRIME
+    p = FIELD_PRIME
     half = 1 << (width - 1)
     full_rows = _HALF_BITS // width
     lengths = [half] * full_rows + [1 << (_HALF_BITS - width * full_rows)]
-    base = (_bignum(x), _bignum(y), _ONE)
+    base = (x, y, 1)
     bases = [base]
     for _ in range(full_rows):
         for _ in range(width):
@@ -303,7 +292,7 @@ def _gather(k, table, plain, mapped):
     half = 1 << (width - 1)
     full = half << 1
     mask = full - 1
-    p = _PRIME
+    p = FIELD_PRIME
     low = _COORDINATE_MASK
     k1, k2 = _glv_split(k)
     for k, terms in ((k1, plain), (k2, mapped)):
@@ -333,7 +322,7 @@ def _gather(k, table, plain, mapped):
 def _accumulate(acc, terms):
     """acc plus every affine term, in XYZZ coordinates (10 multiplications
     per mixed addition)."""
-    p = _PRIME
+    p = FIELD_PRIME
     X1, Y1, ZZ1, ZZZ1 = acc
     for x2, y2 in terms:
         H = x2 * ZZ1 % p - X1
@@ -341,7 +330,7 @@ def _accumulate(acc, terms):
         if not H:
             # also reached from infinity, where every coordinate is 0
             if not ZZ1:
-                X1, Y1, ZZ1, ZZZ1 = x2, y2, _ONE, _ONE
+                X1, Y1, ZZ1, ZZZ1 = x2, y2, 1, 1
             elif R:
                 X1, Y1, ZZ1, ZZZ1 = _INFINITY
             else:
@@ -372,7 +361,7 @@ def _table_sum(start, products):
     once by the endomorphism (x -> beta * x); start goes in through its
     inverse (x -> beta^2 * x) so that the same map restores it.
     """
-    p = _PRIME
+    p = FIELD_PRIME
     plain = []
     mapped = []
     for k, table in products:
@@ -386,9 +375,9 @@ def _xyzz_to_affine(acc):
     X, Y, ZZ, ZZZ = acc
     if not ZZ:
         return None
-    p = _PRIME
+    p = FIELD_PRIME
     inv = pow(ZZ * ZZZ % p, -1, p)
-    return int(X * ZZZ % p * inv % p), int(Y * ZZ % p * inv % p)
+    return X * ZZZ % p * inv % p, Y * ZZ % p * inv % p
 
 
 # ------------------------------------------------------------------
@@ -405,10 +394,10 @@ def _odd_multiples(x, y):
     curve constant; each result maps back with its Z multiplied by that
     of 2P, so one batched inversion normalizes the whole column.
     """
-    p = _PRIME
-    dx, dy, dz = _j_double((x, y, _ONE))
+    p = FIELD_PRIME
+    dx, dy, dz = _j_double((x, y, 1))
     dz2 = dz * dz % p
-    X1, Y1, Z1 = x * dz2 % p, y * dz2 % p * dz % p, _ONE
+    X1, Y1, Z1 = x * dz2 % p, y * dz2 % p * dz % p, 1
     chain = []
     for _ in range(7):  # 3P, 5P, ..., 15P
         ZZ = Z1 * Z1 % p
@@ -450,8 +439,8 @@ def _cold_xyzz(k, point):
     2^5 there. Additions from the second half are the same with A and B
     swapped.
     """
-    p = _PRIME
-    xs, ys = _odd_multiples(_bignum(point.x), _bignum(point.y))
+    p = FIELD_PRIME
+    xs, ys = _odd_multiples(point.x, point.y)
     terms = []  # (bit, x, y) of every addition
     for k, column in zip(_glv_split(k), (xs, [_BETA * v % p for v in xs])):
         negate = k < 0
@@ -474,7 +463,7 @@ def _cold_xyzz(k, point):
             bit += 5
     terms.sort(reverse=True)
     bit, X, Y = terms[0]
-    Z = _ONE
+    Z = 1
     for next_bit, x2, y2 in terms[1:] + [(0, None, None)]:
         for _ in range(bit - next_bit):
             YY = Y * Y % p

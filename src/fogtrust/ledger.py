@@ -104,7 +104,8 @@ class Params:
         return amount * rate.numerator // rate.denominator
 
 
-_PARAM_NAMES = frozenset(f.name for f in fields(Params))
+_PARAM_FIELDS = tuple(f.name for f in fields(Params))
+_PARAM_NAMES = frozenset(_PARAM_FIELDS)
 
 
 @dataclass
@@ -168,6 +169,33 @@ def audit_message(fog_address: str, passed: bool) -> bytes:
     """Byte string the device ring signs to attest one audit outcome."""
     outcome = b"pass" if passed else b"fail"
     return b"audit|" + fog_address.encode() + b"|" + outcome
+
+
+_AMOUNT_FIELDS = ("available_funds", "deposit")
+
+
+def _snapshot_amount(value, name: str) -> int:
+    # type() rather than isinstance(): True is an int but not an amount
+    if type(value) is not int or value < 0:
+        raise InvalidParams("snapshot %s must be a non-negative integer, got %r"
+                            % (name, value))
+    return value
+
+
+def _snapshot_records(rows, record_type) -> list:
+    """One record per snapshot row, each row naming exactly its fields."""
+    names = frozenset(f.name for f in fields(record_type))
+    records = []
+    for row in rows:
+        if not isinstance(row, dict) or row.keys() != names:
+            raise InvalidParams("snapshot %s rows must name exactly %s"
+                                % (record_type.__name__,
+                                   ", ".join(sorted(names))))
+        for name in _AMOUNT_FIELDS:
+            if name in row:
+                _snapshot_amount(row[name], name)
+        records.append(record_type(**row))
+    return records
 
 
 class Ledger:
@@ -427,19 +455,10 @@ class Ledger:
         return self.total_deposited - self.total_withdrawn - held
 
     def to_snapshot(self) -> dict:
+        params = {name: getattr(self.params, name) for name in _PARAM_FIELDS}
+        params["fee_rate"] = str(params["fee_rate"])
         return {
-            "params": {
-                "reputation_initial": self.params.reputation_initial,
-                "reputation_max": self.params.reputation_max,
-                "reputation_min": self.params.reputation_min,
-                "reward_step": self.params.reward_step,
-                "penalty_step": self.params.penalty_step,
-                "fee_rate": str(self.params.fee_rate),
-                "deposit_requirement": self.params.deposit_requirement,
-                "deposit_deduction": self.params.deposit_deduction,
-                "audit_payment": self.params.audit_payment,
-                "oracle_bounty": self.params.oracle_bounty,
-            },
+            "params": params,
             "iot_table": [
                 {"address": r.address, "available_funds": r.available_funds}
                 for r in self.iot_table.values()
@@ -467,16 +486,18 @@ class Ledger:
                                 % ", ".join(sorted(_PARAM_NAMES)))
         params = Params(**values)
         ledger = cls(params, identity=identity, record_events=record_events)
-        for row in snapshot["iot_table"]:
-            ledger.iot_table[row["address"]] = IoTRecord(**row)
-        for row in snapshot["fog_table"]:
-            ledger.fog_table[row["address"]] = FogRecord(**row)
+        for record in _snapshot_records(snapshot["iot_table"], IoTRecord):
+            ledger.iot_table[record.address] = record
+        for record in _snapshot_records(snapshot["fog_table"], FogRecord):
+            ledger.fog_table[record.address] = record
         for address in snapshot["oracle_table"]:
             ledger.oracle_table[address] = OracleRecord(address=address)
-        ledger.fee_pool = snapshot["fee_pool"]
-        ledger.total_deposited = snapshot["total_deposited"]
-        ledger.total_withdrawn = snapshot["total_withdrawn"]
+        for name in ("fee_pool", "total_deposited", "total_withdrawn"):
+            setattr(ledger, name, _snapshot_amount(snapshot[name], name))
         ledger._seq = snapshot["seq"]
+        gap = ledger.conservation_gap()
+        if gap:
+            raise InvalidParams("snapshot does not conserve funds (gap %d)" % gap)
         return ledger
 
     def export_events_csv(self, path: str):

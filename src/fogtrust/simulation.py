@@ -88,9 +88,6 @@ class ScenarioConfig:
     reputation_min: int = 0
     reputation_initial: int = 10
     reputation_max: int = 10
-    fee_rate: object = "0"
-    audit_payment: int = 0
-    oracle_bounty: int = 0
     trials: int = 1000
     adaptive: bool = False
     seed: int = 0
@@ -98,7 +95,6 @@ class ScenarioConfig:
     horizon_per_fog: int = 50
     malicious_low: float = 0.4
     malicious_high: float = 1.0
-    iot_funds: int = 10
     audit_cap: int = 10**6
 
     def __post_init__(self):
@@ -118,8 +114,6 @@ class ScenarioConfig:
             raise InvalidConfig("horizon must be positive")
         if self.audit_cap < 1:
             raise InvalidConfig("audit cap must be positive")
-        if self.iot_funds < 1:
-            raise InvalidConfig("device funds must be positive")
         try:
             self.params()
         except InvalidParams as exc:
@@ -132,11 +126,8 @@ class ScenarioConfig:
             reputation_min=self.reputation_min,
             reward_step=self.reward_step,
             penalty_step=self.penalty_step,
-            fee_rate=self.fee_rate,
             deposit_requirement=self.deposit,
             deposit_deduction=self.deposit_deduction,
-            audit_payment=self.audit_payment,
-            oracle_bounty=self.oracle_bounty,
         )
 
 
@@ -156,6 +147,9 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 ORACLE_DEVICE = "oracle-device"
 ORACLE_ADMIN = "oracle-admin"
+# each device's registration funds; no scenario makes a service payment,
+# so the amount reaches no output
+DEVICE_FUNDS = 10
 
 
 @dataclass
@@ -172,9 +166,9 @@ def _build_population(config: ScenarioConfig, rng) -> _Population:
     ledger = Ledger(config.params(), identity=TokenIdentity(),
                     record_events=False)
     iot_addresses = ["iot-%04d" % n for n in range(config.iot_count)]
-    funding = call_message("iot_registration", amount=config.iot_funds)
+    funding = call_message("iot_registration", amount=DEVICE_FUNDS)
     for address in iot_addresses + [ORACLE_DEVICE]:
-        ledger.iot_registration(config.iot_funds, token_sign(address, funding))
+        ledger.iot_registration(DEVICE_FUNDS, token_sign(address, funding))
     ledger.oracle_registration(
         token_sign(ORACLE_ADMIN, call_message("oracle_registration")))
 
@@ -249,10 +243,12 @@ def run_cost_trial(config: ScenarioConfig, rng) -> int:
     The three policies differ in what they can know about expulsions:
     the weighted scheduler maintains per-node state and drops a node the
     moment the contract removes it; the block-design scheduler only learns
-    of a removal when an audit attempt comes back empty, then rebuilds its
-    design; random sampling is stateless and keeps drawing from the initial
-    roster.  An attempt against an already-expelled node still costs one
-    audit, which is exactly the overhead the policies trade off.
+    of a removal when an audit attempt comes back empty, then drops the
+    node from its roster and restarts its cursor at block 0 (each block is
+    drawn from the live roster on demand); random sampling is stateless
+    and keeps drawing from the initial roster.  An attempt against an
+    already-expelled node still costs one audit, which is exactly the
+    overhead the policies trade off.
     """
     attempts = 0
     for _ in _attempts(config, _build_population(config, rng), rng):

@@ -32,7 +32,6 @@ def test_flat_config_parses_types_and_comments():
     trials = 9
     adaptive = true
     malicious_low = 0.25
-    fee_rate = 0.01
     """
     settings = cli.parse_flat_config(text)
     assert settings["policy"] == "weighted"
@@ -40,7 +39,6 @@ def test_flat_config_parses_types_and_comments():
     assert settings["trials"] == 9
     assert settings["adaptive"] is True
     assert settings["malicious_low"] == 0.25
-    assert settings["fee_rate"] == "0.01"
 
 
 def test_flat_config_rejects_unknown_key():
@@ -143,6 +141,12 @@ def test_demo_auth_uses_key_files(tmp_path, capsys):
     key_fields = dict(line.split(" = ") for line in
                       (tmp_path / "key-00.txt").read_text().strip().splitlines())
     assert "iot address  %s" % key_fields["address"] in out
+
+
+def test_demo_auth_takes_no_simulate_flags():
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(["demo-auth", "--trials", "1"])
+    assert excinfo.value.code == 2
 
 
 def test_demo_auth_low_reputation_exits_with_auth_code(tmp_path, capsys):
@@ -325,14 +329,18 @@ def test_simulate_rejects_zero_cluster(tmp_path, capsys):
     assert "mean" not in captured.out  # fails before any table output
 
 
-def test_simulate_rejects_zero_device_funds(tmp_path, capsys):
-    config = tmp_path / "broke.cfg"
-    config.write_text("iot_funds = 0\n")
+@pytest.mark.parametrize("key", ["fee_rate", "audit_payment",
+                                 "oracle_bounty", "iot_funds"])
+def test_simulate_rejects_contract_keys_no_study_reads(key, tmp_path, capsys):
+    # the studies make no service payment, so none of these could change
+    # an output
+    config = tmp_path / "payment.cfg"
+    config.write_text("%s = 0\n" % key)
     code = run_cli(["simulate", "cost", "--config", str(config),
                     "--trials", "1", "--out", str(tmp_path)])
     assert code == 3
     captured = capsys.readouterr()
-    assert "InvalidConfig" in captured.err
+    assert "unknown config key %r" % key in captured.err
     assert captured.out == ""  # fails before any table output
 
 

@@ -700,6 +700,41 @@ def test_snapshot_params_with_other_keys_are_invalid_params(edit):
         Ledger.from_snapshot(snapshot)
 
 
+def _negative_pool(snapshot):
+    # total_deposited moves with the pool, so only the sign is wrong
+    snapshot["total_deposited"] += -5 - snapshot["fee_pool"]
+    snapshot["fee_pool"] = -5
+
+
+SNAPSHOT_STATE_EDITS = {
+    "string-funds": lambda snapshot: snapshot["iot_table"].append(
+        {"address": "a", "available_funds": "10"}),
+    "bool-funds": lambda snapshot: snapshot["iot_table"][0].update(
+        available_funds=True),
+    "extra-row-key": lambda snapshot: snapshot["fog_table"][0].update(stake=1),
+    "missing-row-key": lambda snapshot: snapshot["fog_table"][0].pop(
+        "requests_served"),
+    "negative-pool": _negative_pool,
+    "unconserved": lambda snapshot: snapshot["fog_table"][0].update(
+        deposit=snapshot["fog_table"][0]["deposit"] + 1),
+}
+
+
+@pytest.mark.parametrize("edit", list(SNAPSHOT_STATE_EDITS))
+def test_snapshot_with_malformed_state_is_invalid_params(edit):
+    bench = Bench()
+    payer = bench.iot(funds=300)
+    node = bench.fog(stake=7)
+    bench.ledger.iot_fog_payment(
+        node.address, 200,
+        bench.approve(payer, "iot_fog_payment", amount=200, fog=node.address))
+    snapshot = json.loads(json.dumps(bench.ledger.to_snapshot()))
+    assert snapshot["fee_pool"] > 0
+    SNAPSHOT_STATE_EDITS[edit](snapshot)
+    with pytest.raises(InvalidParams):
+        Ledger.from_snapshot(snapshot)
+
+
 def test_event_csv_export(tmp_path):
     bench = Bench()
     bench.iot(funds=12)

@@ -111,13 +111,11 @@ def test_config_surfaces_bad_contract_parameters():
 
 
 def test_config_builds_matching_contract_params():
-    config = ScenarioConfig(deposit=7, deposit_deduction=2, penalty_step=3,
-                            fee_rate="0.05")
+    config = ScenarioConfig(deposit=7, deposit_deduction=2, penalty_step=3)
     params = config.params()
     assert params.deposit_requirement == 7
     assert params.deposit_deduction == 2
     assert params.penalty_step == 3
-    assert params.fee(100) == 5
 
 
 def test_policy_from_name_round_trips():
