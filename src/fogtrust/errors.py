@@ -114,10 +114,6 @@ class InvalidDesign(SchedulingError):
     """Block design parameters are unsatisfiable."""
 
 
-class EmptyDesign(SchedulingError):
-    """No blocks to draw from."""
-
-
 # -------------------------------------------------------------- protocol
 
 

@@ -1,12 +1,11 @@
 """Emulated on-chain contract state for device/fog monetization and auditing.
 
 The ledger keeps three registry tables (IoT devices, fog nodes, audit
-oracles), a shared fee pool, and an append-only event log.  Every mutating
-call carries an ECDSA signature over a canonical call message; the caller's
-address is recovered from that signature, never passed in.  All currency
-amounts are integers in the smallest unit, so conservation can be checked
-exactly: everything deposited either sits in a table, sits in the pool, or
-has been withdrawn.
+oracles) and a shared fee pool.  Every mutating call carries an ECDSA
+signature over a canonical call message; the caller's address is recovered
+from that signature, never passed in.  All currency amounts are integers in
+the smallest unit, so conservation can be checked exactly: everything
+deposited either sits in a table, sits in the pool, or has been withdrawn.
 
 Reputation bookkeeping follows the audit contract: a passed audit rewards
 the fog node up to a ceiling, a failed audit deducts reputation and seizes
@@ -16,15 +15,13 @@ below the floor or its deposit is exhausted.
 
 from __future__ import annotations
 
-import csv
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (
     AlreadyRegistered,
-    BadSignature,
     InsufficientDeposit,
     InsufficientFunds,
     InvalidAmount,
@@ -45,7 +42,6 @@ def _require_amount(amount, what: str):
 
 
 class RemovalReason(enum.Enum):
-    VOLUNTARY = "voluntary"
     REPUTATION_FLOOR = "reputation_floor"
     DEPOSIT_EXHAUSTED = "deposit_exhausted"
 
@@ -129,14 +125,6 @@ class OracleRecord:
 
 
 @dataclass(frozen=True)
-class Event:
-    seq: int
-    op: str
-    caller: str
-    details: tuple  # ordered (key, value) pairs
-
-
-@dataclass(frozen=True)
 class AuditApplication:
     """Arithmetic trail of one reward or penalty application."""
 
@@ -171,7 +159,10 @@ def audit_message(fog_address: str, passed: bool) -> bytes:
     return b"audit|" + fog_address.encode() + b"|" + outcome
 
 
-_AMOUNT_FIELDS = ("available_funds", "deposit")
+_SNAPSHOT_KEYS = frozenset(("params", "iot_table", "fog_table", "oracle_table",
+                            "fee_pool", "total_deposited", "total_withdrawn",
+                            "seq"))
+_COUNT_FIELDS = ("available_funds", "deposit", "requests_served")
 
 
 def _snapshot_amount(value, name: str) -> int:
@@ -182,26 +173,33 @@ def _snapshot_amount(value, name: str) -> int:
     return value
 
 
-def _snapshot_records(rows, record_type) -> list:
-    """One record per snapshot row, each row naming exactly its fields."""
+def _snapshot_records(rows, record_type) -> dict:
+    """Records by address, one per row, each row naming exactly its fields."""
     names = frozenset(f.name for f in fields(record_type))
-    records = []
+    if not isinstance(rows, list):
+        raise InvalidParams("snapshot %s table must be a list"
+                            % record_type.__name__)
+    records = {}
     for row in rows:
         if not isinstance(row, dict) or row.keys() != names:
             raise InvalidParams("snapshot %s rows must name exactly %s"
                                 % (record_type.__name__,
                                    ", ".join(sorted(names))))
-        for name in _AMOUNT_FIELDS:
+        address = row["address"]
+        if type(address) is not str or address in records:
+            raise InvalidParams("snapshot %s address %r is not a string or "
+                                "repeats" % (record_type.__name__, address))
+        for name in _COUNT_FIELDS:
             if name in row:
                 _snapshot_amount(row[name], name)
-        records.append(record_type(**row))
+        records[address] = record_type(**row)
     return records
 
 
 class Ledger:
     """In-memory contract state with signature-checked mutating operations."""
 
-    def __init__(self, params: Params, identity=None, record_events: bool = True):
+    def __init__(self, params: Params, identity=None):
         self.params = params
         self.identity = identity if identity is not None else DEFAULT_IDENTITY
         self.iot_table = {}
@@ -210,19 +208,13 @@ class Ledger:
         self.fee_pool = 0
         self.total_deposited = 0
         self.total_withdrawn = 0
-        self.events = []
-        self.record_events = record_events
+        # accepted state changes; an audit that expels its node counts two
         self._seq = 0
 
     # -- helpers --
 
     def _caller(self, op: str, signature, **fields) -> str:
         return self.identity.recover_address(call_message(op, **fields), signature)
-
-    def _log(self, op: str, caller: str, **details):
-        self._seq += 1
-        if self.record_events:
-            self.events.append(Event(self._seq, op, caller, tuple(details.items())))
 
     def _require_iot(self, address: str) -> IoTRecord:
         record = self.iot_table.get(address)
@@ -245,7 +237,7 @@ class Ledger:
             raise AlreadyRegistered("IoT device %s already registered" % caller)
         self.iot_table[caller] = IoTRecord(address=caller, available_funds=amount)
         self.total_deposited += amount
-        self._log("iot_registration", caller, amount=amount, available_funds=amount)
+        self._seq += 1
         return caller
 
     def iot_add_funds(self, amount: int, signature) -> int:
@@ -254,8 +246,7 @@ class Ledger:
         record = self._require_iot(caller)
         record.available_funds += amount
         self.total_deposited += amount
-        self._log("iot_add_funds", caller, amount=amount,
-                  available_funds=record.available_funds)
+        self._seq += 1
         return record.available_funds
 
     def iot_withdraw_funds(self, amount: int, signature) -> int:
@@ -267,8 +258,7 @@ class Ledger:
                                     % (caller, record.available_funds, amount))
         record.available_funds -= amount
         self.total_withdrawn += amount
-        self._log("iot_withdraw_funds", caller, amount=amount,
-                  available_funds=record.available_funds)
+        self._seq += 1
         return amount
 
     def iot_remove(self, signature) -> int:
@@ -277,7 +267,7 @@ class Ledger:
         payout = record.available_funds
         del self.iot_table[caller]
         self.total_withdrawn += payout
-        self._log("iot_remove", caller, payout=payout)
+        self._seq += 1
         return payout
 
     # -- fog lifecycle --
@@ -297,9 +287,7 @@ class Ledger:
             reputation=self.params.reputation_initial,
         )
         self.total_deposited += amount
-        self._log("fog_registration", caller, amount=amount, deposit=need,
-                  available_funds=amount - need,
-                  reputation=self.params.reputation_initial)
+        self._seq += 1
         return caller
 
     def fog_withdraw_funds(self, amount: int, signature) -> int:
@@ -311,21 +299,20 @@ class Ledger:
                                     % (caller, record.available_funds, amount))
         record.available_funds -= amount
         self.total_withdrawn += amount
-        self._log("fog_withdraw_funds", caller, amount=amount,
-                  available_funds=record.available_funds)
+        self._seq += 1
         return amount
 
     def fog_remove(self, signature) -> int:
         """Voluntary exit: refunds the remaining deposit plus earnings."""
         caller = self._caller("fog_remove", signature)
         record = self._require_fog(caller)
-        return self._remove_fog(record, RemovalReason.VOLUNTARY)
+        return self._remove_fog(record)
 
-    def _remove_fog(self, record: FogRecord, reason: RemovalReason) -> int:
+    def _remove_fog(self, record: FogRecord) -> int:
         payout = record.deposit + record.available_funds
         del self.fog_table[record.address]
         self.total_withdrawn += payout
-        self._log("fog_remove", record.address, payout=payout, reason=reason.value)
+        self._seq += 1
         return payout
 
     # -- service payment --
@@ -349,10 +336,7 @@ class Ledger:
         payee.available_funds += amount - fee
         self.fee_pool += fee
         payee.requests_served += 1
-        self._log("iot_fog_payment", caller, fog=fog_address, amount=amount,
-                  fee=fee, payer_funds=payer.available_funds,
-                  payee_funds=payee.available_funds,
-                  requests_served=payee.requests_served)
+        self._seq += 1
         return fee
 
     # -- oracle and audits --
@@ -362,18 +346,18 @@ class Ledger:
         if caller in self.oracle_table:
             raise AlreadyRegistered("oracle %s already registered" % caller)
         self.oracle_table[caller] = OracleRecord(address=caller)
-        self._log("oracle_registration", caller)
+        self._seq += 1
         return caller
 
     def fog_reward(self, fog_address: str, ring_signature, signature) -> AuditApplication:
         caller = self._caller("fog_reward", signature, fog=fog_address)
         self._check_audit(caller, fog_address, ring_signature, passed=True)
-        return self._apply_audit(caller, fog_address, passed=True)
+        return self._apply_audit(fog_address, passed=True)
 
     def fog_penalize(self, fog_address: str, ring_signature, signature) -> AuditApplication:
         caller = self._caller("fog_penalize", signature, fog=fog_address)
         self._check_audit(caller, fog_address, ring_signature, passed=False)
-        return self._apply_audit(caller, fog_address, passed=False)
+        return self._apply_audit(fog_address, passed=False)
 
     def _check_audit(self, caller: str, fog_address: str, ring_signature, passed: bool):
         if caller not in self.oracle_table:
@@ -388,7 +372,7 @@ class Ledger:
                 raise RingMemberNotInIoTTable("ring member %s is not a registered device"
                                               % member)
 
-    def _apply_audit(self, caller: str, fog_address: str, passed: bool) -> AuditApplication:
+    def _apply_audit(self, fog_address: str, passed: bool) -> AuditApplication:
         record = self.fog_table[fog_address]
         deducted = per_device = remainder = 0
         if passed:
@@ -405,20 +389,17 @@ class Ledger:
                           self.fee_pool)
         self.fee_pool -= oracle_paid
         self.total_withdrawn += oracle_paid
+        self._seq += 1
         reputation_after = record.reputation
         removed = (record.reputation < self.params.reputation_min
                    or record.deposit == 0)
         reason = None
         refunded = 0
-        op = "fog_reward" if passed else "fog_penalize"
-        self._log(op, caller, fog=fog_address, reputation=reputation_after,
-                  deducted=deducted, per_device=per_device, remainder=remainder,
-                  oracle_paid=oracle_paid)
         if removed:
             reason = (RemovalReason.REPUTATION_FLOOR
                       if record.reputation < self.params.reputation_min
                       else RemovalReason.DEPOSIT_EXHAUSTED)
-            refunded = self._remove_fog(record, reason)
+            refunded = self._remove_fog(record)
         return AuditApplication(
             fog_address=fog_address, passed=passed,
             reputation_after=reputation_after, deducted=deducted,
@@ -478,32 +459,33 @@ class Ledger:
         }
 
     @classmethod
-    def from_snapshot(cls, snapshot: dict, identity=None,
-                      record_events: bool = True) -> "Ledger":
+    def from_snapshot(cls, snapshot: dict, identity=None) -> "Ledger":
+        if not isinstance(snapshot, dict) or snapshot.keys() != _SNAPSHOT_KEYS:
+            raise InvalidParams("snapshot must name exactly %s"
+                                % ", ".join(sorted(_SNAPSHOT_KEYS)))
         values = snapshot["params"]
         if not isinstance(values, dict) or values.keys() != _PARAM_NAMES:
             raise InvalidParams("snapshot params must name exactly %s"
                                 % ", ".join(sorted(_PARAM_NAMES)))
         params = Params(**values)
-        ledger = cls(params, identity=identity, record_events=record_events)
-        for record in _snapshot_records(snapshot["iot_table"], IoTRecord):
-            ledger.iot_table[record.address] = record
-        for record in _snapshot_records(snapshot["fog_table"], FogRecord):
-            ledger.fog_table[record.address] = record
-        for address in snapshot["oracle_table"]:
-            ledger.oracle_table[address] = OracleRecord(address=address)
+        ledger = cls(params, identity=identity)
+        ledger.iot_table = _snapshot_records(snapshot["iot_table"], IoTRecord)
+        ledger.fog_table = _snapshot_records(snapshot["fog_table"], FogRecord)
+        for record in ledger.fog_table.values():
+            if type(record.reputation) is not int or not (
+                    params.reputation_min <= record.reputation
+                    <= params.reputation_max):
+                raise InvalidParams("snapshot reputation %r of %s is not an "
+                                    "integer in the contract's band"
+                                    % (record.reputation, record.address))
+        oracles = snapshot["oracle_table"]
+        if isinstance(oracles, list):
+            oracles = [{"address": address} for address in oracles]
+        ledger.oracle_table = _snapshot_records(oracles, OracleRecord)
         for name in ("fee_pool", "total_deposited", "total_withdrawn"):
             setattr(ledger, name, _snapshot_amount(snapshot[name], name))
-        ledger._seq = snapshot["seq"]
+        ledger._seq = _snapshot_amount(snapshot["seq"], "seq")
         gap = ledger.conservation_gap()
         if gap:
             raise InvalidParams("snapshot does not conserve funds (gap %d)" % gap)
         return ledger
-
-    def export_events_csv(self, path: str):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["seq", "op", "caller", "details"])
-            for event in self.events:
-                rendered = ";".join("%s=%s" % pair for pair in event.details)
-                writer.writerow([event.seq, event.op, event.caller, rendered])

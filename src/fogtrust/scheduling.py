@@ -1,19 +1,17 @@
 """Audit scheduling: three cluster-sampling policies.
 
 Clusters are returned as lists in draw order rather than sets so that audit
-execution order, and therefore every downstream ledger event and CSV row, is
-reproducible under a fixed seed.  Callers that only care about membership can
-wrap the result in ``set``.
+execution order is reproducible under a fixed seed.  Callers that only care
+about membership can wrap the result in ``set``.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-from .errors import ClusterTooLarge, EmptyDesign, InvalidDesign, UnknownFog
+from .errors import ClusterTooLarge, InvalidDesign, UnknownFog
 
 WEIGHT_GAIN = 2.0
 WEIGHT_DECAY = 0.5
@@ -96,14 +94,6 @@ def build_bibd(live_fogs, block_size: int) -> list:
             for i in range(count)]
 
 
-def next_bibd_cluster(blocks, block_cursor: int) -> tuple:
-    """Return (cluster, advanced cursor), cycling through the design."""
-    if not blocks:
-        raise EmptyDesign("block design has no blocks")
-    cluster = blocks[block_cursor % len(blocks)]
-    return list(cluster), (block_cursor + 1) % len(blocks)
-
-
 class Scheduler:
     """Cluster selection under one policy, tracking what the policy knows.
 
@@ -144,12 +134,6 @@ class Scheduler:
         if policy is Policy.BIBD and self.roster:
             _check_block_size(min(cluster_size, len(self.roster)),
                               len(self.roster))
-
-    @property
-    def weights(self) -> dict:
-        """Each live node's weight, in roster order."""
-        return {address: self.slot_weights[self._slot_of[address]]
-                for address in self.roster}
 
     @property
     def blocks(self) -> list:
@@ -197,17 +181,3 @@ class Scheduler:
         self.slot_weights[slot] = 0.0
         self.roster.remove(fog_address)
         self.block_cursor = 0
-
-    def export_weights_csv(self, path: str):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["fog_address", "weight"])
-            for address, weight in self.weights.items():
-                writer.writerow([address, repr(weight)])
-
-    def export_blocks_csv(self, path: str):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["block_index", "members"])
-            for index, block in enumerate(self.blocks):
-                writer.writerow([index, ";".join(block)])

@@ -163,8 +163,7 @@ class _Population:
 
 
 def _build_population(config: ScenarioConfig, rng) -> _Population:
-    ledger = Ledger(config.params(), identity=TokenIdentity(),
-                    record_events=False)
+    ledger = Ledger(config.params(), identity=TokenIdentity())
     iot_addresses = ["iot-%04d" % n for n in range(config.iot_count)]
     funding = call_message("iot_registration", amount=DEVICE_FUNDS)
     for address in iot_addresses + [ORACLE_DEVICE]:

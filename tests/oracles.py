@@ -93,6 +93,11 @@ def pair_occurrence_counts(blocks):
     return counts
 
 
+def next_bibd_cluster(blocks, cursor):
+    """The block at ``cursor`` and the advanced cursor, cycling the design."""
+    return list(blocks[cursor % len(blocks)]), (cursor + 1) % len(blocks)
+
+
 def weighted_cluster(live_fogs, weights, cluster_size, rng):
     """Successive weighted draws without replacement, the plain way.
 

@@ -635,40 +635,24 @@ def test_penalty_distribution_is_exact(devices, deduction):
     bench.assert_conserved()
 
 
-# -- events, snapshots, export --
+# -- sequence numbers and snapshots --
 
 def test_events_have_strictly_increasing_sequence():
-    bench = Bench()
+    """``seq`` counts accepted state changes; an expulsion is one more."""
+    bench = Bench(small_params(reputation_initial=3))
     payer = bench.iot(funds=30)
     node = bench.fog()
     bench.ledger.iot_fog_payment(
         node.address, 10,
         bench.approve(payer, "iot_fog_payment", amount=10, fog=node.address))
-    seqs = [event.seq for event in bench.ledger.events]
-    assert seqs == sorted(seqs)
-    assert len(set(seqs)) == len(seqs)
-    assert [event.op for event in bench.ledger.events] \
-        == ["iot_registration", "fog_registration", "iot_fog_payment"]
-
-
-def test_failed_operations_leave_no_events():
-    bench = Bench()
-    pair = bench.iot(funds=5)
-    before = len(bench.ledger.events)
-    with pytest.raises(InsufficientFunds):
-        bench.ledger.iot_withdraw_funds(
-            6, bench.approve(pair, "iot_withdraw_funds", amount=6))
-    assert len(bench.ledger.events) == before
-
-
-def test_event_recording_can_be_disabled():
-    ledger = Ledger(small_params(), record_events=False)
-    pair = KeyPair.generate(RNG)
-    ledger.iot_registration(
-        10, signing.sign(call_message("iot_registration", amount=10),
-                         pair.secret, RNG))
-    assert ledger.events == []
-    assert pair.address in ledger.iot_table
+    assert bench.ledger.to_snapshot()["seq"] == 3
+    keeper = bench.oracle()
+    devices = [payer, bench.iot()]
+    assert bench.ledger.to_snapshot()["seq"] == 5
+    assert not bench.audit(keeper, node.address, devices, passed=False).removed
+    assert bench.ledger.to_snapshot()["seq"] == 6
+    assert bench.audit(keeper, node.address, devices, passed=False).removed
+    assert bench.ledger.to_snapshot()["seq"] == 8
 
 
 def test_snapshot_roundtrip_is_lossless_and_json_safe():
@@ -706,6 +690,12 @@ def _negative_pool(snapshot):
     snapshot["fee_pool"] = -5
 
 
+def _repeated_address(snapshot):
+    # an empty row ahead of the real one: merging them keeps the funds whole
+    address = snapshot["iot_table"][0]["address"]
+    snapshot["iot_table"].insert(0, {"address": address, "available_funds": 0})
+
+
 SNAPSHOT_STATE_EDITS = {
     "string-funds": lambda snapshot: snapshot["iot_table"].append(
         {"address": "a", "available_funds": "10"}),
@@ -717,6 +707,20 @@ SNAPSHOT_STATE_EDITS = {
     "negative-pool": _negative_pool,
     "unconserved": lambda snapshot: snapshot["fog_table"][0].update(
         deposit=snapshot["fog_table"][0]["deposit"] + 1),
+    "string-seq": lambda snapshot: snapshot.update(seq="x"),
+    "negative-seq": lambda snapshot: snapshot.update(seq=-1),
+    "extra-top-level-key": lambda snapshot: snapshot.update(version=1),
+    "missing-fee-pool": lambda snapshot: snapshot.pop("fee_pool"),
+    "string-reputation": lambda snapshot: snapshot["fog_table"][0].update(
+        reputation="5"),
+    "reputation-above-cap": lambda snapshot: snapshot["fog_table"][0].update(
+        reputation=snapshot["params"]["reputation_max"] + 1),
+    "negative-requests": lambda snapshot: snapshot["fog_table"][0].update(
+        requests_served=-1),
+    "int-address": lambda snapshot: snapshot["iot_table"][0].update(address=5),
+    "int-oracle": lambda snapshot: snapshot["oracle_table"].append(5),
+    "list-oracle": lambda snapshot: snapshot["oracle_table"].append(["a"]),
+    "repeated-address": _repeated_address,
 }
 
 
@@ -733,20 +737,6 @@ def test_snapshot_with_malformed_state_is_invalid_params(edit):
     SNAPSHOT_STATE_EDITS[edit](snapshot)
     with pytest.raises(InvalidParams):
         Ledger.from_snapshot(snapshot)
-
-
-def test_event_csv_export(tmp_path):
-    bench = Bench()
-    bench.iot(funds=12)
-    bench.fog()
-    path = tmp_path / "events.csv"
-    bench.ledger.export_events_csv(str(path))
-    text = path.read_text()
-    lines = text.splitlines()
-    assert lines[0] == "seq,op,caller,details"
-    assert len(lines) == 3
-    assert "\r" not in text
-    assert "iot_registration" in lines[1]
 
 
 # -- randomized conservation fuzz (small; the acceptance suite runs the long one) --

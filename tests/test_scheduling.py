@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogtrust.errors import ClusterTooLarge, EmptyDesign, InvalidDesign, UnknownFog
+from fogtrust.errors import ClusterTooLarge, InvalidDesign, UnknownFog
 from fogtrust.scheduling import (
     Policy,
     Scheduler,
     build_bibd,
-    next_bibd_cluster,
     sample_cluster_random,
     sample_cluster_weighted,
     update_weight,
@@ -23,6 +22,12 @@ import oracles
 
 def addresses(count):
     return ["0x%040x" % n for n in range(1, count + 1)]
+
+
+def live_weights(scheduler):
+    """Each live node's weight, read from the scheduler's parallel slots."""
+    return {address: weight for address, weight
+            in zip(scheduler.slot_addresses, scheduler.slot_weights) if weight}
 
 
 # -- random sampling --
@@ -194,7 +199,7 @@ def test_scheduler_draw_equals_the_reference_draw(case):
                                             expected_weights, cluster,
                                             reference_rng)
         assert scheduler.next_cluster() == expected
-        assert scheduler.weights == expected_weights
+        assert live_weights(scheduler) == expected_weights
 
 
 def test_weighted_edge_mark_picks_the_last_live_node():
@@ -242,19 +247,10 @@ def test_block_design_rejects_bad_sizes():
 def test_next_cluster_cycles_through_every_block():
     roster = addresses(7)
     blocks = build_bibd(roster, 3)
-    cursor = 0
-    seen = []
-    for _ in range(7):
-        cluster, cursor = next_bibd_cluster(blocks, cursor)
-        seen.append(tuple(cluster))
-    assert sorted(seen) == sorted(tuple(b) for b in blocks)
-    cluster, cursor = next_bibd_cluster(blocks, cursor)
-    assert cluster == blocks[0]
-
-
-def test_next_cluster_on_empty_design_rejected():
-    with pytest.raises(EmptyDesign):
-        next_bibd_cluster([], 0)
+    scheduler = Scheduler(Policy.BIBD, 3, roster, random.Random(10))
+    seen = [scheduler.next_cluster() for _ in range(7)]
+    assert seen == blocks
+    assert scheduler.next_cluster() == blocks[0]
 
 
 # -- scheduler wrapper --
@@ -302,7 +298,7 @@ def test_scheduler_blocks_equal_a_design_rebuilt_at_every_ejection(
         if step is None:
             want = []
             if live:
-                want, cursor = next_bibd_cluster(blocks, cursor)
+                want, cursor = oracles.next_bibd_cluster(blocks, cursor)
             assert scheduler.next_cluster() == want
             continue
         gone = roster[step % count]
@@ -332,11 +328,11 @@ def test_scheduler_weighted_learns_from_outcomes():
     scheduler = Scheduler(Policy.WEIGHTED, 2, roster, random.Random(15))
     scheduler.record_outcome(roster[0], passed=False, removed=False)
     scheduler.record_outcome(roster[0], passed=False, removed=False)
-    assert scheduler.weights[roster[0]] == 4.0
+    assert live_weights(scheduler)[roster[0]] == 4.0
     scheduler.record_outcome(roster[0], passed=True, removed=False)
-    assert scheduler.weights[roster[0]] == 2.0
+    assert live_weights(scheduler)[roster[0]] == 2.0
     scheduler.eject(roster[0])
-    assert roster[0] not in scheduler.weights
+    assert roster[0] not in live_weights(scheduler)
     with pytest.raises(UnknownFog):  # ejected
         scheduler.record_outcome(roster[0], passed=True, removed=False)
     with pytest.raises(UnknownFog):  # never on the roster
@@ -373,18 +369,3 @@ def test_scheduler_same_seed_same_cluster_sequence():
                                      removed=False)
         runs.append(trace)
     assert runs[0] == runs[1]
-
-
-def test_scheduler_csv_dumps(tmp_path):
-    scheduler = Scheduler(Policy.BIBD, 2, addresses(4), random.Random(18))
-    weights_path = tmp_path / "weights.csv"
-    blocks_path = tmp_path / "blocks.csv"
-    scheduler.export_weights_csv(str(weights_path))
-    scheduler.export_blocks_csv(str(blocks_path))
-    weight_lines = weights_path.read_text().splitlines()
-    block_lines = blocks_path.read_text().splitlines()
-    assert weight_lines[0] == "fog_address,weight"
-    assert len(weight_lines) == 5
-    assert block_lines[0] == "block_index,members"
-    assert len(block_lines) == 5
-    assert block_lines[1].split(",")[1].count(";") == 1
