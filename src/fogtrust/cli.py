@@ -2,8 +2,9 @@
 
 Output is deterministic: every number is formatted with fixed precision,
 independent of locale, and a fixed seed reproduces byte-identical files.
-Configs are flat ``key = value`` text; command-line flags override file
-values; defaults follow the evaluation setup shipped with the package.
+Configs are flat ``key = value`` text, and each command accepts only the
+keys it reads; command-line flags override file values; defaults follow
+the evaluation setup shipped with the package.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import fields
 
 from .errors import (
     AuthError,
@@ -70,44 +70,44 @@ def exit_code_for(error: FogTrustError) -> int:
     return 1
 
 
-# -- configuration plumbing --
+# -- configuration --
 
-_INT_KEYS = frozenset((
-    "cluster", "trials", "seed", "fog_count", "iot_count", "deposit",
-    "deposit_deduction", "reward_step", "penalty_step", "reputation_initial",
-    "reputation_min", "reputation_max", "ring_size", "horizon_per_fog",
-    "audit_cap", "reputation_threshold",
-))
-_FLOAT_KEYS = frozenset(("malicious_low", "malicious_high"))
-_BOOL_KEYS = frozenset(("adaptive",))
-_STR_KEYS = frozenset(("policy", "iot_key", "fog_key"))
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+# config key -> the ScenarioConfig field it sets; each value parses as the
+# type of the field's default
+_FIELDS = {("cluster" if f.name == "cluster_size" else f.name): f
+           for f in fields(ScenarioConfig)}
+SIMULATE_SCHEMA = {key: type(f.default) for key, f in _FIELDS.items()}
+# the handshake demo reads the seed, the contract parameters that
+# ScenarioConfig.params() passes, two key files and the device's threshold
+DEMO_AUTH_SCHEMA = dict(
+    {key: SIMULATE_SCHEMA[key] for key in (
+        "seed", "deposit", "deposit_deduction", "reward_step", "penalty_step",
+        "reputation_initial", "reputation_min", "reputation_max")},
+    iot_key=str, fog_key=str, reputation_threshold=int)
+CONFIG_KEYS = frozenset(SIMULATE_SCHEMA) | frozenset(DEMO_AUTH_SCHEMA)
+KEY_FILE_SCHEMA = {"private": str, "public": str, "address": str}
 
-# config/flag names that differ from the ScenarioConfig field they set
-_FIELD_NAMES = {"cluster": "cluster_size"}
-_DEMO_ONLY = frozenset(("iot_key", "fog_key", "reputation_threshold"))
 
-
-def _parse_value(key: str, text: str):
-    try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-    except ValueError:
-        raise InvalidConfig("%s needs a number, got %r" % (key, text))
-    if key in _BOOL_KEYS:
+def _parse_value(key: str, text: str, kind: type):
+    if kind is bool:
         lowered = text.lower()
         if lowered in ("true", "yes", "1"):
             return True
         if lowered in ("false", "no", "0"):
             return False
         raise InvalidConfig("%s needs true or false, got %r" % (key, text))
-    return text
+    if kind is Policy:
+        return policy_from_name(text)
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidConfig("%s needs a number, got %r" % (key, text))
 
 
-def parse_flat_config(text: str) -> dict:
-    """Flat ``key = value`` lines; ``#`` comments and blank lines ignored."""
+def parse_flat_config(text: str, schema: dict) -> dict:
+    """Flat ``key = value`` lines; ``#`` comments and blank lines ignored.
+
+    ``schema`` maps each accepted key to the type its value parses as."""
     settings = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -117,9 +117,9 @@ def parse_flat_config(text: str) -> dict:
             raise InvalidConfig("line %d is not key = value: %r" % (number, raw))
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in schema:
             raise InvalidConfig("unknown config key %r on line %d" % (key, number))
-        settings[key] = _parse_value(key, value.strip())
+        settings[key] = _parse_value(key, value.strip(), schema[key])
     return settings
 
 
@@ -133,47 +133,10 @@ def _read_ascii(path: str, what: str) -> str:
         raise InvalidConfig("%s %s is not ASCII: %s" % (what, path, exc))
 
 
-def read_config(path: str) -> dict:
-    return parse_flat_config(_read_ascii(path, "config"))
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation resolved to before running."""
-
-    seed: int = 0
-    out_dir: str = "."
-    settings: dict = field(default_factory=dict)
-
-    def scenario(self, policy: Optional[Policy] = None) -> ScenarioConfig:
-        kwargs = {}
-        for key, value in self.settings.items():
-            if key in _DEMO_ONLY:
-                continue
-            if key == "policy":
-                kwargs["policy"] = policy_from_name(value)
-            else:
-                kwargs[_FIELD_NAMES.get(key, key)] = value
-        if policy is not None:
-            kwargs["policy"] = policy
-        kwargs["seed"] = self.seed
-        try:
-            return ScenarioConfig(**kwargs)
-        except TypeError as exc:
-            raise InvalidConfig(str(exc))
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    settings = read_config(args.config) if getattr(args, "config", None) else {}
-    for flag in ("policy", "cluster", "trials"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            settings[flag] = value
-    seed = args.seed if getattr(args, "seed", None) is not None \
-        else settings.get("seed", 0)
-    return RunConfig(seed=seed,
-                     out_dir=getattr(args, "out", ".") or ".",
-                     settings=settings)
+def _scenario(settings: dict) -> ScenarioConfig:
+    return ScenarioConfig(**{_FIELDS[key].name: value
+                             for key, value in settings.items()
+                             if key in _FIELDS})
 
 
 def _write_text(path, text: str):
@@ -206,26 +169,29 @@ def cmd_keygen(count: int, out_dir: str = ".", rng=None) -> list:
 
 
 def _load_keypair(path: str) -> KeyPair:
-    fields = {}
-    for line in _read_ascii(path, "key file").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    if "private" not in fields:
+    text = _read_ascii(path, "key file")
+    try:
+        entries = parse_flat_config(text, KEY_FILE_SCHEMA)
+    except InvalidConfig as exc:
+        raise InvalidConfig("key file %s: %s" % (path, exc)) from None
+    if "private" not in entries:
         raise InvalidConfig("key file %s has no private entry" % path)
-    secret = secret_from_hex(fields["private"])
-    return KeyPair(secret=secret, public=derive_public(secret))
+    secret = secret_from_hex(entries["private"])
+    pair = KeyPair(secret=secret, public=derive_public(secret))
+    derived = {"public": public_to_hex(pair.public), "address": pair.address}
+    for name, value in derived.items():
+        if entries.get(name, value).lower() != value:
+            raise InvalidConfig("key file %s: %s does not match the private key"
+                                % (path, name))
+    return pair
 
 
 # -- demo-auth --
 
-def cmd_demo_auth(run: RunConfig, stream=None) -> None:
+def cmd_demo_auth(settings: dict, stream=None) -> None:
     """Register two parties on a fresh ledger and walk the handshake."""
     stream = stream or sys.stdout
-    rng = random.Random(run.seed)
-    settings = run.settings
+    rng = random.Random(settings.get("seed", 0))
 
     if "iot_key" in settings:
         iot_pair = _load_keypair(settings["iot_key"])
@@ -236,7 +202,7 @@ def cmd_demo_auth(run: RunConfig, stream=None) -> None:
     else:
         fog_pair = KeyPair.generate(rng)
 
-    scenario = run.scenario()
+    scenario = _scenario(settings)
     params = scenario.params()
     threshold = settings.get("reputation_threshold", params.reputation_min)
     ledger = Ledger(params)
@@ -276,7 +242,8 @@ def _fmt(value: float) -> str:
     return "%.6f" % value
 
 
-def cmd_simulate(scenario: str, run: RunConfig, stream=None) -> list:
+def cmd_simulate(scenario: str, settings: dict, out_dir: str = ".",
+                 stream=None) -> list:
     """Run all trials for one scenario and write CSVs plus a plot script."""
     stream = stream or sys.stdout
     if scenario not in ("cost", "state"):
@@ -284,22 +251,19 @@ def cmd_simulate(scenario: str, run: RunConfig, stream=None) -> list:
                             % scenario)
     # the files are written after every trial has run, so a directory that
     # cannot take them must fail the command before the first trial
-    if not os.path.isdir(run.out_dir):
-        raise IoError("output directory %s does not exist" % run.out_dir)
-    if not os.access(run.out_dir, os.W_OK | os.X_OK):
-        raise IoError("output directory %s is not writable" % run.out_dir)
+    if not os.path.isdir(out_dir):
+        raise IoError("output directory %s does not exist" % out_dir)
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise IoError("output directory %s is not writable" % out_dir)
     if scenario == "cost":
-        return _simulate_cost(run, stream)
-    return _simulate_state(run, stream)
+        return _simulate_cost(settings, out_dir, stream)
+    return _simulate_state(settings, out_dir, stream)
 
 
-def _simulate_cost(run: RunConfig, stream) -> list:
-    if "policy" in run.settings:
-        policies = [policy_from_name(run.settings["policy"])]
-    else:
-        policies = list(Policy)
-
-    configs = [(policy, run.scenario(policy=policy)) for policy in policies]
+def _simulate_cost(settings: dict, out_dir: str, stream) -> list:
+    policies = [settings["policy"]] if "policy" in settings else list(Policy)
+    configs = [(policy, _scenario(dict(settings, policy=policy)))
+               for policy in policies]
 
     trial_lines = ["trial,policy,cluster_size,audits"]
     summary_lines = ["policy,cluster_size,trials,mean,variance"]
@@ -317,25 +281,19 @@ def _simulate_cost(run: RunConfig, stream) -> list:
               % (policy.value, config.cluster_size, summary.count,
                  _fmt(summary.mean), _fmt(summary.variance)), file=stream)
 
-    trials_path = os.path.join(run.out_dir, "cost_trials.csv")
-    summary_path = os.path.join(run.out_dir, "cost_summary.csv")
-    plot_path = os.path.join(run.out_dir, "cost_plot.gp")
+    trials_path = os.path.join(out_dir, "cost_trials.csv")
+    summary_path = os.path.join(out_dir, "cost_summary.csv")
+    plot_path = os.path.join(out_dir, "cost_plot.gp")
     _write_text(trials_path, "\n".join(trial_lines) + "\n")
     _write_text(summary_path, "\n".join(summary_lines) + "\n")
     _write_text(plot_path, COST_PLOT_SCRIPT)
     return [trials_path, summary_path, plot_path]
 
 
-def _simulate_state(run: RunConfig, stream) -> list:
-    settings = run.settings
+def _simulate_state(settings: dict, out_dir: str, stream) -> list:
     # the adaptive-population study is this scenario's whole point, and it
     # needs a deposit that survives the learning phase
-    if "adaptive" not in settings:
-        settings = dict(settings, adaptive=True)
-    if "deposit" not in settings:
-        settings = dict(settings, deposit=10)
-    run = replace(run, settings=settings)
-    config = run.scenario()
+    config = _scenario({"adaptive": True, "deposit": 10, **settings})
 
     trial_lines = ["trial,final_malicious,final_reputation,live_fogs"]
 
@@ -370,9 +328,9 @@ def _simulate_state(run: RunConfig, stream) -> list:
     print("mean live fog nodes  start %s  end %s"
           % (_fmt(live[0]), _fmt(live[-1])), file=stream)
 
-    trials_path = os.path.join(run.out_dir, "state_trials.csv")
-    series_path = os.path.join(run.out_dir, "state_series.csv")
-    plot_path = os.path.join(run.out_dir, "state_plot.gp")
+    trials_path = os.path.join(out_dir, "state_trials.csv")
+    series_path = os.path.join(out_dir, "state_series.csv")
+    plot_path = os.path.join(out_dir, "state_plot.gp")
     _write_text(trials_path, "\n".join(trial_lines) + "\n")
     _write_text(series_path, "\n".join(series_lines) + "\n")
     _write_text(plot_path, STATE_PLOT_SCRIPT)
@@ -441,6 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _settings(args: argparse.Namespace, schema: dict) -> dict:
+    """The --config file's settings under ``schema``; flags override them."""
+    settings = {}
+    if args.config:
+        settings = parse_flat_config(_read_ascii(args.config, "config"), schema)
+    for flag in ("seed", "cluster", "trials", "policy"):
+        value = getattr(args, flag, None)
+        if value is not None:
+            settings[flag] = Policy(value) if flag == "policy" else value
+    return settings
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -452,9 +422,10 @@ def main(argv=None) -> int:
             for path in cmd_keygen(args.count, args.out, rng):
                 print("wrote %s" % path)
         elif args.subcommand == "demo-auth":
-            cmd_demo_auth(_resolve(args))
+            cmd_demo_auth(_settings(args, DEMO_AUTH_SCHEMA))
         else:
-            cmd_simulate(args.scenario, _resolve(args))
+            cmd_simulate(args.scenario, _settings(args, SIMULATE_SCHEMA),
+                         args.out)
     except FogTrustError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return exit_code_for(exc)

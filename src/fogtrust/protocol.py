@@ -3,8 +3,8 @@
 Devices, fog nodes and the oracle sign with ``signing``, derive session keys
 with ``keys``, seal traffic with ``aead`` and attest verdicts with ``ring``;
 only the ledger's verifier is swappable.  Agents talk over an in-process
-channel that records a transcript and can drop or delay frames, which is
-enough to reproduce timeouts and tampering deterministically.  The disguised
+channel that records a transcript and can drop frames, which is enough to
+reproduce timeouts and tampering deterministically.  The disguised
 audit reuses the exact same request path as a genuine device, so a fog node
 cannot tell the two apart by framing.
 """
@@ -37,7 +37,6 @@ from .keys import KeyPair
 
 IOT_AUTH_CONTEXT = b"auth/iot/v1"
 FOG_AUTH_CONTEXT = b"auth/fog/v1"
-DEFAULT_TIMEOUT_TICKS = 10
 PAYMENT_LIMIT = 2**64  # payments travel as 8-byte unsigned integers
 DEFAULT_RING_SIZE = 8
 
@@ -61,42 +60,26 @@ class Frame:
 
 @dataclass(frozen=True)
 class TranscriptEntry:
-    tick: int
     sender: str
     frame: Frame
-    delivered: bool
 
 
 class Channel:
     """Duplex in-process link with fault injection and a full transcript.
 
-    ``loss`` and ``latency`` receive (index, sender, frame) for each send;
-    loss returning True drops the frame, latency returns extra ticks the
-    frame spends in flight.
+    ``loss`` receives (index, sender, frame) for each send; returning True
+    drops the frame.  Dropped frames stay in the transcript.
     """
 
-    def __init__(self, loss: Optional[Callable] = None,
-                 latency: Optional[Callable] = None):
+    def __init__(self, loss: Optional[Callable] = None):
         self.loss = loss
-        self.latency = latency
         self.transcript = []
-        self.clock = 0
 
-    def send(self, sender: str, frame: Frame) -> Optional[int]:
-        """Returns the arrival tick, or None if the frame was dropped."""
-        self.clock += 1
+    def send(self, sender: str, frame: Frame) -> bool:
+        """Records the frame; returns whether it was delivered."""
         index = len(self.transcript)
-        dropped = bool(self.loss(index, sender, frame)) if self.loss else False
-        extra = int(self.latency(index, sender, frame)) if self.latency else 0
-        self.transcript.append(
-            TranscriptEntry(self.clock, sender, frame, not dropped))
-        if dropped:
-            return None
-        self.clock += extra
-        return self.clock
-
-    def wait(self, ticks: int):
-        self.clock += ticks
+        self.transcript.append(TranscriptEntry(sender, frame))
+        return not (self.loss and self.loss(index, sender, frame))
 
     def framing_summary(self) -> list:
         """Structural view of the transcript: who sent what kind, how large."""
@@ -192,7 +175,7 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
 
     # Step 1: device signs its context and opens.
     iot_sig = signing.sign(IOT_AUTH_CONTEXT, iot.keypair.secret, iot.rng)
-    if channel.send("iot", Frame(FrameType.AUTH1, iot_sig.to_bytes())) is None:
+    if not channel.send("iot", Frame(FrameType.AUTH1, iot_sig.to_bytes())):
         raise ChannelFailure("device hello lost")
 
     # Steps 2-3: fog recovers the device key and checks the registry.
@@ -203,7 +186,7 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
 
     # Step 4: fog answers with its own signed context.
     fog_sig = signing.sign(FOG_AUTH_CONTEXT, fog.keypair.secret, fog.rng)
-    if channel.send("fog", Frame(FrameType.AUTH2, fog_sig.to_bytes())) is None:
+    if not channel.send("fog", Frame(FrameType.AUTH2, fog_sig.to_bytes())):
         raise ChannelFailure("fog answer lost")
 
     # Steps 5-6: device recovers the fog key, checks registry and reputation.
@@ -239,9 +222,10 @@ def service_exchange(session: Session, iot: IoTAgent, fog: FogAgent,
     """One paid request/response round over an established session.
 
     The package and result travel encrypted under the session key.  Payment
-    is released only after the device holds a result it could decrypt; a
-    rejection, or no reply within DEFAULT_TIMEOUT_TICKS, costs nothing.  A
-    payment the ledger could never accept fails before any frame is sent.
+    is released only after the device holds a result it could decrypt.  A
+    rejection costs nothing, and neither does a timeout: a silent fog node
+    or a lost REQUEST or RESULT frame.  A payment the ledger could never
+    accept fails before any frame is sent.
     """
     # type() rather than isinstance(): True is an int but not an amount
     if type(payment) is not int or not 0 < payment < PAYMENT_LIMIT:
@@ -254,13 +238,10 @@ def service_exchange(session: Session, iot: IoTAgent, fog: FogAgent,
                                iot.keypair.secret, iot.rng)
     sealed = aead.encrypt(session.symmetric_key, package, iot.rng)
     payload = payment.to_bytes(8, "big") + request_sig.to_bytes() + sealed
-    deadline = channel.clock + 1 + DEFAULT_TIMEOUT_TICKS
     reply = None
-    if channel.send("iot", Frame(FrameType.REQUEST, payload)) is not None:
+    if channel.send("iot", Frame(FrameType.REQUEST, payload)):
         reply = _fog_reply(session, fog, payload)
-    arrival = None if reply is None else channel.send("fog", reply)
-    if arrival is None or arrival > deadline:
-        channel.wait(DEFAULT_TIMEOUT_TICKS)
+    if reply is None or not channel.send("fog", reply):
         return ServiceExchange(package, payment, ExchangeStatus.TIMED_OUT)
     if reply.frame_type is FrameType.REJECT:
         return ServiceExchange(package, payment, ExchangeStatus.REJECTED)

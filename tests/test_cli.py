@@ -7,7 +7,6 @@ import pytest
 
 from fogtrust import cli
 from fogtrust.errors import (
-    AuthError,
     BadSignature,
     InvalidConfig,
     IoError,
@@ -33,8 +32,8 @@ def test_flat_config_parses_types_and_comments():
     adaptive = true
     malicious_low = 0.25
     """
-    settings = cli.parse_flat_config(text)
-    assert settings["policy"] == "weighted"
+    settings = cli.parse_flat_config(text, cli.SIMULATE_SCHEMA)
+    assert settings["policy"] is Policy.WEIGHTED
     assert settings["cluster"] == 4
     assert settings["trials"] == 9
     assert settings["adaptive"] is True
@@ -43,22 +42,22 @@ def test_flat_config_parses_types_and_comments():
 
 def test_flat_config_rejects_unknown_key():
     with pytest.raises(InvalidConfig):
-        cli.parse_flat_config("velocity = 9")
+        cli.parse_flat_config("velocity = 9", cli.SIMULATE_SCHEMA)
 
 
 def test_flat_config_rejects_bad_number():
     with pytest.raises(InvalidConfig):
-        cli.parse_flat_config("trials = soon")
+        cli.parse_flat_config("trials = soon", cli.SIMULATE_SCHEMA)
 
 
 def test_flat_config_rejects_bad_boolean():
     with pytest.raises(InvalidConfig):
-        cli.parse_flat_config("adaptive = maybe")
+        cli.parse_flat_config("adaptive = maybe", cli.SIMULATE_SCHEMA)
 
 
 def test_flat_config_rejects_shapeless_line():
     with pytest.raises(InvalidConfig):
-        cli.parse_flat_config("just some words")
+        cli.parse_flat_config("just some words", cli.SIMULATE_SCHEMA)
 
 
 def test_exit_codes_are_distinct_per_family():
@@ -112,12 +111,22 @@ def test_keygen_unwritable_output_is_an_io_error(tmp_path, capsys):
 
 
 def test_readme_config_block_names_every_config_key():
+    # one ini block per command, its first line naming the command
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    keys = [line.partition("=")[0].strip() for line in block.splitlines()
-            if line.strip() and not line.startswith("#")]
-    assert sorted(keys) == sorted(cli.CONFIG_KEYS)
-    assert set(cli.parse_flat_config(block)) == cli.CONFIG_KEYS
+    blocks = [part.split("```", 1)[0] for part in readme.split("```ini\n")[1:]]
+    schemas = {"simulate": cli.SIMULATE_SCHEMA,
+               "demo-auth": cli.DEMO_AUTH_SCHEMA}
+    named = set()
+    for block in blocks:
+        command = block.splitlines()[0].lstrip("# ").split()[0]
+        schema = schemas.pop(command)
+        keys = [line.partition("=")[0].strip() for line in block.splitlines()
+                if line.strip() and not line.startswith("#")]
+        assert sorted(keys) == sorted(schema)
+        assert set(cli.parse_flat_config(block, schema)) == set(schema)
+        named.update(keys)
+    assert schemas == {}
+    assert named == cli.CONFIG_KEYS
 
 
 # -- demo-auth --
@@ -141,6 +150,49 @@ def test_demo_auth_uses_key_files(tmp_path, capsys):
     key_fields = dict(line.split(" = ") for line in
                       (tmp_path / "key-00.txt").read_text().strip().splitlines())
     assert "iot address  %s" % key_fields["address"] in out
+
+
+# a value each key would accept in simulate
+SIMULATE_ONLY_SETTINGS = {
+    "policy": "bibd", "cluster": "2", "trials": "5", "fog_count": "3",
+    "iot_count": "8", "adaptive": "true", "ring_size": "3",
+    "horizon_per_fog": "2", "malicious_low": "0.5", "malicious_high": "0.9",
+    "audit_cap": "100",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SIMULATE_ONLY_SETTINGS))
+def test_demo_auth_rejects_study_keys(key, tmp_path, capsys):
+    # the handshake demo reads none of the study's settings
+    config = tmp_path / "demo.cfg"
+    config.write_text("%s = %s\n" % (key, SIMULATE_ONLY_SETTINGS[key]))
+    code = run_cli(["demo-auth", "--config", str(config), "--seed", "7"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "unknown config key %r" % key in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("edit", ["address", "public", "junk line"])
+def test_demo_auth_rejects_inconsistent_key_file(edit, tmp_path, capsys):
+    run_cli(["keygen", "--count", "2", "--seed", "3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    key = tmp_path / "key-00.txt"
+    other = dict(line.split(" = ") for line in
+                 (tmp_path / "key-01.txt").read_text().strip().splitlines())
+    lines = key.read_text().splitlines()
+    if edit == "junk line":
+        lines.append("not a key line")
+    else:
+        lines = ["%s = %s" % (edit, other[edit]) if line.startswith(edit)
+                 else line for line in lines]
+    key.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "demo.cfg"
+    config.write_text("iot_key = %s\n" % key)
+    assert run_cli(["demo-auth", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert "InvalidConfig: key file %s" % key in captured.err
+    assert captured.out == ""
 
 
 def test_demo_auth_takes_no_simulate_flags():
@@ -330,10 +382,11 @@ def test_simulate_rejects_zero_cluster(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["fee_rate", "audit_payment",
-                                 "oracle_bounty", "iot_funds"])
+                                 "oracle_bounty", "iot_funds", "iot_key",
+                                 "fog_key", "reputation_threshold"])
 def test_simulate_rejects_contract_keys_no_study_reads(key, tmp_path, capsys):
-    # the studies make no service payment, so none of these could change
-    # an output
+    # the studies make no service payment and no handshake, so none of
+    # these could change an output
     config = tmp_path / "payment.cfg"
     config.write_text("%s = 0\n" % key)
     code = run_cli(["simulate", "cost", "--config", str(config),

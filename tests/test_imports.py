@@ -1,11 +1,13 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package or test module imports is used there or re-exported."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fogtrust"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fogtrust"
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -33,8 +35,9 @@ def unused_imports(source: str) -> list:
                   if name not in used and name not in exported)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES,
+    ids=lambda path: path.name if path.parent == PACKAGE else "tests/" + path.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogtrust import keys
-from fogtrust.curve import CURVE_ORDER, GENERATOR, Point
+from fogtrust.curve import CURVE_ORDER
 from fogtrust.errors import InvalidScalar
 
 import oracles
