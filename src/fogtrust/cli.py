@@ -35,7 +35,6 @@ from .simulation import (
     ScenarioConfig,
     aggregate,
     aggregate_series,
-    policy_from_name,
     run_cost_scenario,
     run_state_scenario,
 )
@@ -96,12 +95,10 @@ def _parse_value(key: str, text: str, kind: type):
         if lowered in ("false", "no", "0"):
             return False
         raise InvalidConfig("%s needs true or false, got %r" % (key, text))
-    if kind is Policy:
-        return policy_from_name(text)
     try:
-        return kind(text)
-    except ValueError:
-        raise InvalidConfig("%s needs a number, got %r" % (key, text))
+        return kind(text)  # int, float, str or Policy
+    except ValueError as exc:
+        raise InvalidConfig("%s: %s" % (key, exc))
 
 
 def parse_flat_config(text: str, schema: dict) -> dict:

@@ -48,7 +48,8 @@ same rows, and the two halves' width-5 signed digits run interleaved, about
 ``mult_add`` computes s * G + c * P in a single accumulator that ends in
 one inversion, whether or not P has a table (a cold P adds the inversion
 of its odd multiples); ``link_x`` is the same sum for the ring-signature
-link, returning only the x-coordinate.
+link, returning only the x-coordinate. Every product leaves its accumulator
+through ``_to_point``, so each result is a ``Point``, curve-checked there.
 
 Infinity is represented as None at the public API; it never appears as a
 stored key or signature component.
@@ -134,15 +135,13 @@ class Point:
 
 
 # ------------------------------------------------------------------
-# Jacobian helpers. A Jacobian point is a tuple (X, Y, Z) with Z != 0;
-# infinity is None. secp256k1 has odd order, so no finite point has
-# y == 0 and doubling a finite point never yields infinity.
+# Jacobian helpers. A Jacobian point is a tuple (X, Y, Z) with Z != 0.
+# secp256k1 has odd order, so no finite point has y == 0 and doubling a
+# finite point never yields infinity.
 # ------------------------------------------------------------------
 
 
 def _j_double(pt):
-    if pt is None:
-        return None
     X1, Y1, Z1 = pt
     p = FIELD_PRIME
     YY = Y1 * Y1 % p
@@ -371,13 +370,14 @@ def _table_sum(start, products):
     return _accumulate((X * _BETA % p, Y, ZZ, ZZZ), plain)
 
 
-def _xyzz_to_affine(acc):
+def _to_point(acc):
+    """The Point an XYZZ accumulator holds, or None at infinity."""
     X, Y, ZZ, ZZZ = acc
     if not ZZ:
         return None
     p = FIELD_PRIME
     inv = pow(ZZ * ZZZ % p, -1, p)
-    return X * ZZZ % p * inv % p, Y * ZZ % p * inv % p
+    return Point(X * ZZZ % p * inv % p, Y * ZZ % p * inv % p)
 
 
 # ------------------------------------------------------------------
@@ -512,13 +512,8 @@ def scalar_mult(k: int, point: Point):
         return None
     table = _table_of(point)
     if table is None:
-        acc = _cold_xyzz(k, point)
-    else:
-        acc = _table_sum(_INFINITY, [(k, table)])
-    affine = _xyzz_to_affine(acc)
-    if affine is None:
-        return None
-    return Point(affine[0], affine[1])
+        return _to_point(_cold_xyzz(k, point))
+    return _to_point(_table_sum(_INFINITY, [(k, table)]))
 
 
 def mult_add(s: int, c: int, point: Point):
@@ -528,25 +523,17 @@ def mult_add(s: int, c: int, point: Point):
     is a signature's nonce point, which recurs only when that signature is
     replayed, so it is never counted towards a table.
     """
-    affine = _xyzz_to_affine(_mult_add_xyzz(s, c, point, _cached(point)))
-    if affine is None:
-        return None
-    return Point(affine[0], affine[1])
+    return _to_point(_mult_add_xyzz(s, c, point, _cached(point)))
 
 
 def link_x(s: int, c: int, point: Point):
     """x of s * G + c * point, or None when that sum is infinity.
 
-    As mult_add, but the normalized result is checked against the curve
-    equation instead of being built into a Point.
+    As mult_add, but each call counts one use of point towards a table:
+    a ring member recurs across signatures.
     """
-    affine = _xyzz_to_affine(_mult_add_xyzz(s, c, point, _table_of(point)))
-    if affine is None:
-        return None
-    x, y = affine
-    if (y * y - (x * x * x + CURVE_B)) % FIELD_PRIME:
-        raise InvalidPoint("ring link left the curve")
-    return x
+    link = _to_point(_mult_add_xyzz(s, c, point, _table_of(point)))
+    return None if link is None else link.x
 
 
 def point_add(a, b):

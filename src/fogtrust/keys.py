@@ -17,6 +17,13 @@ from .errors import InvalidScalar
 ADDRESS_BYTES = 20
 
 
+def random_scalar(rng=None) -> int:
+    """Uniform in [1, order-1], from rng when given, else from secrets."""
+    if rng is None:
+        return 1 + secrets.randbelow(CURVE_ORDER - 1)
+    return rng.randrange(1, CURVE_ORDER)
+
+
 def derive_public(secret: int) -> Point:
     """P = k * G."""
     if not isinstance(secret, int) or not (1 <= secret < CURVE_ORDER):
@@ -44,10 +51,7 @@ class KeyPair:
 
     @classmethod
     def generate(cls, rng=None) -> "KeyPair":
-        if rng is None:
-            secret = 1 + secrets.randbelow(CURVE_ORDER - 1)
-        else:
-            secret = rng.randrange(1, CURVE_ORDER)
+        secret = random_scalar(rng)
         return cls(secret=secret, public=derive_public(secret))
 
     @property

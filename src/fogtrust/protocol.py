@@ -103,8 +103,6 @@ class ExchangeStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class ServiceExchange:
-    package: bytes
-    payment: int
     status: ExchangeStatus
     result: Optional[bytes] = None
 
@@ -114,7 +112,7 @@ class IoTAgent:
     keypair: KeyPair
     reputation_threshold: int = 0
     rng: object = None
-    sessions: dict = field(default_factory=dict)
+    sessions: dict = field(default_factory=dict, init=False)
 
     @property
     def address(self) -> str:
@@ -141,7 +139,7 @@ class FogAgent:
     keypair: KeyPair
     behavior: Optional[Callable] = None
     rng: object = None
-    sessions: dict = field(default_factory=dict)
+    sessions: dict = field(default_factory=dict, init=False)
     peer_keys: dict = field(default_factory=dict, init=False)
 
     @property
@@ -242,9 +240,9 @@ def service_exchange(session: Session, iot: IoTAgent, fog: FogAgent,
     if channel.send("iot", Frame(FrameType.REQUEST, payload)):
         reply = _fog_reply(session, fog, payload)
     if reply is None or not channel.send("fog", reply):
-        return ServiceExchange(package, payment, ExchangeStatus.TIMED_OUT)
+        return ServiceExchange(ExchangeStatus.TIMED_OUT)
     if reply.frame_type is FrameType.REJECT:
-        return ServiceExchange(package, payment, ExchangeStatus.REJECTED)
+        return ServiceExchange(ExchangeStatus.REJECTED)
 
     result = aead.decrypt(session.symmetric_key, reply.payload)
     payment_sig = signing.sign(
@@ -255,7 +253,7 @@ def service_exchange(session: Session, iot: IoTAgent, fog: FogAgent,
         ledger.iot_fog_payment(session.fog_address, payment, payment_sig)
     except LedgerError as exc:
         raise PaymentFailed(str(exc)) from exc
-    return ServiceExchange(package, payment, ExchangeStatus.PAID, result)
+    return ServiceExchange(ExchangeStatus.PAID, result)
 
 
 def _fog_reply(session: Session, fog: FogAgent,
@@ -307,15 +305,14 @@ class OracleAgent:
     oracle_keypair: KeyPair
     ring_size: int = DEFAULT_RING_SIZE
     rng: object = None
-    key_directory: dict = field(default_factory=dict)
+    key_directory: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.rng is None:
             self.rng = secrets.SystemRandom()
         if self.iot_keypair.address == self.oracle_keypair.address:
             raise SignerMismatch("the two oracle identities must differ")
-        self.key_directory.setdefault(self.iot_keypair.address,
-                                      self.iot_keypair.public)
+        self.key_directory[self.iot_keypair.address] = self.iot_keypair.public
 
     @property
     def device_address(self) -> str:
@@ -339,12 +336,6 @@ class OracleAgent:
             self.oracle_keypair.secret, self.rng)
         oracle_address = ledger.oracle_registration(oracle_sig)
         return device_address, oracle_address
-
-    def device_agent(self, ledger) -> IoTAgent:
-        # Threshold at the floor so an audit never bounces off reputation.
-        return IoTAgent(keypair=self.iot_keypair,
-                        reputation_threshold=ledger.params.reputation_min,
-                        rng=self.rng)
 
 
 def select_ring(oracle: OracleAgent, ledger) -> list:
@@ -384,7 +375,10 @@ def service_audit(oracle: OracleAgent, fog: FogAgent, ledger,
     ring_members = select_ring(oracle, ledger)
     package = oracle.rng.getrandbits(128).to_bytes(16, "big")
 
-    requester = oracle.device_agent(ledger)
+    # threshold at the floor so an audit never bounces off reputation
+    requester = IoTAgent(keypair=oracle.iot_keypair,
+                         reputation_threshold=ledger.params.reputation_min,
+                         rng=oracle.rng)
     exchange = None
     try:
         session = mutual_authenticate(requester, fog, ledger, channel)

@@ -21,14 +21,13 @@ to the published first challenge.
 from __future__ import annotations
 
 import json
-import secrets
 from dataclasses import dataclass
 from typing import Sequence
 
 from .constants import digest
 from .curve import CURVE_ORDER, GENERATOR, Point, link_x, scalar_mult
 from .errors import MalformedRingSignature, RingTooSmall, SignerMismatch
-from .keys import derive_public, public_from_hex, public_to_hex
+from .keys import derive_public, public_from_hex, public_to_hex, random_scalar
 
 MIN_RING = 2
 
@@ -85,17 +84,12 @@ def ring_sign(message: bytes, ring: Sequence[Point], signer_index: int,
     if derive_public(secret) != ring[signer_index]:
         raise SignerMismatch("secret key does not match the ring slot")
 
-    def rand_scalar():
-        if rng is None:
-            return 1 + secrets.randbelow(CURVE_ORDER - 1)
-        return rng.randrange(1, CURVE_ORDER)
-
     j = signer_index
     commitments = [None] * n
     responses = [0] * n
     challenges = [0] * n
 
-    q = rand_scalar()
+    q = random_scalar(rng)
     commitments[j] = scalar_mult(q, GENERATOR).x
 
     # walk j+1, j+2, ..., wrapping, until the slot before j
@@ -104,7 +98,7 @@ def ring_sign(message: bytes, ring: Sequence[Point], signer_index: int,
         prev = (i - 1) % n
         challenges[i] = _chain_challenge(message, commitments[prev])
         while True:
-            responses[i] = rand_scalar()
+            responses[i] = random_scalar(rng)
             commitment = link_x(responses[i], challenges[i], ring[i])
             if commitment is not None:
                 break

@@ -10,12 +10,12 @@ signatures whose recovery returns that key.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 
 from .constants import digest
 from .curve import CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, mult_add, scalar_mult
 from .errors import InvalidScalar, InvalidSignature, RecoveryFailed
+from .keys import random_scalar
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ def sign(message: bytes, secret: int, rng=None) -> Signature:
         raise InvalidScalar("secret must be in [1, order-1]")
     z = _hash_to_int(message)
     while True:
-        if rng is None:
-            nonce = 1 + secrets.randbelow(CURVE_ORDER - 1)
-        else:
-            nonce = rng.randrange(1, CURVE_ORDER)
+        nonce = random_scalar(rng)
         R = scalar_mult(nonce, GENERATOR)
         r = R.x % CURVE_ORDER
         if r == 0:

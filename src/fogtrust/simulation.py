@@ -59,10 +59,6 @@ class TokenIdentity:
         return signature.members
 
 
-def token_sign(address: str, message: bytes) -> TokenSignature:
-    return TokenSignature(address, message)
-
-
 # -- fog behavior --
 
 def adapt_on_penalty(rate: float, rng) -> float:
@@ -71,9 +67,6 @@ def adapt_on_penalty(rate: float, rng) -> float:
 
 
 # -- scenario configuration --
-
-_POLICY_NAMES = {policy.value: policy for policy in Policy}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -131,14 +124,6 @@ class ScenarioConfig:
         )
 
 
-def policy_from_name(name: str) -> Policy:
-    try:
-        return _POLICY_NAMES[name]
-    except KeyError:
-        raise InvalidConfig("unknown policy %r (choose from %s)"
-                            % (name, ", ".join(sorted(_POLICY_NAMES))))
-
-
 def trial_seed(master_seed: int, index: int) -> int:
     """Independent per-trial seed, stable across machines and runs."""
     material = digest(b"trial|%d|%d" % (master_seed, index))
@@ -167,16 +152,16 @@ def _build_population(config: ScenarioConfig, rng) -> _Population:
     iot_addresses = ["iot-%04d" % n for n in range(config.iot_count)]
     funding = call_message("iot_registration", amount=DEVICE_FUNDS)
     for address in iot_addresses + [ORACLE_DEVICE]:
-        ledger.iot_registration(DEVICE_FUNDS, token_sign(address, funding))
+        ledger.iot_registration(DEVICE_FUNDS, TokenSignature(address, funding))
     ledger.oracle_registration(
-        token_sign(ORACLE_ADMIN, call_message("oracle_registration")))
+        TokenSignature(ORACLE_ADMIN, call_message("oracle_registration")))
 
     fog_addresses = ["fog-%04d" % n for n in range(config.fog_count)]
     staking = call_message("fog_registration", amount=config.deposit)
     rates = {}
     span = config.malicious_high - config.malicious_low
     for address in fog_addresses:
-        ledger.fog_registration(config.deposit, token_sign(address, staking))
+        ledger.fog_registration(config.deposit, TokenSignature(address, staking))
         rates[address] = config.malicious_low + span * rng.random()
 
     verdicts = {}
@@ -184,7 +169,7 @@ def _build_population(config: ScenarioConfig, rng) -> _Population:
         for passed, op in ((True, "fog_reward"), (False, "fog_penalize")):
             verdicts[address, passed] = (
                 audit_message(address, passed),
-                token_sign(ORACLE_ADMIN, call_message(op, fog=address)))
+                TokenSignature(ORACLE_ADMIN, call_message(op, fog=address)))
     return _Population(ledger, fog_addresses, iot_addresses, rates, verdicts)
 
 

@@ -40,6 +40,13 @@ def test_flat_config_parses_types_and_comments():
     assert settings["malicious_low"] == 0.25
 
 
+@pytest.mark.parametrize("policy", list(Policy), ids=lambda policy: policy.value)
+def test_flat_config_parses_each_policy_name(policy):
+    settings = cli.parse_flat_config("policy = %s" % policy.value,
+                                     cli.SIMULATE_SCHEMA)
+    assert settings["policy"] is policy
+
+
 def test_flat_config_rejects_unknown_key():
     with pytest.raises(InvalidConfig):
         cli.parse_flat_config("velocity = 9", cli.SIMULATE_SCHEMA)

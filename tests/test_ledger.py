@@ -379,6 +379,23 @@ def test_payment_requires_both_sides_registered():
             bench.approve(ghost_payer, "iot_fog_payment", amount=5, fog=node.address))
 
 
+# a correctly signed call naming a fog address that is not a string
+MALFORMED_FOG_ADDRESSES = {"list-fog": ["x"], "dict-fog": {"x": 1}}
+
+
+@pytest.mark.parametrize("malformed", list(MALFORMED_FOG_ADDRESSES))
+def test_payment_to_malformed_fog_address_is_typed_and_changes_nothing(malformed):
+    bench = Bench()
+    payer = bench.iot(funds=10)
+    bench.fog()
+    fog_address = MALFORMED_FOG_ADDRESSES[malformed]
+    approval = bench.approve(payer, "iot_fog_payment", amount=5, fog=fog_address)
+    before = bench.ledger.to_snapshot()
+    with pytest.raises(NotRegistered):
+        bench.ledger.iot_fog_payment(fog_address, 5, approval)
+    assert bench.ledger.to_snapshot() == before
+
+
 # -- audits --
 
 def test_reward_saturates_at_reputation_ceiling():
@@ -445,6 +462,8 @@ MALFORMED_ATTESTATIONS = {
     ("ring-is-none", InvalidRingSignature),
     ("responses-is-none", InvalidRingSignature),
     ("not-a-call-signature", BadSignature),
+    ("list-fog", UnknownFog),
+    ("dict-fog", UnknownFog),
 ])
 def test_malformed_audit_inputs_are_typed_and_change_nothing(
         passed, malformed, error):
@@ -456,14 +475,15 @@ def test_malformed_audit_inputs_are_typed_and_change_nothing(
     attestation = ring_sign(audit_message(node.address, passed),
                             [d.public for d in devices], 0,
                             devices[0].secret, RNG)
-    approval = bench.approve(keeper, op, fog=node.address)
+    fog_address = MALFORMED_FOG_ADDRESSES.get(malformed, node.address)
+    approval = bench.approve(keeper, op, fog=fog_address)
     if malformed == "not-a-call-signature":
         approval = object()
-    else:
+    elif malformed in MALFORMED_ATTESTATIONS:
         attestation = MALFORMED_ATTESTATIONS[malformed](attestation)
     before = bench.ledger.to_snapshot()
     with pytest.raises(error):
-        getattr(bench.ledger, op)(node.address, attestation, approval)
+        getattr(bench.ledger, op)(fog_address, attestation, approval)
     assert bench.ledger.to_snapshot() == before
 
 
@@ -696,6 +716,13 @@ def _repeated_address(snapshot):
     snapshot["iot_table"].insert(0, {"address": address, "available_funds": 0})
 
 
+def _set_deposit(snapshot, deposit):
+    # total_deposited moves with the deposit, so funds still conserve
+    row = snapshot["fog_table"][0]
+    snapshot["total_deposited"] += deposit - row["deposit"]
+    row["deposit"] = deposit
+
+
 SNAPSHOT_STATE_EDITS = {
     "string-funds": lambda snapshot: snapshot["iot_table"].append(
         {"address": "a", "available_funds": "10"}),
@@ -705,8 +732,12 @@ SNAPSHOT_STATE_EDITS = {
     "missing-row-key": lambda snapshot: snapshot["fog_table"][0].pop(
         "requests_served"),
     "negative-pool": _negative_pool,
+    # available funds, not the deposit, so that only conservation fails
     "unconserved": lambda snapshot: snapshot["fog_table"][0].update(
-        deposit=snapshot["fog_table"][0]["deposit"] + 1),
+        available_funds=snapshot["fog_table"][0]["available_funds"] + 1),
+    "zero-deposit": lambda snapshot: _set_deposit(snapshot, 0),
+    "deposit-above-requirement": lambda snapshot: _set_deposit(
+        snapshot, snapshot["params"]["deposit_requirement"] + 1),
     "string-seq": lambda snapshot: snapshot.update(seq="x"),
     "negative-seq": lambda snapshot: snapshot.update(seq=-1),
     "extra-top-level-key": lambda snapshot: snapshot.update(version=1),

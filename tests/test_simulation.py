@@ -17,11 +17,9 @@ from fogtrust.simulation import (
     adapt_on_penalty,
     aggregate,
     aggregate_series,
-    policy_from_name,
     run_cost_scenario,
     run_cost_trial,
     run_state_trial,
-    token_sign,
     trial_seed,
     _build_population,
     _submit_verdict,
@@ -32,7 +30,8 @@ from fogtrust.simulation import (
 
 def test_token_signature_recovers_its_address():
     identity = TokenIdentity()
-    assert identity.recover_address(b"msg", token_sign("alice", b"msg")) == "alice"
+    signature = TokenSignature("alice", b"msg")
+    assert identity.recover_address(b"msg", signature) == "alice"
 
 
 def test_token_signature_fails_on_other_message():
@@ -116,16 +115,6 @@ def test_config_builds_matching_contract_params():
     assert params.deposit_requirement == 7
     assert params.deposit_deduction == 2
     assert params.penalty_step == 3
-
-
-def test_policy_from_name_round_trips():
-    for policy in Policy:
-        assert policy_from_name(policy.value) is policy
-
-
-def test_policy_from_name_rejects_unknown():
-    with pytest.raises(InvalidConfig):
-        policy_from_name("round-robin")
 
 
 def test_trial_seeds_are_deterministic_and_distinct():
