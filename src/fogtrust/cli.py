@@ -34,7 +34,6 @@ from .simulation import (
     DEVICE_FUNDS,
     ScenarioConfig,
     aggregate,
-    aggregate_series,
     run_cost_scenario,
     run_state_scenario,
 )
@@ -83,7 +82,6 @@ DEMO_AUTH_SCHEMA = dict(
         "seed", "deposit", "deposit_deduction", "reward_step", "penalty_step",
         "reputation_initial", "reputation_min", "reputation_max")},
     iot_key=str, fog_key=str, reputation_threshold=int)
-CONFIG_KEYS = frozenset(SIMULATE_SCHEMA) | frozenset(DEMO_AUTH_SCHEMA)
 KEY_FILE_SCHEMA = {"private": str, "public": str, "address": str}
 
 
@@ -151,8 +149,6 @@ KEY_FILE_PATTERN = "key-%02d.txt"
 
 def cmd_keygen(count: int, out_dir: str = ".", rng=None) -> list:
     """Write ``count`` fresh key pair files and return their paths."""
-    if count < 1:
-        raise InvalidConfig("count must be at least 1")
     paths = []
     for index in range(count):
         pair = KeyPair.generate(rng)
@@ -293,33 +289,29 @@ def _simulate_state(settings: dict, out_dir: str, stream) -> list:
     config = _scenario({"adaptive": True, "deposit": 10, **settings})
 
     trial_lines = ["trial,final_malicious,final_reputation,live_fogs"]
-
-    def joined_series():
-        # one trial's three series end to end, so a single pointwise mean
-        # covers all three; trials stream, none is kept
-        for index, metrics in enumerate(run_state_scenario(config)):
-            trial_lines.append("%d,%s,%s,%d"
-                               % (index, _fmt(metrics.mean_malicious[-1]),
-                                  _fmt(metrics.mean_reputation[-1]),
-                                  metrics.live_fogs[-1]))
-            yield metrics.mean_malicious + metrics.mean_reputation \
-                + metrics.live_fogs
-
-    means = aggregate_series(joined_series())
-    steps = len(means) // 3
-    malicious = means[:steps]
-    reputation = means[steps:2 * steps]
-    live = means[2 * steps:]
+    # per-step sums, added in trial order; every trial has the same horizon
+    sums = None
+    for index, metrics in enumerate(run_state_scenario(config)):
+        trial_lines.append("%d,%s,%s,%d"
+                           % (index, _fmt(metrics.mean_malicious[-1]),
+                              _fmt(metrics.mean_reputation[-1]),
+                              metrics.live_fogs[-1]))
+        series = (metrics.mean_malicious, metrics.mean_reputation,
+                  metrics.live_fogs)
+        if sums is None:
+            sums = [[0.0] * len(values) for values in series]
+        for total, values in zip(sums, series):
+            for step, value in enumerate(values):
+                total[step] += value
+    malicious, reputation, live = (
+        [total / config.trials for total in column] for column in sums)
 
     series_lines = ["step,mean_malicious,mean_reputation,mean_live"]
-    for step in range(steps):
-        series_lines.append("%d,%s,%s,%s"
-                            % (step + 1, _fmt(malicious[step]),
-                               _fmt(reputation[step]), _fmt(live[step])))
+    for step, means in enumerate(zip(malicious, reputation, live), 1):
+        series_lines.append("%d,%s,%s,%s" % (step, *map(_fmt, means)))
 
     print("state scenario: %d trials, %d fog nodes, horizon %d steps"
-          % (config.trials, config.fog_count,
-             config.horizon_per_fog * config.fog_count), file=stream)
+          % (config.trials, config.fog_count, len(live)), file=stream)
     print("mean malicious rate  start %s  end %s"
           % (_fmt(malicious[0]), _fmt(malicious[-1])), file=stream)
     print("mean live fog nodes  start %s  end %s"

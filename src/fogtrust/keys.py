@@ -24,10 +24,16 @@ def random_scalar(rng=None) -> int:
     return rng.randrange(1, CURVE_ORDER)
 
 
-def derive_public(secret: int) -> Point:
-    """P = k * G."""
+def require_secret(secret) -> int:
+    """secret itself when it is an int in [1, order-1], else InvalidScalar."""
     if not isinstance(secret, int) or not (1 <= secret < CURVE_ORDER):
         raise InvalidScalar("secret must be in [1, order-1]")
+    return secret
+
+
+def derive_public(secret: int) -> Point:
+    """P = k * G."""
+    require_secret(secret)
     return scalar_mult(secret, GENERATOR)
 
 
@@ -38,8 +44,7 @@ def address_of(public: Point) -> str:
 
 def shared_secret(secret: int, peer_public: Point) -> bytes:
     """H(k_A * P_B); symmetric because k_A * (k_B G) = k_B * (k_A G)."""
-    if not (1 <= secret < CURVE_ORDER):
-        raise InvalidScalar("secret must be in [1, order-1]")
+    require_secret(secret)
     shared_point = scalar_mult(secret, peer_public)
     return digest(shared_point.to_bytes())
 
@@ -73,10 +78,7 @@ def secret_from_hex(text: str) -> int:
         raise InvalidScalar(f"secret is not hex: {text!r}")
     if len(raw) != 32:
         raise InvalidScalar(f"expected 32 bytes of secret, got {len(raw)}")
-    value = int.from_bytes(raw, "big")
-    if not (1 <= value < CURVE_ORDER):
-        raise InvalidScalar("secret must be in [1, order-1]")
-    return value
+    return require_secret(int.from_bytes(raw, "big"))
 
 
 def public_to_hex(public: Point) -> str:

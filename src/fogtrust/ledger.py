@@ -118,11 +118,6 @@ class FogRecord:
 
 
 @dataclass(frozen=True)
-class OracleRecord:
-    address: str
-
-
-@dataclass(frozen=True)
 class AuditApplication:
     """Arithmetic trail of one reward or penalty application."""
 
@@ -202,6 +197,7 @@ class Ledger:
         self.identity = identity if identity is not None else DEFAULT_IDENTITY
         self.iot_table = {}
         self.fog_table = {}
+        # registered oracle addresses, in registration order
         self.oracle_table = {}
         self.fee_pool = 0
         self.total_deposited = 0
@@ -340,7 +336,7 @@ class Ledger:
         caller = self._caller("oracle_registration", signature)
         if caller in self.oracle_table:
             raise AlreadyRegistered("oracle %s already registered" % caller)
-        self.oracle_table[caller] = OracleRecord(address=caller)
+        self.oracle_table[caller] = None
         self._seq += 1
         return caller
 
@@ -386,21 +382,19 @@ class Ledger:
         self.total_withdrawn += oracle_paid
         self._seq += 1
         reputation_after = record.reputation
-        removed = (record.reputation < self.params.reputation_min
-                   or record.deposit == 0)
-        reason = None
-        refunded = 0
-        if removed:
-            reason = (RemovalReason.REPUTATION_FLOOR
-                      if record.reputation < self.params.reputation_min
-                      else RemovalReason.DEPOSIT_EXHAUSTED)
-            refunded = self._remove_fog(record)
+        if record.reputation < self.params.reputation_min:
+            reason = RemovalReason.REPUTATION_FLOOR
+        elif record.deposit == 0:
+            reason = RemovalReason.DEPOSIT_EXHAUSTED
+        else:
+            reason = None
+        refunded = self._remove_fog(record) if reason is not None else 0
         return AuditApplication(
             fog_address=fog_address, passed=passed,
             reputation_after=reputation_after, deducted=deducted,
             per_device=per_device, distributed_remainder=remainder,
-            oracle_paid=oracle_paid, removed=removed, removal_reason=reason,
-            refunded=refunded,
+            oracle_paid=oracle_paid, removed=reason is not None,
+            removal_reason=reason, refunded=refunded,
         )
 
     def _distribute(self, amount: int) -> tuple:
@@ -439,7 +433,7 @@ class Ledger:
             # dataclasses.asdict gives the same rows some 30 times slower
             "iot_table": [vars(r).copy() for r in self.iot_table.values()],
             "fog_table": [vars(r).copy() for r in self.fog_table.values()],
-            "oracle_table": [r.address for r in self.oracle_table.values()],
+            "oracle_table": list(self.oracle_table),
             "fee_pool": self.fee_pool,
             "total_deposited": self.total_deposited,
             "total_withdrawn": self.total_withdrawn,
@@ -471,9 +465,13 @@ class Ledger:
                                     % (record.address, record.reputation,
                                        record.deposit))
         oracles = snapshot["oracle_table"]
-        if isinstance(oracles, list):
-            oracles = [{"address": address} for address in oracles]
-        ledger.oracle_table = _snapshot_records(oracles, OracleRecord)
+        if not (isinstance(oracles, list)
+                and all(type(address) is str for address in oracles)
+                and len(set(oracles)) == len(oracles)):
+            raise InvalidParams("snapshot oracle_table must be a list of "
+                                "distinct address strings")
+        # a dict, not a set: snapshot order must not follow string hashing
+        ledger.oracle_table = dict.fromkeys(oracles)
         for name in ("fee_pool", "total_deposited", "total_withdrawn"):
             setattr(ledger, name, _snapshot_amount(snapshot[name], name))
         ledger._seq = _snapshot_amount(snapshot["seq"], "seq")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .constants import digest
 from .curve import CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, mult_add, scalar_mult
-from .errors import InvalidScalar, InvalidSignature, RecoveryFailed
-from .keys import random_scalar
+from .errors import InvalidSignature, RecoveryFailed
+from .keys import random_scalar, require_secret
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def _hash_to_int(message: bytes) -> int:
 
 
 def sign(message: bytes, secret: int, rng=None) -> Signature:
-    if not (1 <= secret < CURVE_ORDER):
-        raise InvalidScalar("secret must be in [1, order-1]")
+    require_secret(secret)
     z = _hash_to_int(message)
     while True:
         nonce = random_scalar(rng)

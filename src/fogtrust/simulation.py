@@ -17,7 +17,7 @@ response never equals the correct one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import digest
 from .errors import BadSignature, InvalidConfig, InvalidParams, NonTerminating
@@ -255,28 +255,32 @@ def run_cost_scenario(config: ScenarioConfig) -> list:
 
 @dataclass
 class TrialMetrics:
-    mean_malicious: list = field(default_factory=list)
-    mean_reputation: list = field(default_factory=list)
-    live_fogs: list = field(default_factory=list)
+    mean_malicious: list
+    mean_reputation: list
+    live_fogs: list
 
 
 def run_state_trial(config: ScenarioConfig, rng) -> TrialMetrics:
     """System health per audit step over a fixed horizon.
 
-    After every audit attempt the trial records the mean malicious rate
-    over live nodes, their mean reputation, and how many are left.  Fog
-    nodes notice their own penalties by watching their ledger record, and
+    Each series has exactly ``horizon_per_fog * fog_count`` steps.  After
+    every audit attempt the trial records the mean malicious rate over
+    live nodes, their mean reputation, and how many are left; once the
+    last node is expelled, the remaining steps stay zero.  Fog nodes
+    notice their own penalties by watching their ledger record, and
     adaptive ones shrink their malicious rate in response.
     """
     population = _build_population(config, rng)
     rates = population.rates
     fog_table = population.ledger.fog_table
     horizon = config.horizon_per_fog * config.fog_count
-    metrics = TrialMetrics()
+    metrics = TrialMetrics([0.0] * horizon, [0.0] * horizon, [0] * horizon)
 
     malicious_sum = sum(rates.values())
     reputation_sum = sum(r.reputation for r in fog_table.values())
-    for address, passed, before, outcome in _attempts(config, population, rng):
+    # range first, so no attempt is drawn past the horizon
+    for step, (address, passed, before, outcome) in zip(
+            range(horizon), _attempts(config, population, rng)):
         if outcome is not None:
             reputation_sum += outcome.reputation_after - before
             if outcome.removed:
@@ -288,19 +292,9 @@ def run_state_trial(config: ScenarioConfig, rng) -> TrialMetrics:
                 malicious_sum += rates[address] - rate
         live = len(fog_table)
         if live:
-            metrics.mean_malicious.append(malicious_sum / live)
-            metrics.mean_reputation.append(reputation_sum / live)
-        else:
-            metrics.mean_malicious.append(0.0)
-            metrics.mean_reputation.append(0.0)
-        metrics.live_fogs.append(live)
-        if len(metrics.live_fogs) >= horizon:
-            break
-
-    while len(metrics.live_fogs) < horizon:
-        metrics.mean_malicious.append(0.0)
-        metrics.mean_reputation.append(0.0)
-        metrics.live_fogs.append(0)
+            metrics.mean_malicious[step] = malicious_sum / live
+            metrics.mean_reputation[step] = reputation_sum / live
+            metrics.live_fogs[step] = live
     return metrics
 
 
@@ -332,19 +326,3 @@ def aggregate(values) -> Summary:
     variance = sum((value - mean) ** 2 for value in data) / (count - 1)
     return Summary(count, mean, variance)
 
-
-def aggregate_series(series_iter) -> list:
-    """Pointwise mean across equally long series, streamed."""
-    sums = None
-    count = 0
-    for series in series_iter:
-        if sums is None:
-            sums = [0.0] * len(series)
-        elif len(series) != len(sums):
-            raise ValueError("series lengths differ")
-        for index, value in enumerate(series):
-            sums[index] += value
-        count += 1
-    if sums is None:
-        return []
-    return [total / count for total in sums]

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, config files, outputs, exit codes."""
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from fogtrust.errors import (
     ReputationBelowThreshold,
 )
 from fogtrust.scheduling import Policy
+from fogtrust.simulation import ScenarioConfig, run_state_trial, trial_seed
 
 
 def run_cli(args):
@@ -133,7 +135,7 @@ def test_readme_config_block_names_every_config_key():
         assert set(cli.parse_flat_config(block, schema)) == set(schema)
         named.update(keys)
     assert schemas == {}
-    assert named == cli.CONFIG_KEYS
+    assert named == set(cli.SIMULATE_SCHEMA) | set(cli.DEMO_AUTH_SCHEMA)
 
 
 # -- demo-auth --
@@ -312,10 +314,13 @@ def test_simulate_flags_override_config_values(tmp_path):
     assert len(trials) == 1 + 2
 
 
+SMALL_STATE_CFG = ("fog_count = 6\niot_count = 8\nring_size = 3\n"
+                   "trials = 2\ncluster = 2\nhorizon_per_fog = 10\n")
+
+
 def test_simulate_state_series_live_count_never_increases(tmp_path):
     config = tmp_path / "state.cfg"
-    config.write_text("fog_count = 6\niot_count = 8\nring_size = 3\n"
-                      "trials = 2\ncluster = 2\nhorizon_per_fog = 10\n")
+    config.write_text(SMALL_STATE_CFG)
     code = run_cli(["simulate", "state", "--config", str(config),
                     "--seed", "5", "--out", str(tmp_path)])
     assert code == 0
@@ -329,6 +334,28 @@ def test_simulate_state_series_live_count_never_increases(tmp_path):
     assert per_trial[0] == "trial,final_malicious,final_reputation,live_fogs"
     assert len(per_trial) == 1 + 2
     assert (tmp_path / "state_plot.gp").exists()
+
+
+def test_simulate_state_series_is_the_pointwise_mean_of_its_trials(tmp_path):
+    config = tmp_path / "state.cfg"
+    config.write_text(SMALL_STATE_CFG)
+    assert run_cli(["simulate", "state", "--config", str(config),
+                    "--seed", "5", "--out", str(tmp_path)]) == 0
+    # the state study's own defaults: an adaptive population, deposit 10
+    study = ScenarioConfig(fog_count=6, iot_count=8, ring_size=3, trials=2,
+                           cluster_size=2, horizon_per_fog=10, adaptive=True,
+                           deposit=10, seed=5)
+    first, second = (run_state_trial(study, random.Random(trial_seed(5, index)))
+                     for index in range(2))
+    expected = ["step,mean_malicious,mean_reputation,mean_live"]
+    for step in range(6 * 10):
+        means = [(a[step] + b[step]) / 2 for a, b in (
+            (first.mean_malicious, second.mean_malicious),
+            (first.mean_reputation, second.mean_reputation),
+            (first.live_fogs, second.live_fogs))]
+        expected.append("%d,%s" % (step + 1, ",".join(map(cli._fmt, means))))
+    series = (tmp_path / "state_series.csv").read_text().splitlines()
+    assert series == expected
 
 
 # sha256 of every file and of stdout at seed 7, keyed by test id; a change

@@ -73,6 +73,13 @@ def test_shared_secret_differs_for_third_party():
     assert key_ab != key_eb
 
 
+def test_shared_secret_rejects_bad_secret():
+    peer = keys.derive_public(3)
+    for bad in (0, CURVE_ORDER, 2.0):
+        with pytest.raises(InvalidScalar):
+            keys.shared_secret(bad, peer)
+
+
 def test_keypair_generation_deterministic_with_rng():
     pair1 = keys.KeyPair.generate(random.Random(5))
     pair2 = keys.KeyPair.generate(random.Random(5))

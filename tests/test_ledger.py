@@ -751,6 +751,8 @@ SNAPSHOT_STATE_EDITS = {
     "int-address": lambda snapshot: snapshot["iot_table"][0].update(address=5),
     "int-oracle": lambda snapshot: snapshot["oracle_table"].append(5),
     "list-oracle": lambda snapshot: snapshot["oracle_table"].append(["a"]),
+    "repeated-oracle": lambda snapshot: snapshot["oracle_table"].extend(
+        ["a", "a"]),
     "repeated-address": _repeated_address,
 }
 

@@ -51,7 +51,7 @@ def test_recovery_over_wrong_message_yields_other_identity():
 
 
 def test_sign_rejects_bad_secret():
-    for bad in (0, CURVE_ORDER):
+    for bad in (0, CURVE_ORDER, 1.5):
         with pytest.raises(InvalidScalar):
             signing.sign(b"x", bad)
 

@@ -16,7 +16,6 @@ from fogtrust.simulation import (
     TokenSignature,
     adapt_on_penalty,
     aggregate,
-    aggregate_series,
     run_cost_scenario,
     run_cost_trial,
     run_state_trial,
@@ -324,17 +323,3 @@ def test_aggregate_matches_streaming_oracle(values):
     mean, variance = oracles.welford(values)
     assert summary.mean == pytest.approx(mean)
     assert summary.variance == pytest.approx(variance)
-
-
-def test_aggregate_series_takes_pointwise_means():
-    merged = aggregate_series([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-    assert merged == [2.0, 2.0, 2.0]
-
-
-def test_aggregate_series_rejects_ragged_input():
-    with pytest.raises(ValueError):
-        aggregate_series([[1.0, 2.0], [1.0]])
-
-
-def test_aggregate_series_of_nothing_is_empty():
-    assert aggregate_series([]) == []
