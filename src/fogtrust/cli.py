@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from dataclasses import fields
+from operator import add
 
 from .errors import (
     AuthError,
@@ -300,15 +301,15 @@ def _simulate_state(settings: dict, out_dir: str, stream) -> list:
                   metrics.live_fogs)
         if sums is None:
             sums = [[0.0] * len(values) for values in series]
-        for total, values in zip(sums, series):
-            for step, value in enumerate(values):
-                total[step] += value
+        sums = [list(map(add, total, values))
+                for total, values in zip(sums, series)]
     malicious, reputation, live = (
         [total / config.trials for total in column] for column in sums)
 
+    # each value as _fmt writes it, one format per row
     series_lines = ["step,mean_malicious,mean_reputation,mean_live"]
-    for step, means in enumerate(zip(malicious, reputation, live), 1):
-        series_lines.append("%d,%s,%s,%s" % (step, *map(_fmt, means)))
+    series_lines += ["%d,%.6f,%.6f,%.6f" % (step, *means) for step, means
+                     in enumerate(zip(malicious, reputation, live), 1)]
 
     print("state scenario: %d trials, %d fog nodes, horizon %d steps"
           % (config.trials, config.fog_count, len(live)), file=stream)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .constants import digest
 from .curve import CURVE_ORDER, GENERATOR, Point, scalar_mult
-from .errors import InvalidScalar
+from .errors import InvalidPoint, InvalidScalar
 
 ADDRESS_BYTES = 20
 
@@ -67,15 +67,22 @@ class KeyPair:
 # ---------------------------------------------------------------- encodings
 
 
+def _bytes_from_hex(text: str, error, what: str) -> bytes:
+    """The bytes of 0x-prefixed or bare hex text, else ``error``."""
+    if not isinstance(text, str):
+        raise error(f"{what} must be a hex string: {text!r}")
+    try:
+        return bytes.fromhex(text.removeprefix("0x"))
+    except ValueError:
+        raise error(f"{what} is not hex: {text!r}")
+
+
 def secret_to_hex(secret: int) -> str:
     return "0x" + secret.to_bytes(32, "big").hex()
 
 
 def secret_from_hex(text: str) -> int:
-    try:
-        raw = bytes.fromhex(text.removeprefix("0x"))
-    except ValueError:
-        raise InvalidScalar(f"secret is not hex: {text!r}")
+    raw = _bytes_from_hex(text, InvalidScalar, "secret")
     if len(raw) != 32:
         raise InvalidScalar(f"expected 32 bytes of secret, got {len(raw)}")
     return require_secret(int.from_bytes(raw, "big"))
@@ -86,4 +93,4 @@ def public_to_hex(public: Point) -> str:
 
 
 def public_from_hex(text: str) -> Point:
-    return Point.from_bytes(bytes.fromhex(text.removeprefix("0x")))
+    return Point.from_bytes(_bytes_from_hex(text, InvalidPoint, "public key"))

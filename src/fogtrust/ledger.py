@@ -117,9 +117,14 @@ class FogRecord:
     requests_served: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuditApplication:
-    """Arithmetic trail of one reward or penalty application."""
+    """Arithmetic trail of one reward or penalty application.
+
+    Slotted rather than frozen: the studies build one per verdict, and a
+    frozen dataclass sets each field through ``object.__setattr__``, which
+    makes building one several times slower.
+    """
 
     fog_address: str
     passed: bool

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .constants import digest
 from .curve import CURVE_ORDER, GENERATOR, Point, link_x, scalar_mult
-from .errors import MalformedRingSignature, RingTooSmall, SignerMismatch
+from .errors import InvalidPoint, MalformedRingSignature, RingTooSmall, SignerMismatch
 from .keys import derive_public, public_from_hex, public_to_hex, random_scalar
 
 MIN_RING = 2
@@ -49,12 +49,17 @@ class RingSignature:
     def from_json(cls, text: str) -> "RingSignature":
         try:
             data = json.loads(text)
+            responses, ring = data["responses"], data["ring"]
+            for values in (responses, ring):
+                if not (isinstance(values, list)
+                        and all(isinstance(v, str) for v in values)):
+                    raise TypeError("responses and ring must be lists of str")
             return cls(
                 challenge=int(data["challenge"], 16),
-                responses=tuple(int(s, 16) for s in data["responses"]),
-                ring=tuple(public_from_hex(p) for p in data["ring"]),
+                responses=tuple(int(s, 16) for s in responses),
+                ring=tuple(public_from_hex(p) for p in ring),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, InvalidPoint) as exc:
             raise MalformedRingSignature(str(exc)) from exc
 
 

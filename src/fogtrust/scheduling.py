@@ -8,7 +8,7 @@ about membership can wrap the result in ``set``.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right, insort
 from itertools import accumulate
 
 from .errors import ClusterTooLarge, InvalidDesign, UnknownFog
@@ -40,30 +40,45 @@ def sample_cluster_weighted(roster, slot_weights, cluster_size: int,
     out of the draw.  Each draw picks one node with probability proportional
     to its current weight among the not-yet-chosen, which keeps heavier
     (more suspicious) nodes strictly more likely to appear in the cluster.
-    A picked slot is zeroed until the cluster is complete and then restored,
-    so ``slot_weights`` is unchanged on return.
+    ``slot_weights`` is only read, never written.
 
-    Each pick is the first prefix sum above ``rng.random() * total``.  A
-    zero slot never is, so the pick is the node that the same mark selects
-    among the nonzero slots alone, provided every prefix sum is exact; the
-    scheduler's weights keep them exact (see ``Scheduler``).
+    One prefix sum ``totals`` serves the whole cluster.  Each pick draws
+    ``mark = rng.random() * total`` over the remaining weight and takes the
+    first slot whose prefix sum, less the weight ``removed`` of the slots
+    picked before it, is above ``mark``: the segments between picked slots
+    are walked in order and the slot is bisected inside the first segment
+    whose last such sum is above ``mark``.  A zero slot never is, so the
+    pick is the node that the same mark selects among the live, unpicked
+    slots alone, provided every prefix sum, ``total`` and ``removed`` is
+    exact; the scheduler's weights keep them exact (see ``Scheduler``).
     """
     live = len(slot_weights) - slot_weights.count(0.0)
     if cluster_size > live:
         raise ClusterTooLarge("cluster %d exceeds %d live nodes"
                               % (cluster_size, live))
+    totals = list(accumulate(slot_weights))
+    total = totals[-1] if totals else 0.0
+    ends = [len(totals)]  # picked slots in slot order, then the end
     picked = []
     for _ in range(cluster_size):
-        totals = list(accumulate(slot_weights))
-        total = totals[-1]
-        index = bisect_right(totals, rng.random() * total)
-        if index == len(totals):  # guard the mark == total float edge
-            index = bisect_left(totals, total)
-        picked.append((index, slot_weights[index]))
-        slot_weights[index] = 0.0
-    for index, weight in picked:
-        slot_weights[index] = weight
-    return [roster[index] for index, _ in picked]
+        mark = rng.random() * total
+        start = 0
+        removed = 0.0
+        for end in ends:
+            if start < end and totals[end - 1] - removed > mark:
+                index = bisect_right(totals, mark, start, end,
+                                     key=lambda t: t - removed)
+                break
+            if end < len(totals):
+                removed += slot_weights[end]
+            start = end + 1
+        else:  # the mark == total float edge: the last live, unpicked slot
+            index = max(slot for slot, weight in enumerate(slot_weights)
+                        if weight and slot not in picked)
+        insort(ends, index)
+        picked.append(index)
+        total -= slot_weights[index]
+    return [roster[index] for index in picked]
 
 
 def update_weight(weight: float, passed: bool) -> float:
@@ -107,14 +122,20 @@ class Scheduler:
     ``slot_addresses``: a live node's slot holds its weight, an ejected
     node's slot holds 0.  Weighted draws stay exact because every weight is
     a power of two of at least 1 (floor 1, gain x2, decay x0.5 with the
-    floor), so every prefix sum is exact in any order while the total stays
-    below 2^53.  It does: a weight's exponent is at most the node's failed
-    audits, and each failure seizes ``deposit_deduction`` until the deposit
-    is gone, so a node is removed after at most
-    ``ceil(deposit / deposit_deduction)`` failures.  The total is then at
-    most ``len(slot_addresses) * 2**ceil(deposit / deposit_deduction)``:
-    far below 2^53 for every shipped config, at most 100 * 2^10 (the state
+    floor), so every prefix sum, every sum of picked weights and their
+    differences are exact while the total stays below 2^53: a prefix sum
+    less the weight of the picked slots before it equals, bit for bit, the
+    prefix sum with those slots zeroed.  The total does stay below: a
+    weight's exponent is at most the node's failed audits, and each failure
+    seizes ``deposit_deduction`` until the deposit is gone, so a node is
+    removed after at most ``ceil(deposit / deposit_deduction)`` failures.
+    The total is then at most
+    ``len(slot_addresses) * 2**ceil(deposit / deposit_deduction)``: far
+    below 2^53 for every shipped config, at most 100 * 2^10 (the state
     scenario's deposit of 10).
+
+    Each address holds one slot, so a roster that repeats an address is
+    rejected with ``InvalidDesign``.
 
     Under the block design, block i is ``build_bibd(roster, size)[i]``,
     computed when it is drawn rather than stored, so an ejection only
@@ -126,10 +147,12 @@ class Scheduler:
         self.cluster_size = cluster_size
         self.rng = rng
         self.roster = list(fog_addresses)
-        self.slot_addresses = list(self.roster)
-        self.slot_weights = [float(WEIGHT_FLOOR)] * len(self.roster)
         self._slot_of = {address: index
                          for index, address in enumerate(self.roster)}
+        if len(self._slot_of) != len(self.roster):
+            raise InvalidDesign("roster repeats an address")
+        self.slot_addresses = list(self.roster)
+        self.slot_weights = [float(WEIGHT_FLOOR)] * len(self.roster)
         self.block_cursor = 0
         if policy is Policy.BIBD and self.roster:
             _check_block_size(min(cluster_size, len(self.roster)),

@@ -31,6 +31,8 @@ class Signature:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Signature":
+        if not isinstance(raw, bytes):
+            raise InvalidSignature("signature must be bytes")
         if len(raw) != 65:
             raise InvalidSignature(f"expected 65 bytes, got {len(raw)}")
         return cls(r=int.from_bytes(raw[:32], "big"),

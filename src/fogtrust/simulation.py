@@ -27,13 +27,16 @@ from .scheduling import Policy, Scheduler
 
 # -- token identities for bulk runs --
 
-@dataclass(frozen=True)
+# slotted rather than frozen, like ledger.AuditApplication: the studies build
+# one per contract call
+
+@dataclass(slots=True)
 class TokenSignature:
     address: str
     message: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TokenRingSignature:
     members: tuple
     message: bytes

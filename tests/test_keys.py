@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fogtrust import keys
 from fogtrust.curve import CURVE_ORDER
-from fogtrust.errors import InvalidScalar
+from fogtrust.errors import InvalidPoint, InvalidScalar
 
 import oracles
 
@@ -110,8 +110,9 @@ def test_secret_from_hex_validates_range():
 
 
 def test_secret_from_hex_rejects_non_hex():
-    with pytest.raises(InvalidScalar):
-        keys.secret_from_hex("0xzz")
+    for text in ("0xzz", None, 7, b"\x01" * 32):
+        with pytest.raises(InvalidScalar):
+            keys.secret_from_hex(text)
 
 
 def test_public_hex_roundtrip():
@@ -119,3 +120,11 @@ def test_public_hex_roundtrip():
     text = keys.public_to_hex(point)
     assert len(text) == 2 + 128
     assert keys.public_from_hex(text) == point
+
+
+@pytest.mark.parametrize("text", ["zz", "0x" + "zz" * 64, None, 7,
+                                  b"\x04" * 64],
+                         ids=["short", "long", "none", "int", "bytes"])
+def test_public_from_hex_rejects_what_is_not_hex_text(text):
+    with pytest.raises(InvalidPoint):
+        keys.public_from_hex(text)

@@ -24,6 +24,7 @@ from fogtrust.errors import (
 )
 from fogtrust.keys import KeyPair
 from fogtrust.ledger import (
+    AuditApplication,
     Ledger,
     Params,
     RemovalReason,
@@ -572,6 +573,24 @@ def test_fog_survives_exactly_ceil_deposit_over_deduction_penalties(
     assert node.address not in bench.ledger.fog_table
     assert outcome.removal_reason is RemovalReason.DEPOSIT_EXHAUSTED
     bench.assert_conserved()
+
+
+def test_audit_application_repr_and_equality_are_pinned():
+    # the contract-verify benchmark hashes these records through repr
+    def application():
+        return AuditApplication("0xab", False, -1, deducted=2, per_device=1,
+                                removed=True,
+                                removal_reason=RemovalReason.REPUTATION_FLOOR,
+                                refunded=12)
+
+    assert repr(application()) == (
+        "AuditApplication(fog_address='0xab', passed=False, "
+        "reputation_after=-1, deducted=2, per_device=1, "
+        "distributed_remainder=0, oracle_paid=0, removed=True, "
+        "removal_reason=<RemovalReason.REPUTATION_FLOOR: 'reputation_floor'>, "
+        "refunded=12)")
+    assert application() == application()
+    assert application() != AuditApplication("0xab", False, -1)
 
 
 def test_reputation_floor_forces_removal_with_refund():

@@ -1,5 +1,6 @@
 """Ring signature construction, rejection paths and signer anonymity."""
 
+import json
 import random
 
 import pytest
@@ -156,6 +157,33 @@ def test_json_roundtrip_still_verifies():
     assert ring.ring_verify(b"payload", restored)
     with pytest.raises(MalformedRingSignature):
         ring.RingSignature.from_json("{\"challenge\": \"0x1\"}")
+
+
+def _edited_json(sig, **edits):
+    document = json.loads(sig.to_json())
+    document.update(edits)
+    return json.dumps(document)
+
+
+def test_from_json_raises_its_typed_error_on_malformed_documents():
+    rng = random.Random(15)
+    members, pubs = make_ring(2, rng)
+    sig = ring.ring_sign(b"m", pubs, 0, members[0].secret, rng)
+    ring_hex = json.loads(sig.to_json())["ring"]
+    off_curve = "0x" + (1).to_bytes(32, "big").hex() * 2
+    documents = [
+        _edited_json(sig, ring=[ring_hex[0], 7]),       # not a string
+        _edited_json(sig, responses="12"),              # not a list
+        _edited_json(sig, ring=ring_hex[0]),            # not a list
+        _edited_json(sig, ring=[ring_hex[0], off_curve]),
+        _edited_json(sig, ring=[ring_hex[0], "0xzz"]),
+        "[]",
+        "not json",
+    ]
+    for document in documents:
+        with pytest.raises(MalformedRingSignature) as caught:
+            ring.RingSignature.from_json(document)
+        assert caught.value.__cause__ is not None
 
 
 def test_verifier_visible_fields_carry_no_signer_information():

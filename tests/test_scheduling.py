@@ -84,6 +84,15 @@ def test_weighted_never_draws_a_zero_slot_and_restores_weights():
     assert slot_weights == [0.0, 2.0, 0.0, 1.0, 4.0, 0.0]
 
 
+def test_weighted_draw_reads_its_weights_without_writing_them():
+    roster = addresses(6)
+    slot_weights = [0.0, 2.0, 1.0, 8.0, 0.0, 4.0]
+    expected = sample_cluster_weighted(roster, slot_weights, 3,
+                                       random.Random(13))
+    assert sample_cluster_weighted(roster, tuple(slot_weights), 3,
+                                   random.Random(13)) == expected
+
+
 def test_weighted_with_uniform_weights_matches_uniform_sampling():
     roster = addresses(20)
     slot_weights = [1.0] * 20
@@ -260,6 +269,14 @@ def test_scheduler_caps_cluster_at_roster_size(policy):
     scheduler = Scheduler(policy, 10, addresses(4), random.Random(11))
     cluster = scheduler.next_cluster()
     assert sorted(cluster) == sorted(addresses(4))
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_scheduler_rejects_a_roster_that_repeats_an_address(policy):
+    roster = addresses(2)
+    with pytest.raises(InvalidDesign):
+        Scheduler(policy, 3, [roster[0], roster[0], roster[1]],
+                  random.Random(12))
 
 
 @pytest.mark.parametrize("policy", list(Policy))

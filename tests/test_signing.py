@@ -79,6 +79,13 @@ def test_signature_bytes_roundtrip():
         signing.Signature.from_bytes(raw[:64])
 
 
+@pytest.mark.parametrize("raw", ["x" * 65, list(range(65)), None],
+                         ids=["str", "list", "none"])
+def test_signature_from_bytes_rejects_what_is_not_bytes(raw):
+    with pytest.raises(InvalidSignature):
+        signing.Signature.from_bytes(raw)
+
+
 def test_recover_rejects_fields_that_are_not_ints():
     sig = signing.sign(b"x", 555, random.Random(5))
     for field, value in (("r", 1.5), ("s", 1.5), ("recovery_hint", 0.0),
