@@ -346,48 +346,57 @@ class Ledger:
         return caller
 
     def fog_reward(self, fog_address: str, ring_signature, signature) -> AuditApplication:
-        caller = self._caller("fog_reward", signature, fog=fog_address)
-        self._check_audit(caller, fog_address, ring_signature, passed=True)
-        return self._apply_audit(fog_address, passed=True)
+        return self._audit("fog_reward", fog_address, ring_signature, signature,
+                           passed=True)
 
     def fog_penalize(self, fog_address: str, ring_signature, signature) -> AuditApplication:
-        caller = self._caller("fog_penalize", signature, fog=fog_address)
-        self._check_audit(caller, fog_address, ring_signature, passed=False)
-        return self._apply_audit(fog_address, passed=False)
+        return self._audit("fog_penalize", fog_address, ring_signature, signature,
+                           passed=False)
 
-    def _check_audit(self, caller: str, fog_address: str, ring_signature, passed: bool):
+    def _audit(self, op: str, fog_address: str, ring_signature, signature,
+               passed: bool) -> AuditApplication:
+        """Check a verdict, then apply it; a rejected verdict changes nothing.
+
+        The checks run in a fixed order, so a verdict with several faults
+        raises the first one's error: the caller is not an oracle, the fog
+        node is unknown, the attestation does not verify, a ring member is
+        not a registered device.
+        """
+        caller = self._caller(op, signature, fog=fog_address)
         if caller not in self.oracle_table:
             raise UnknownOracle("%s is not a registered oracle" % caller)
-        if not isinstance(fog_address, str) or fog_address not in self.fog_table:
+        # a non-string address, unhashable or not, names no fog node
+        record = self.fog_table.get(fog_address) if isinstance(fog_address, str) else None
+        if record is None:
             raise UnknownFog("no fog node at %s" % fog_address)
-        message = audit_message(fog_address, passed)
-        if not self.identity.ring_verify(message, ring_signature):
+        identity = self.identity
+        if not identity.ring_verify(audit_message(fog_address, passed), ring_signature):
             raise InvalidRingSignature("audit attestation does not verify")
-        for member in self.identity.ring_addresses(ring_signature):
-            if member not in self.iot_table:
+        iot_table = self.iot_table
+        for member in identity.ring_addresses(ring_signature):
+            if member not in iot_table:
                 raise RingMemberNotInIoTTable("ring member %s is not a registered device"
                                               % member)
 
-    def _apply_audit(self, fog_address: str, passed: bool) -> AuditApplication:
-        record = self.fog_table[fog_address]
+        params = self.params
         deducted = per_device = remainder = 0
         if passed:
-            record.reputation = min(record.reputation + self.params.reward_step,
-                                    self.params.reputation_max)
+            record.reputation = min(record.reputation + params.reward_step,
+                                    params.reputation_max)
         else:
-            record.reputation -= self.params.penalty_step
-            deducted = min(self.params.deposit_deduction, record.deposit)
+            record.reputation -= params.penalty_step
+            deducted = min(params.deposit_deduction, record.deposit)
             record.deposit -= deducted
             per_device, remainder = self._distribute(deducted)
         # The pool reimburses the oracle's disguised service payment and pays
         # a flat bounty on top, to the extent the pool can cover it.
-        oracle_paid = min(self.params.audit_payment + self.params.oracle_bounty,
+        oracle_paid = min(params.audit_payment + params.oracle_bounty,
                           self.fee_pool)
         self.fee_pool -= oracle_paid
         self.total_withdrawn += oracle_paid
         self._seq += 1
         reputation_after = record.reputation
-        if record.reputation < self.params.reputation_min:
+        if reputation_after < params.reputation_min:
             reason = RemovalReason.REPUTATION_FLOOR
         elif record.deposit == 0:
             reason = RemovalReason.DEPOSIT_EXHAUSTED

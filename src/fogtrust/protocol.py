@@ -345,13 +345,14 @@ def select_ring(oracle: OracleAgent, ledger) -> list:
     then shuffles the oracle's own device address in among them, drawing
     from the oracle's rng.
     """
+    # device_address hashes the key on every read, so it is read once
+    device = oracle.device_address
     pool = [address for address in ledger.iot_table
-            if address != oracle.device_address
-            and address in oracle.key_directory]
+            if address != device and address in oracle.key_directory]
     others = min(oracle.ring_size - 1, len(pool))
     if others < 1:
         raise RingTooSmall("need at least one other registered device")
-    members = oracle.rng.sample(pool, others) + [oracle.device_address]
+    members = oracle.rng.sample(pool, others) + [device]
     oracle.rng.shuffle(members)
     return members
 

@@ -12,10 +12,17 @@ while signing collapses to an equality check.  The cryptographic layer is
 exercised end to end by the protocol flows and their tests; a trial's audit
 verdict draws from the same Bernoulli law either way, because a corrupted
 response never equals the correct one.
+
+A trial's population differs from the next one's only in its malicious
+rates.  Registration through the contract is therefore replayed once per
+settings per process, and each trial restores its own ledger from that
+state with ``Ledger.from_snapshot``, so every trial's ledger passes the
+same checks as any snapshot a user could load.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -51,12 +58,15 @@ class TokenIdentity:
     """
 
     def recover_address(self, message: bytes, signature) -> str:
+        if not isinstance(signature, TokenSignature):
+            raise BadSignature("not a token signature")
         if signature.message != message:
             raise BadSignature("token was minted for a different message")
         return signature.address
 
     def ring_verify(self, message: bytes, signature) -> bool:
-        return signature.message == message
+        return (isinstance(signature, TokenRingSignature)
+                and signature.message == message)
 
     def ring_addresses(self, signature) -> tuple:
         return signature.members
@@ -143,29 +153,33 @@ DEVICE_FUNDS = 10
 @dataclass
 class _Population:
     ledger: Ledger
-    fog_addresses: list
+    fog_addresses: tuple
     iot_addresses: list
     rates: dict
     # (fog address, passed) -> (attested message, oracle's signed call)
     verdicts: dict
 
 
-def _build_population(config: ScenarioConfig, rng) -> _Population:
-    ledger = Ledger(config.params(), identity=TokenIdentity())
-    iot_addresses = ["iot-%04d" % n for n in range(config.iot_count)]
+@functools.lru_cache(maxsize=4)
+def _registered(fog_count: int, iot_count: int, params: Params) -> tuple:
+    """The registered population's snapshot, addresses and verdict table.
+
+    Shared by every trial with these settings, so nothing may mutate what
+    it returns.
+    """
+    ledger = Ledger(params, identity=TokenIdentity())
+    iot_addresses = tuple("iot-%04d" % n for n in range(iot_count))
     funding = call_message("iot_registration", amount=DEVICE_FUNDS)
-    for address in iot_addresses + [ORACLE_DEVICE]:
+    for address in iot_addresses + (ORACLE_DEVICE,):
         ledger.iot_registration(DEVICE_FUNDS, TokenSignature(address, funding))
     ledger.oracle_registration(
         TokenSignature(ORACLE_ADMIN, call_message("oracle_registration")))
 
-    fog_addresses = ["fog-%04d" % n for n in range(config.fog_count)]
-    staking = call_message("fog_registration", amount=config.deposit)
-    rates = {}
-    span = config.malicious_high - config.malicious_low
+    fog_addresses = tuple("fog-%04d" % n for n in range(fog_count))
+    deposit = params.deposit_requirement
+    staking = call_message("fog_registration", amount=deposit)
     for address in fog_addresses:
-        ledger.fog_registration(config.deposit, TokenSignature(address, staking))
-        rates[address] = config.malicious_low + span * rng.random()
+        ledger.fog_registration(deposit, TokenSignature(address, staking))
 
     verdicts = {}
     for address in fog_addresses:
@@ -173,7 +187,27 @@ def _build_population(config: ScenarioConfig, rng) -> _Population:
             verdicts[address, passed] = (
                 audit_message(address, passed),
                 TokenSignature(ORACLE_ADMIN, call_message(op, fog=address)))
-    return _Population(ledger, fog_addresses, iot_addresses, rates, verdicts)
+    return ledger.to_snapshot(), fog_addresses, iot_addresses, verdicts
+
+
+def _build_population(config: ScenarioConfig, rng) -> _Population:
+    """One trial's population: the registered ledger and fresh rates.
+
+    Registration is replayed through the contract once per settings per
+    process (``_registered``); each trial restores its own ledger from
+    that snapshot, through ``from_snapshot``'s checks, and draws one
+    malicious rate per fog node from ``rng``, in fog order.
+    """
+    snapshot, fog_addresses, iot_addresses, verdicts = _registered(
+        config.fog_count, config.iot_count, config.params())
+    ledger = Ledger.from_snapshot(snapshot, identity=TokenIdentity())
+    low = config.malicious_low
+    span = config.malicious_high - low
+    rates = {address: low + span * rng.random() for address in fog_addresses}
+    # a list copy: rng.sample checks a tuple against Sequence more slowly,
+    # and it draws a ring from these on every verdict
+    return _Population(ledger, fog_addresses, list(iot_addresses), rates,
+                       verdicts)
 
 
 def _submit_verdict(population: _Population, fog_address: str, passed: bool,

@@ -117,6 +117,20 @@ def weighted_cluster(live_fogs, weights, cluster_size, rng):
     return chosen
 
 
+def negbin_cost_moments(fog_count, failures, rate):
+    """Mean and variance of the audit attempts that expel every fog node.
+
+    Each node fails an audit with probability ``rate``, independently, and
+    is expelled at its ``failures``-th failure; no attempt is wasted on an
+    expelled node.  A node then costs NegBin(failures, rate) attempts, with
+    mean failures/rate and variance failures(1-rate)/rate^2, and the total
+    over ``fog_count`` independent nodes adds both.
+    """
+    mean = fog_count * failures / rate
+    variance = fog_count * failures * (1 - rate) / rate ** 2
+    return mean, variance
+
+
 def conservation_gap(ledger):
     """Deposits-in minus withdrawals-out minus everything the ledger holds.
 

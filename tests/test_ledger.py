@@ -1,5 +1,6 @@
 """Contract-state behaviour: registration, funds, payments, audits, conservation."""
 
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -17,6 +18,7 @@ from fogtrust.errors import (
     InvalidAmount,
     InvalidParams,
     InvalidRingSignature,
+    LedgerError,
     NotRegistered,
     RingMemberNotInIoTTable,
     UnknownFog,
@@ -33,6 +35,7 @@ from fogtrust.ledger import (
 )
 from fogtrust.ring import RingSignature, ring_sign
 from fogtrust.signing import Signature
+from fogtrust.simulation import TokenIdentity, TokenRingSignature, TokenSignature
 
 import oracles
 
@@ -501,6 +504,41 @@ def test_audit_rejects_ring_with_unregistered_member():
     with pytest.raises(RingMemberNotInIoTTable):
         bench.ledger.fog_reward(node.address, attestation, approval)
     assert bench.ledger.fog_table[node.address].reputation == 5
+
+
+# the contract's audit checks, in the order it runs them
+AUDIT_FAULTS = {
+    "oracle": UnknownOracle,
+    "fog": UnknownFog,
+    "ring": InvalidRingSignature,
+    "member": RingMemberNotInIoTTable,
+}
+
+
+@pytest.mark.parametrize("passed", [True, False])
+@pytest.mark.parametrize("faults", list(itertools.combinations(AUDIT_FAULTS, 2)))
+def test_audit_with_two_faults_raises_the_earlier_check(passed, faults):
+    ledger = Ledger(small_params(), identity=TokenIdentity())
+    funding = call_message("iot_registration", amount=10)
+    for device in ("dev-0", "dev-1"):
+        ledger.iot_registration(10, TokenSignature(device, funding))
+    ledger.fog_registration(
+        3, TokenSignature("fog", call_message("fog_registration", amount=3)))
+    ledger.oracle_registration(
+        TokenSignature("keeper", call_message("oracle_registration")))
+    op = "fog_reward" if passed else "fog_penalize"
+    fog = "ghost" if "fog" in faults else "fog"
+    caller = "impostor" if "oracle" in faults else "keeper"
+    approval = TokenSignature(caller, call_message(op, fog=fog))
+    members = ("dev-0", "outsider" if "member" in faults else "dev-1")
+    # an attestation of the other outcome does not verify
+    attested = audit_message(fog, passed != ("ring" in faults))
+    attestation = TokenRingSignature(members, attested)
+    before = ledger.to_snapshot()
+    with pytest.raises(LedgerError) as raised:
+        getattr(ledger, op)(fog, attestation, approval)
+    assert raised.type is AUDIT_FAULTS[faults[0]]
+    assert ledger.to_snapshot() == before
 
 
 def test_penalty_updates_reputation_deposit_and_distribution():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fogtrust import cli, signing
+from fogtrust import cli, keys, signing
 from fogtrust.constants import digest
 from fogtrust.errors import (
     BadSignature,
@@ -337,6 +337,21 @@ def test_select_ring_hides_oracle_among_devices():
         assert all(address in ledger.iot_table for address in ring)
         positions.add(ring.index(oracle.device_address))
     assert len(positions) > 1  # placement varies
+
+
+def test_select_ring_hashes_the_oracle_key_once(monkeypatch):
+    ledger, _, _, oracle, _ = build_world(devices=10)
+    hashed = []
+    original = keys.address_of
+
+    def counting(public):
+        hashed.append(public)
+        return original(public)
+
+    monkeypatch.setattr(keys, "address_of", counting)
+    ring = select_ring(oracle, ledger)
+    assert hashed == [oracle.iot_keypair.public]
+    assert len(ring) == 4
 
 
 def test_select_ring_needs_other_devices():

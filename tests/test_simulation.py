@@ -1,13 +1,19 @@
 """Monte-Carlo scenario harness: token identities, fog rates, trials."""
 
+import copy
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fogtrust.errors import BadSignature, InvalidConfig, NonTerminating
+from fogtrust import simulation
+from fogtrust.errors import (BadSignature, InvalidConfig, InvalidRingSignature,
+                             NonTerminating)
+from fogtrust.ledger import Ledger, audit_message, call_message
 from fogtrust.scheduling import Policy
 from fogtrust.simulation import (
     ScenarioConfig,
@@ -46,6 +52,46 @@ def test_token_ring_verifies_only_its_message():
     assert identity.ring_verify(b"attest", ring)
     assert not identity.ring_verify(b"forged", ring)
     assert identity.ring_addresses(ring) == ("a", "b", "c")
+
+
+def _token_population():
+    config = ScenarioConfig(fog_count=2, iot_count=4, trials=1)
+    return _build_population(config, random.Random(0))
+
+
+# the same inputs under Secp256k1Identity: a call signature of the wrong
+# type is BadSignature, an attestation of the wrong type does not verify
+@pytest.mark.parametrize("op", ["fog_reward", "fog_penalize"])
+@pytest.mark.parametrize("approval, attestation, error", [
+    (None, "genuine", BadSignature),
+    (b"fog_reward|fog=fog-0000", "genuine", BadSignature),
+    ("genuine", None, InvalidRingSignature),
+    ("genuine", b"audit|fog-0000|pass", InvalidRingSignature),
+])
+def test_token_identity_types_malformed_audits_and_changes_nothing(
+        op, approval, attestation, error):
+    population = _token_population()
+    ledger = population.ledger
+    fog = population.fog_addresses[0]
+    if approval == "genuine":
+        approval = TokenSignature(simulation.ORACLE_ADMIN,
+                                  call_message(op, fog=fog))
+    if attestation == "genuine":
+        attestation = TokenRingSignature(
+            tuple(population.iot_addresses[:2]),
+            audit_message(fog, op == "fog_reward"))
+    before = ledger.to_snapshot()
+    with pytest.raises(error):
+        getattr(ledger, op)(fog, attestation, approval)
+    assert ledger.to_snapshot() == before
+
+
+def test_token_identity_rejects_a_top_up_without_a_token():
+    ledger = _token_population().ledger
+    before = ledger.to_snapshot()
+    with pytest.raises(BadSignature):
+        ledger.iot_add_funds(5, None)
+    assert ledger.to_snapshot() == before
 
 
 # -- fog behavior --
@@ -155,6 +201,58 @@ def test_population_rates_fall_in_configured_band():
         assert 0.3 <= rate <= 0.6
 
 
+def test_registration_runs_once_per_settings(monkeypatch):
+    config = ScenarioConfig(fog_count=7, iot_count=11, cluster_size=2,
+                            trials=1, policy=Policy.WEIGHTED)
+    simulation._registered.cache_clear()
+    registered = []
+    original = Ledger.iot_registration
+
+    def counting(self, amount, signature):
+        registered.append(signature.address)
+        return original(self, amount, signature)
+
+    monkeypatch.setattr(Ledger, "iot_registration", counting)
+    first = run_cost_trial(config, random.Random(5))
+    second = run_cost_trial(config, random.Random(5))
+    assert len(registered) == config.iot_count + 1
+    assert first == second
+
+
+def test_same_seed_gives_equal_costs_with_cold_and_warm_registration():
+    config = ScenarioConfig(fog_count=6, iot_count=9, cluster_size=2,
+                            trials=5, policy=Policy.BIBD, seed=8)
+    simulation._registered.cache_clear()
+    cold = run_cost_scenario(config)
+    assert cold == run_cost_scenario(config)
+
+
+def test_restored_ledger_equals_a_freshly_registered_one():
+    config = ScenarioConfig(fog_count=5, iot_count=9, trials=1)
+    population = _build_population(config, random.Random(3))
+    fresh = simulation._registered.__wrapped__(
+        config.fog_count, config.iot_count, config.params())
+    snapshot, fog_addresses, iot_addresses, verdicts = fresh
+    assert population.ledger.to_snapshot() == snapshot
+    assert population.fog_addresses == fog_addresses
+    assert tuple(population.iot_addresses) == iot_addresses
+    assert population.verdicts == verdicts
+
+
+def test_trials_leave_the_shared_registration_untouched():
+    config = ScenarioConfig(fog_count=8, iot_count=8, cluster_size=3,
+                            trials=1, adaptive=True, deposit=4,
+                            horizon_per_fog=5)
+    key = (config.fog_count, config.iot_count, config.params())
+    shared = simulation._registered(*key)
+    saved = copy.deepcopy(shared)
+    for policy in Policy:
+        run_cost_trial(replace(config, policy=policy), random.Random(6))
+    run_state_trial(config, random.Random(6))
+    assert simulation._registered(*key) is shared
+    assert shared == saved
+
+
 # -- cost scenario --
 
 def always_faulty(**overrides):
@@ -217,6 +315,23 @@ def test_weighted_policy_spends_fewest_audits():
         means[policy] = aggregate(run_cost_scenario(config)).mean
     assert means[Policy.WEIGHTED] < means[Policy.BIBD]
     assert means[Policy.BIBD] < means[Policy.RANDOM]
+
+
+def test_weighted_cost_follows_the_negative_binomial_law():
+    # With one fixed rate p, deposit 3 and deduction 1, each fog node is
+    # expelled at its third failed audit (the reputation floor needs six)
+    # and the weighted policy never wastes an attempt, so each node costs
+    # NegBin(3, p) attempts.
+    rate = 0.6
+    config = ScenarioConfig(fog_count=20, iot_count=8, cluster_size=5,
+                            deposit=3, deposit_deduction=1,
+                            malicious_low=rate, malicious_high=rate,
+                            policy=Policy.WEIGHTED, trials=300, seed=40)
+    mean, variance = oracles.negbin_cost_moments(config.fog_count, 3, rate)
+    assert mean == pytest.approx(100.0)
+    costs = run_cost_scenario(config)
+    z = (aggregate(costs).mean - mean) / math.sqrt(variance / len(costs))
+    assert abs(z) < 4
 
 
 # -- state scenario --
