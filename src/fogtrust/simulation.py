@@ -8,10 +8,12 @@ adapt their misbehavior after penalties.
 Bulk trials run thousands of audits per second, so they use lightweight
 token identities instead of curve signatures: every contract rule (registry
 checks, ring membership, conservation, reputation arithmetic) stays active,
-while signing collapses to an equality check.  The cryptographic layer is
-exercised end to end by the protocol flows and their tests; a trial's audit
-verdict draws from the same Bernoulli law either way, because a corrupted
-response never equals the correct one.
+while signing collapses to an equality check.  No token fog reads a ring,
+so every verdict names one ring of ``ring_size`` devices fixed per settings
+rather than fresh decoys.  The cryptographic layer is exercised end to end
+by the protocol flows and their tests; a trial's audit verdict draws from
+the same Bernoulli law either way, because a corrupted response never
+equals the correct one.
 
 A trial's population differs from the next one's only in its malicious
 rates.  Registration through the contract is therefore replayed once per
@@ -62,11 +64,15 @@ class TokenIdentity:
             raise BadSignature("not a token signature")
         if signature.message != message:
             raise BadSignature("token was minted for a different message")
+        if not isinstance(signature.address, str):
+            raise BadSignature("token carries no address")
         return signature.address
 
     def ring_verify(self, message: bytes, signature) -> bool:
         return (isinstance(signature, TokenRingSignature)
-                and signature.message == message)
+                and signature.message == message
+                and type(signature.members) is tuple
+                and all(map(str.__instancecheck__, signature.members)))
 
     def ring_addresses(self, signature) -> tuple:
         return signature.members
@@ -154,18 +160,20 @@ DEVICE_FUNDS = 10
 class _Population:
     ledger: Ledger
     fog_addresses: tuple
-    iot_addresses: list
     rates: dict
-    # (fog address, passed) -> (attested message, oracle's signed call)
+    # (fog address, passed) -> (ring attestation, oracle's signed call)
     verdicts: dict
 
 
 @functools.lru_cache(maxsize=4)
-def _registered(fog_count: int, iot_count: int, params: Params) -> tuple:
-    """The registered population's snapshot, addresses and verdict table.
+def _registered(fog_count: int, iot_count: int, ring_size: int,
+                params: Params) -> tuple:
+    """The registered population's snapshot, fog addresses and verdicts.
 
-    Shared by every trial with these settings, so nothing may mutate what
-    it returns.
+    Every attestation names these settings' one ring, the first
+    ``ring_size - 1`` devices and the oracle's: no token fog reads a ring,
+    so fresh decoys per audit would change no outcome.  Shared by every
+    trial with these settings, so nothing may mutate what it returns.
     """
     ledger = Ledger(params, identity=TokenIdentity())
     iot_addresses = tuple("iot-%04d" % n for n in range(iot_count))
@@ -181,13 +189,14 @@ def _registered(fog_count: int, iot_count: int, params: Params) -> tuple:
     for address in fog_addresses:
         ledger.fog_registration(deposit, TokenSignature(address, staking))
 
+    ring = iot_addresses[:ring_size - 1] + (ORACLE_DEVICE,)
     verdicts = {}
     for address in fog_addresses:
         for passed, op in ((True, "fog_reward"), (False, "fog_penalize")):
             verdicts[address, passed] = (
-                audit_message(address, passed),
+                TokenRingSignature(ring, audit_message(address, passed)),
                 TokenSignature(ORACLE_ADMIN, call_message(op, fog=address)))
-    return ledger.to_snapshot(), fog_addresses, iot_addresses, verdicts
+    return ledger.to_snapshot(), fog_addresses, verdicts
 
 
 def _build_population(config: ScenarioConfig, rng) -> _Population:
@@ -198,28 +207,13 @@ def _build_population(config: ScenarioConfig, rng) -> _Population:
     that snapshot, through ``from_snapshot``'s checks, and draws one
     malicious rate per fog node from ``rng``, in fog order.
     """
-    snapshot, fog_addresses, iot_addresses, verdicts = _registered(
-        config.fog_count, config.iot_count, config.params())
+    snapshot, fog_addresses, verdicts = _registered(
+        config.fog_count, config.iot_count, config.ring_size, config.params())
     ledger = Ledger.from_snapshot(snapshot, identity=TokenIdentity())
     low = config.malicious_low
     span = config.malicious_high - low
     rates = {address: low + span * rng.random() for address in fog_addresses}
-    # a list copy: rng.sample checks a tuple against Sequence more slowly,
-    # and it draws a ring from these on every verdict
-    return _Population(ledger, fog_addresses, list(iot_addresses), rates,
-                       verdicts)
-
-
-def _submit_verdict(population: _Population, fog_address: str, passed: bool,
-                    ring_size: int, rng):
-    """Ring-attested verdict through the full contract path."""
-    members = rng.sample(population.iot_addresses, ring_size - 1)
-    members.append(ORACLE_DEVICE)
-    attested, approval = population.verdicts[fog_address, passed]
-    attestation = TokenRingSignature(tuple(members), attested)
-    ledger = population.ledger
-    submit = ledger.fog_reward if passed else ledger.fog_penalize
-    return submit(fog_address, attestation, approval)
+    return _Population(ledger, fog_addresses, rates, verdicts)
 
 
 def _attempts(config: ScenarioConfig, population: _Population, rng):
@@ -230,8 +224,10 @@ def _attempts(config: ScenarioConfig, population: _Population, rng):
     Each item comes after the scheduler has learned the outcome and before
     the next draw from ``rng``, so a consumer may draw from it in between.
     """
-    fog_table = population.ledger.fog_table
+    ledger = population.ledger
+    fog_table = ledger.fog_table
     rates = population.rates
+    verdicts = population.verdicts
     scheduler = Scheduler(config.policy, config.cluster_size,
                           population.fog_addresses, rng)
     while fog_table:
@@ -248,8 +244,9 @@ def _attempts(config: ScenarioConfig, population: _Population, rng):
                 continue
             passed = rng.random() >= rates[address]
             before = record.reputation
-            outcome = _submit_verdict(population, address, passed,
-                                      config.ring_size, rng)
+            # looked up per verdict, so a wrapped contract method sees each
+            submit = ledger.fog_reward if passed else ledger.fog_penalize
+            outcome = submit(address, *verdicts[address, passed])
             scheduler.record_outcome(address, passed, outcome.removed)
             yield address, passed, before, outcome
             if not fog_table:

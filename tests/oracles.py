@@ -131,6 +131,19 @@ def negbin_cost_moments(fog_count, failures, rate):
     return mean, variance
 
 
+def block_design_cost_bracket(fog_count, failures, rate):
+    """Bounds on the block design's mean cost, E[W] <= E[B] <= E[W] + N - 1.
+
+    Each node's audits until removal follow the same law as under the
+    weighted policy (``negbin_cost_moments``).  The block design learns of
+    a removal only when the node's block comes round and the attempt comes
+    back empty, then drops the node, so every expelled node wastes at most
+    one attempt, except the last, whose removal ends the trial.
+    """
+    mean, _ = negbin_cost_moments(fog_count, failures, rate)
+    return mean, mean + fog_count - 1
+
+
 def conservation_gap(ledger):
     """Deposits-in minus withdrawals-out minus everything the ledger holds.
 

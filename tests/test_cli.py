@@ -362,34 +362,34 @@ def test_simulate_state_series_is_the_pointwise_mean_of_its_trials(tmp_path):
 # that alters an RNG stream on purpose updates these and says so
 PINNED_SIMULATE_DIGESTS = {
     "cost": (("cost", "--trials", "3", "--cluster", "5"), {
-        "cost_trials.csv": "ffdada9bc854e920d34a0149fbc882574850b7d6fdfd527b5c135a2c28511397",
-        "cost_summary.csv": "7c1fe0bda3a47b8051ca5372be63d3fda964291f6057ee2f9b71adace52c59d8",
+        "cost_trials.csv": "8dfb4bbcec275a0e69d7811efdafb5e8f6d5cc50df642ced168f347cba98a07f",
+        "cost_summary.csv": "718201245a089b86c9e56a19c48227c0381c0848ce17e66008b64e6546a444ef",
         "cost_plot.gp": "1bb43888d8cbfeedaa93d660c3d5f42504c9c9fa1676fcfbd6b2cf574276ba01",
-        "stdout": "2615927bccca758d1281bbaf880594496d67eedb5c586f04cee0cc45501d7d51",
+        "stdout": "d864d17821a43fc549693a50f5b1b7dece91d95d95844a8d5e10cbb8d31e731f",
     }),
     "state": (("state", "--trials", "2"), {
-        "state_trials.csv": "b436e871e6b26c7c5c4f8403e4112146eb83082e0bff921149ad3666728d4029",
-        "state_series.csv": "8c64b963223812231f25fa2916ab388b6f7ccc6c2538d09d37f0e47ff3b48c64",
+        "state_trials.csv": "214e0869386bcbbb201fe28247a289eb2f998d1d22d424001915bb48ee438762",
+        "state_series.csv": "be963b764a9dc63dd77c3278a249ddfad27a95b4b55440eaf1844de06a3f75b4",
         "state_plot.gp": "d83cd420629200eef06c1c6efce4deece66e036f23e8d3542af281fad3609f76",
-        "stdout": "2c26e17a341f7b1238625c47cdb21ff033404afc48609a11d63e2f170a6e8d71",
+        "stdout": "861bebeb49ef034fe17b5414b9e0a1bf1033781942139e4926539afe2f67afb4",
     }),
     "state-random": (("state", "--trials", "2", "--policy", "random"), {
-        "state_trials.csv": "fb6ba7d41bc4ed1852de3fc47beb60d545bc26840a26efb4ce3d67117e1fc046",
-        "state_series.csv": "ccc4a271190b0f7ee5620d73094489d59e5da9718d922b747ca65a0b1357ec9c",
+        "state_trials.csv": "a33adace0352acc85858dc79edcf18aa4878bc97135f9fc7e4c5f274102be5fb",
+        "state_series.csv": "422f41bbd6bcdb4e0ae0d0ba311628e88917e30c56c22ad2037a1fba8227d5a7",
         "state_plot.gp": "d83cd420629200eef06c1c6efce4deece66e036f23e8d3542af281fad3609f76",
-        "stdout": "2a8b596dc9a84dffada8181f0610750829cabb3af212c2f0b29c85904048e1ce",
+        "stdout": "6da8bb2eee51679b3eceba6e0d848240086a6331921b064aab6bc3fbe32fbe4b",
     }),
     "state-bibd": (("state", "--trials", "2", "--policy", "bibd"), {
-        "state_trials.csv": "6e76a4a5fab16fe68fdaf4159fca188e7b8dbb091b861a454a1399e2043ba11e",
-        "state_series.csv": "b956893377a390b51d45730711c5fd48d762bab940308c762656d1eb73bc2677",
+        "state_trials.csv": "447ecd8966d4d0e5a981a71b665376c59a836f8cd60f2373ac40c281035e07b2",
+        "state_series.csv": "01c700f84fd3981ebbc10a2ce3f3003102969e700e9e12fccaafb75828d97001",
         "state_plot.gp": "d83cd420629200eef06c1c6efce4deece66e036f23e8d3542af281fad3609f76",
-        "stdout": "dbc5aa0d48a1a86c4e27ae18ec9842fff04b4c330afb7a0efdc72537a684ac9e",
+        "stdout": "a26fa48fc2ae5bfb4d2d03bcb53e74c01c3cd9fc76f4bc9ab43b30cb9f54fb51",
     }),
     "cost-cluster25": (("cost", "--trials", "2", "--cluster", "25"), {
-        "cost_trials.csv": "625d0091a694c21c320a7a330421d34ae9f8272d92822736f5f4a96684bea674",
-        "cost_summary.csv": "4437681eadc61325187cfda14e90a24c02791a7c1ddab8c9cc33566f7bce990b",
+        "cost_trials.csv": "9d45840a48d8650ec575271818556d42530c54ae9c39e5e0336b6cce476e5efa",
+        "cost_summary.csv": "bd8abb1b308c7defc8fb8815faa15363a5fd0f8b87e26e4e1100ccd1ffc92795",
         "cost_plot.gp": "1bb43888d8cbfeedaa93d660c3d5f42504c9c9fa1676fcfbd6b2cf574276ba01",
-        "stdout": "ffb0ce02120ce5ea97d9bf4b1005ce444ebc9f71dcc3f77a6ab108865e39f1d4",
+        "stdout": "e7694e946a91f078758b76b591caed4fe51132ff9755f6b94437e1f9005e4418",
     }),
 }
 

@@ -27,7 +27,6 @@ from fogtrust.simulation import (
     run_state_trial,
     trial_seed,
     _build_population,
-    _submit_verdict,
 )
 
 
@@ -77,12 +76,37 @@ def test_token_identity_types_malformed_audits_and_changes_nothing(
         approval = TokenSignature(simulation.ORACLE_ADMIN,
                                   call_message(op, fog=fog))
     if attestation == "genuine":
-        attestation = TokenRingSignature(
-            tuple(population.iot_addresses[:2]),
-            audit_message(fog, op == "fog_reward"))
+        attestation = population.verdicts[fog, op == "fog_reward"][0]
     before = ledger.to_snapshot()
     with pytest.raises(error):
         getattr(ledger, op)(fog, attestation, approval)
+    assert ledger.to_snapshot() == before
+
+
+def _reward_with_members(ledger, fog, members):
+    approval = TokenSignature(simulation.ORACLE_ADMIN,
+                              call_message("fog_reward", fog=fog))
+    attestation = TokenRingSignature(members, audit_message(fog, True))
+    return ledger.fog_reward(fog, attestation, approval)
+
+
+# a token must carry a string address and a tuple of string members; any
+# other value is a typed rejection, never a TypeError from the tables
+@pytest.mark.parametrize("submit, error", [
+    (lambda ledger, fog: ledger.iot_registration(10, TokenSignature(
+        ["x"], call_message("iot_registration", amount=10))), BadSignature),
+    (lambda ledger, fog: _reward_with_members(ledger, fog, (["x"],)),
+     InvalidRingSignature),
+    (lambda ledger, fog: _reward_with_members(ledger, fog, None),
+     InvalidRingSignature),
+], ids=["unhashable-address", "unhashable-member", "no-members"])
+def test_token_identity_types_malformed_tokens_and_changes_nothing(
+        submit, error):
+    population = _token_population()
+    ledger = population.ledger
+    before = ledger.to_snapshot()
+    with pytest.raises(error):
+        submit(ledger, population.fog_addresses[0])
     assert ledger.to_snapshot() == before
 
 
@@ -178,8 +202,8 @@ def test_population_ledger_is_conserved_through_verdicts():
     population = _build_population(config, rng)
     assert oracles.conservation_gap(population.ledger) == 0
     for address in population.fog_addresses[:4]:
-        _submit_verdict(population, address, passed=False,
-                        ring_size=config.ring_size, rng=rng)
+        population.ledger.fog_penalize(
+            address, *population.verdicts[address, False])
         assert oracles.conservation_gap(population.ledger) == 0
     assert len(population.ledger.fog_table) == 6
 
@@ -231,19 +255,52 @@ def test_restored_ledger_equals_a_freshly_registered_one():
     config = ScenarioConfig(fog_count=5, iot_count=9, trials=1)
     population = _build_population(config, random.Random(3))
     fresh = simulation._registered.__wrapped__(
-        config.fog_count, config.iot_count, config.params())
-    snapshot, fog_addresses, iot_addresses, verdicts = fresh
+        config.fog_count, config.iot_count, config.ring_size, config.params())
+    snapshot, fog_addresses, verdicts = fresh
     assert population.ledger.to_snapshot() == snapshot
     assert population.fog_addresses == fog_addresses
-    assert tuple(population.iot_addresses) == iot_addresses
     assert population.verdicts == verdicts
+
+
+def test_each_ring_size_registers_its_own_fixed_ring():
+    simulation._registered.cache_clear()
+    config = ScenarioConfig(fog_count=3, iot_count=5, trials=1)
+    sizes = (2, 4, 6)
+    for ring_size in sizes:
+        for seed in (0, 1):
+            population = _build_population(
+                replace(config, ring_size=ring_size), random.Random(seed))
+        registered = population.ledger.iot_table
+        assert len(population.verdicts) == 2 * config.fog_count
+        for (fog, passed), (attestation, _) in population.verdicts.items():
+            members = attestation.members
+            assert attestation.message == audit_message(fog, passed)
+            assert len(set(members)) == len(members) == ring_size
+            assert simulation.ORACLE_DEVICE in members
+            assert all(member in registered for member in members)
+    assert simulation._registered.cache_info().currsize == len(sizes)
+
+
+class _NoSampleRandom(random.Random):
+    def sample(self, population, k, **kwargs):
+        raise AssertionError("drew a sample")
+
+
+@pytest.mark.parametrize("policy", [Policy.WEIGHTED, Policy.BIBD])
+def test_verdicts_draw_no_ring_decoys(policy):
+    # these policies draw clusters without sample, so only a per-verdict
+    # decoy draw could call it
+    config = ScenarioConfig(fog_count=6, iot_count=8, cluster_size=2,
+                            trials=1, policy=policy)
+    assert run_cost_trial(config, _NoSampleRandom(4)) >= 6 * 3
 
 
 def test_trials_leave_the_shared_registration_untouched():
     config = ScenarioConfig(fog_count=8, iot_count=8, cluster_size=3,
                             trials=1, adaptive=True, deposit=4,
                             horizon_per_fog=5)
-    key = (config.fog_count, config.iot_count, config.params())
+    key = (config.fog_count, config.iot_count, config.ring_size,
+           config.params())
     shared = simulation._registered(*key)
     saved = copy.deepcopy(shared)
     for policy in Policy:
@@ -332,6 +389,24 @@ def test_weighted_cost_follows_the_negative_binomial_law():
     costs = run_cost_scenario(config)
     z = (aggregate(costs).mean - mean) / math.sqrt(variance / len(costs))
     assert abs(z) < 4
+
+
+def test_block_design_cost_falls_in_its_bracket():
+    # Same law per node as the weighted test above; the block design also
+    # wastes at most one attempt on each expelled node but the last, so
+    # its mean cost lies in [E[W], E[W] + N - 1].  Seed, trials and the
+    # z bound were fixed before the first run.
+    rate = 0.6
+    config = ScenarioConfig(fog_count=20, iot_count=8, cluster_size=5,
+                            deposit=3, deposit_deduction=1,
+                            malicious_low=rate, malicious_high=rate,
+                            policy=Policy.BIBD, trials=300, seed=41)
+    low, high = oracles.block_design_cost_bracket(config.fog_count, 3, rate)
+    assert (low, high) == pytest.approx((100.0, 119.0))
+    summary = aggregate(run_cost_scenario(config))
+    standard_error = math.sqrt(summary.variance / summary.count)
+    assert (summary.mean - low) / standard_error > -4
+    assert (summary.mean - high) / standard_error < 4
 
 
 # -- state scenario --
