@@ -308,8 +308,9 @@ def _simulate_state(settings: dict, out_dir: str, stream) -> list:
 
     # each value as _fmt writes it, one format per row
     series_lines = ["step,mean_malicious,mean_reputation,mean_live"]
-    series_lines += ["%d,%.6f,%.6f,%.6f" % (step, *means) for step, means
-                     in enumerate(zip(malicious, reputation, live), 1)]
+    series_lines += map("%d,%.6f,%.6f,%.6f".__mod__,
+                        zip(range(1, len(live) + 1), malicious, reputation,
+                            live))
 
     print("state scenario: %d trials, %d fog nodes, horizon %d steps"
           % (config.trials, config.fog_count, len(live)), file=stream)

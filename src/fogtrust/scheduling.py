@@ -13,9 +13,8 @@ from itertools import accumulate
 
 from .errors import ClusterTooLarge, InvalidDesign, UnknownFog
 
-WEIGHT_GAIN = 2.0
-WEIGHT_DECAY = 0.5
-WEIGHT_FLOOR = 1.0
+WEIGHT_GAIN = 2
+WEIGHT_FLOOR = 1
 
 
 class Policy(enum.Enum):
@@ -42,51 +41,50 @@ def sample_cluster_weighted(roster, slot_weights, cluster_size: int,
     (more suspicious) nodes strictly more likely to appear in the cluster.
     ``slot_weights`` is only read, never written.
 
-    One prefix sum ``totals`` serves the whole cluster.  Each pick draws
-    ``mark = rng.random() * total`` over the remaining weight and takes the
-    first slot whose prefix sum, less the weight ``removed`` of the slots
-    picked before it, is above ``mark``: the segments between picked slots
-    are walked in order and the slot is bisected inside the first segment
-    whose last such sum is above ``mark``.  A zero slot never is, so the
-    pick is the node that the same mark selects among the live, unpicked
-    slots alone, provided every prefix sum, ``total`` and ``removed`` is
-    exact; the scheduler's weights keep them exact (see ``Scheduler``).
+    Weights must be whole numbers: ints (as the scheduler's are), or
+    integral floats whose sum stays below 2^53.  Each pick floors its mark
+    ``rng.random() * total`` over the remaining weight, which against
+    whole-number sums selects the same slot as the mark itself, then shifts
+    it past each picked slot, in slot order, that starts at or below it.
+    The live, unpicked weight below the shifted mark is then the floored
+    mark, so one ``bisect_right`` over the cluster's one prefix sum
+    ``totals`` finds the slot that the mark selects among the live,
+    unpicked slots alone; a zero slot repeats the sum before it and is
+    never found.  Every sum is of whole numbers, so each is exact: shifting
+    an unfloored mark would round it.  The ``mark == total`` float edge
+    takes the last live, unpicked slot, as the mark ``total - 1`` does.
     """
-    live = len(slot_weights) - slot_weights.count(0.0)
+    live = len(slot_weights) - slot_weights.count(0)
     if cluster_size > live:
         raise ClusterTooLarge("cluster %d exceeds %d live nodes"
                               % (cluster_size, live))
     totals = list(accumulate(slot_weights))
-    total = totals[-1] if totals else 0.0
-    ends = [len(totals)]  # picked slots in slot order, then the end
-    picked = []
+    total = totals[-1] if totals else 0
+    random = rng.random
+    starts = []  # (prefix sum before the slot, weight) per pick, ascending
+    cluster = []
     for _ in range(cluster_size):
-        mark = rng.random() * total
-        start = 0
-        removed = 0.0
-        for end in ends:
-            if start < end and totals[end - 1] - removed > mark:
-                index = bisect_right(totals, mark, start, end,
-                                     key=lambda t: t - removed)
+        mark = int(random() * total)
+        if mark >= total:
+            mark = total - 1
+        for start, weight in starts:
+            if start > mark:
                 break
-            if end < len(totals):
-                removed += slot_weights[end]
-            start = end + 1
-        else:  # the mark == total float edge: the last live, unpicked slot
-            index = max(slot for slot, weight in enumerate(slot_weights)
-                        if weight and slot not in picked)
-        insort(ends, index)
-        picked.append(index)
-        total -= slot_weights[index]
-    return [roster[index] for index in picked]
+            mark += weight
+        index = bisect_right(totals, mark)
+        weight = slot_weights[index]
+        insort(starts, (totals[index] - weight, weight))
+        cluster.append(roster[index])
+        total -= weight
+    return cluster
 
 
-def update_weight(weight: float, passed: bool) -> float:
-    """A node's next weight: halved on a passed audit, doubled on a failed one."""
-    weight *= WEIGHT_DECAY if passed else WEIGHT_GAIN
-    if weight < WEIGHT_FLOOR:
-        weight = WEIGHT_FLOOR
-    return weight
+def update_weight(weight: int, passed: bool) -> int:
+    """A node's next weight: halved on a passed audit, down to the floor of
+    1, and doubled on a failed one."""
+    if passed:
+        return max(weight // WEIGHT_GAIN, WEIGHT_FLOOR)
+    return weight * WEIGHT_GAIN
 
 
 def _check_block_size(block_size: int, count: int):
@@ -96,11 +94,14 @@ def _check_block_size(block_size: int, count: int):
 
 
 def build_bibd(live_fogs, block_size: int) -> list:
-    """Cyclic-window block design: block i covers positions i..i+B-1 mod |F|.
+    """Cyclic, replication-balanced design: block i covers positions
+    i..i+B-1 mod |F|.
 
     Produces |F| blocks of size B with every node in exactly B blocks, for
-    any |F| >= B >= 1, so the design always exists regardless of classical
-    block-design constraints.
+    any |F| >= B >= 1.  Pairs of nodes do not in general share equally many
+    blocks (neighbours share more), so this is not a balanced incomplete
+    block design (BIBD), whose pair balance would restrict |F| and B;
+    ``Policy.BIBD`` and this function keep that name.
     """
     roster = list(live_fogs)
     count = len(roster)
@@ -120,19 +121,9 @@ class Scheduler:
 
     Weights live in ``slot_weights``, parallel to the initial roster
     ``slot_addresses``: a live node's slot holds its weight, an ejected
-    node's slot holds 0.  Weighted draws stay exact because every weight is
-    a power of two of at least 1 (floor 1, gain x2, decay x0.5 with the
-    floor), so every prefix sum, every sum of picked weights and their
-    differences are exact while the total stays below 2^53: a prefix sum
-    less the weight of the picked slots before it equals, bit for bit, the
-    prefix sum with those slots zeroed.  The total does stay below: a
-    weight's exponent is at most the node's failed audits, and each failure
-    seizes ``deposit_deduction`` until the deposit is gone, so a node is
-    removed after at most ``ceil(deposit / deposit_deduction)`` failures.
-    The total is then at most
-    ``len(slot_addresses) * 2**ceil(deposit / deposit_deduction)``: far
-    below 2^53 for every shipped config, at most 100 * 2^10 (the state
-    scenario's deposit of 10).
+    node's slot holds 0.  Every weight is an int power of two of at least
+    1 (floor 1, doubled on a failure, halved on a pass), so weighted draws
+    are exact at any total (see ``sample_cluster_weighted``).
 
     Each address holds one slot, so a roster that repeats an address is
     rejected with ``InvalidDesign``.
@@ -152,7 +143,7 @@ class Scheduler:
         if len(self._slot_of) != len(self.roster):
             raise InvalidDesign("roster repeats an address")
         self.slot_addresses = list(self.roster)
-        self.slot_weights = [float(WEIGHT_FLOOR)] * len(self.roster)
+        self.slot_weights = [WEIGHT_FLOOR] * len(self.roster)
         self.block_cursor = 0
         if policy is Policy.BIBD and self.roster:
             _check_block_size(min(cluster_size, len(self.roster)),
@@ -201,6 +192,6 @@ class Scheduler:
         slot = self._slot_of.get(fog_address)
         if slot is None or not self.slot_weights[slot]:
             return
-        self.slot_weights[slot] = 0.0
+        self.slot_weights[slot] = 0
         self.roster.remove(fog_address)
         self.block_cursor = 0

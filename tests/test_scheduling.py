@@ -222,6 +222,39 @@ def test_weighted_edge_mark_picks_the_last_live_node():
                                     _Marks([1.0])) == [roster[3], roster[2]]
 
 
+# After the heavy first slot is picked, the second mark falls one ulp below
+# the end of the first light slot among the three left.  Shifted past the
+# heavy slot as a float, that mark rounds onto the boundary and picks the
+# next slot.
+ULP_BELOW_A_SHIFTED_BOUNDARY = [0.0, math.nextafter(1 / 3, 0)]
+
+
+@pytest.mark.parametrize("heavy", [1024.0, 10.0])
+def test_weighted_mark_one_ulp_below_a_shifted_boundary(heavy):
+    roster = addresses(4)
+    slot_weights = [heavy, 1.0, 1.0, 1.0]
+    expected = oracles.weighted_cluster(
+        roster, dict(zip(roster, slot_weights)), 2,
+        _Marks(ULP_BELOW_A_SHIFTED_BOUNDARY))
+    assert expected == roster[:2]
+    assert sample_cluster_weighted(
+        roster, slot_weights, 2, _Marks(ULP_BELOW_A_SHIFTED_BOUNDARY)) == expected
+
+
+def test_scheduler_mark_one_ulp_below_a_shifted_boundary():
+    roster = addresses(4)
+    scheduler = Scheduler(Policy.WEIGHTED, 2, roster,
+                          _Marks(ULP_BELOW_A_SHIFTED_BOUNDARY))
+    for _ in range(10):
+        scheduler.record_outcome(roster[0], passed=False, removed=False)
+    assert live_weights(scheduler)[roster[0]] == 1024
+    expected = oracles.weighted_cluster(
+        roster, live_weights(scheduler), 2,
+        _Marks(ULP_BELOW_A_SHIFTED_BOUNDARY))
+    assert expected == roster[:2]
+    assert scheduler.next_cluster() == expected
+
+
 # -- block designs --
 
 @pytest.mark.parametrize("count,size", [(7, 3), (20, 5), (12, 1), (9, 9)])

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fogtrust import simulation
+from fogtrust import scheduling, simulation
 from fogtrust.errors import (BadSignature, InvalidConfig, InvalidRingSignature,
                              NonTerminating)
 from fogtrust.ledger import Ledger, audit_message, call_message
 from fogtrust.scheduling import Policy
 from fogtrust.simulation import (
     ScenarioConfig,
+    Summary,
     TokenIdentity,
     TokenRingSignature,
     TokenSignature,
@@ -489,6 +490,30 @@ def test_running_means_match_direct_recomputation():
             assert mean == 0.0
 
 
+def _reference_weighted_draw(roster, slot_weights, cluster_size, rng):
+    """``sample_cluster_weighted`` through the plain reference draw."""
+    weights = dict(zip(roster, slot_weights))
+    live = [address for address in roster if weights[address]]
+    return oracles.weighted_cluster(live, weights, cluster_size, rng)
+
+
+def test_weighted_trials_equal_trials_under_the_reference_draw(monkeypatch):
+    cost_config = ScenarioConfig(fog_count=20, iot_count=8, cluster_size=5,
+                                 trials=1, policy=Policy.WEIGHTED)
+    state_config = small_state_config()
+
+    def run_both():
+        return (run_cost_trial(cost_config, random.Random(51)),
+                run_state_trial(state_config, random.Random(52)))
+
+    cost, state = run_both()
+    monkeypatch.setattr(scheduling, "sample_cluster_weighted",
+                        _reference_weighted_draw)
+    reference_cost, reference_state = run_both()
+    assert cost == reference_cost
+    assert state == reference_state
+
+
 # -- aggregation --
 
 def test_aggregate_matches_worked_example():
@@ -499,7 +524,7 @@ def test_aggregate_matches_worked_example():
 
 
 def test_aggregate_handles_degenerate_inputs():
-    assert aggregate([]) == (0, 0.0, 0.0) or aggregate([]).count == 0
+    assert aggregate([]) == Summary(0, 0.0, 0.0)
     single = aggregate([5])
     assert single.mean == 5.0
     assert single.variance == 0.0
