@@ -105,6 +105,7 @@ def parse_flat_config(text: str, schema: dict) -> dict:
 
     ``schema`` maps each accepted key to the type its value parses as."""
     settings = {}
+    set_on = {}  # key -> the line that set it
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -115,6 +116,10 @@ def parse_flat_config(text: str, schema: dict) -> dict:
         key = key.strip()
         if key not in schema:
             raise InvalidConfig("unknown config key %r on line %d" % (key, number))
+        if key in set_on:
+            raise InvalidConfig("config key %r is set on lines %d and %d"
+                                % (key, set_on[key], number))
+        set_on[key] = number
         settings[key] = _parse_value(key, value.strip(), schema[key])
     return settings
 

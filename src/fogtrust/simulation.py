@@ -9,11 +9,10 @@ Bulk trials run thousands of audits per second, so they use lightweight
 token identities instead of curve signatures: every contract rule (registry
 checks, ring membership, conservation, reputation arithmetic) stays active,
 while signing collapses to an equality check.  No token fog reads a ring,
-so every verdict names one ring of ``ring_size`` devices fixed per settings
-rather than fresh decoys.  The cryptographic layer is exercised end to end
-by the protocol flows and their tests; a trial's audit verdict draws from
-the same Bernoulli law either way, because a corrupted response never
-equals the correct one.
+so every verdict names one fixed two-device ring, not fresh decoys.  The
+cryptographic layer is exercised end to end by the protocol flows and
+their tests; a trial's audit verdict draws from the same Bernoulli law
+either way, because a corrupted response never equals the correct one.
 
 A trial's population differs from the next one's only in its malicious
 rates.  Registration through the contract is therefore replayed once per
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 from .constants import digest
 from .errors import BadSignature, InvalidConfig, InvalidParams, NonTerminating
 from .ledger import Ledger, Params, audit_message, call_message
+from .ring import MIN_RING
 from .scheduling import Policy, Scheduler
 
 
@@ -69,10 +69,12 @@ class TokenIdentity:
         return signature.address
 
     def ring_verify(self, message: bytes, signature) -> bool:
-        return (isinstance(signature, TokenRingSignature)
-                and signature.message == message
-                and type(signature.members) is tuple
-                and all(map(str.__instancecheck__, signature.members)))
+        if not isinstance(signature, TokenRingSignature):
+            return False
+        members = signature.members
+        return (signature.message == message and type(members) is tuple
+                and all(map(str.__instancecheck__, members))
+                and MIN_RING <= len(set(members)) == len(members))
 
     def ring_addresses(self, signature) -> tuple:
         return signature.members
@@ -90,7 +92,6 @@ def adapt_on_penalty(rate: float, rng) -> float:
 @dataclass(frozen=True)
 class ScenarioConfig:
     fog_count: int = 100
-    iot_count: int = 200
     policy: Policy = Policy.WEIGHTED
     cluster_size: int = 5
     deposit: int = 3
@@ -103,23 +104,18 @@ class ScenarioConfig:
     trials: int = 1000
     adaptive: bool = False
     seed: int = 0
-    ring_size: int = 4
     horizon_per_fog: int = 50
     malicious_low: float = 0.4
     malicious_high: float = 1.0
     audit_cap: int = 10**6
 
     def __post_init__(self):
-        if self.fog_count < 1 or self.iot_count < 1:
-            raise InvalidConfig("population counts must be positive")
+        if self.fog_count < 1:
+            raise InvalidConfig("fog count must be positive")
         if self.cluster_size < 1:
             raise InvalidConfig("cluster size must be positive")
         if self.trials < 1:
             raise InvalidConfig("need at least one trial")
-        if self.ring_size < 2:
-            raise InvalidConfig("rings need at least two members")
-        if self.iot_count < self.ring_size - 1:
-            raise InvalidConfig("not enough devices to hide the oracle in a ring")
         if not 0.0 <= self.malicious_low <= self.malicious_high <= 1.0:
             raise InvalidConfig("malicious rate bounds must satisfy 0 <= low <= high <= 1")
         if self.horizon_per_fog < 1:
@@ -166,19 +162,18 @@ class _Population:
 
 
 @functools.lru_cache(maxsize=4)
-def _registered(fog_count: int, iot_count: int, ring_size: int,
-                params: Params) -> tuple:
+def _registered(fog_count: int, params: Params) -> tuple:
     """The registered population's snapshot, fog addresses and verdicts.
 
-    Every attestation names these settings' one ring, the first
-    ``ring_size - 1`` devices and the oracle's: no token fog reads a ring,
-    so fresh decoys per audit would change no outcome.  Shared by every
-    trial with these settings, so nothing may mutate what it returns.
+    Every attestation names the two registered devices, a decoy and the
+    oracle's: the smallest ring the curve scheme accepts, since no token
+    fog reads a ring.  Shared by every trial with these settings, so
+    nothing may mutate what it returns.
     """
     ledger = Ledger(params, identity=TokenIdentity())
-    iot_addresses = tuple("iot-%04d" % n for n in range(iot_count))
+    ring = ("iot-0000", ORACLE_DEVICE)
     funding = call_message("iot_registration", amount=DEVICE_FUNDS)
-    for address in iot_addresses + (ORACLE_DEVICE,):
+    for address in ring:
         ledger.iot_registration(DEVICE_FUNDS, TokenSignature(address, funding))
     ledger.oracle_registration(
         TokenSignature(ORACLE_ADMIN, call_message("oracle_registration")))
@@ -189,7 +184,6 @@ def _registered(fog_count: int, iot_count: int, ring_size: int,
     for address in fog_addresses:
         ledger.fog_registration(deposit, TokenSignature(address, staking))
 
-    ring = iot_addresses[:ring_size - 1] + (ORACLE_DEVICE,)
     verdicts = {}
     for address in fog_addresses:
         for passed, op in ((True, "fog_reward"), (False, "fog_penalize")):
@@ -207,8 +201,8 @@ def _build_population(config: ScenarioConfig, rng) -> _Population:
     that snapshot, through ``from_snapshot``'s checks, and draws one
     malicious rate per fog node from ``rng``, in fog order.
     """
-    snapshot, fog_addresses, verdicts = _registered(
-        config.fog_count, config.iot_count, config.ring_size, config.params())
+    snapshot, fog_addresses, verdicts = _registered(config.fog_count,
+                                                    config.params())
     ledger = Ledger.from_snapshot(snapshot, identity=TokenIdentity())
     low = config.malicious_low
     span = config.malicious_high - low

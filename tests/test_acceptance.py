@@ -436,10 +436,10 @@ def test_acceptance_5_policy_cost_ordering(capsys):
     for cluster_size in (5, 25):
         stats = {}
         for policy in Policy:
-            config = ScenarioConfig(fog_count=100, iot_count=16,
+            config = ScenarioConfig(fog_count=100,
                                     cluster_size=cluster_size, deposit=3,
                                     deposit_deduction=1, trials=trials,
-                                    policy=policy, ring_size=4, seed=0x5EED)
+                                    policy=policy, seed=0x5EED)
             stats[policy] = aggregate(run_cost_scenario(config))
         weighted = stats[Policy.WEIGHTED]
         rand = stats[Policy.RANDOM]
@@ -480,9 +480,9 @@ def test_acceptance_6_state_dynamics(capsys):
     nonincreasing = 0
     total = 0
     for policy in (Policy.WEIGHTED, Policy.RANDOM, Policy.BIBD):
-        config = ScenarioConfig(fog_count=30, iot_count=16, cluster_size=5,
+        config = ScenarioConfig(fog_count=30, cluster_size=5,
                                 deposit=10, deposit_deduction=1, trials=trials,
-                                adaptive=True, policy=policy, ring_size=4,
+                                adaptive=True, policy=policy,
                                 horizon_per_fog=50, seed=0xF00D,
                                 reputation_initial=10, reputation_max=10,
                                 reputation_min=0)
@@ -561,7 +561,7 @@ def test_acceptance_7_block_design_balance(capsys):
 
 def test_acceptance_8_deterministic_outputs(tmp_path, capsys):
     config_file = tmp_path / "scenario.cfg"
-    config_file.write_text("fog_count = 8\niot_count = 8\nring_size = 3\n"
+    config_file.write_text("fog_count = 8\n"
                            "trials = 5\ncluster = 2\nhorizon_per_fog = 10\n")
     mismatches = []
     for scenario in ("cost", "state"):

@@ -164,9 +164,8 @@ def test_demo_auth_uses_key_files(tmp_path, capsys):
 # a value each key would accept in simulate
 SIMULATE_ONLY_SETTINGS = {
     "policy": "bibd", "cluster": "2", "trials": "5", "fog_count": "3",
-    "iot_count": "8", "adaptive": "true", "ring_size": "3",
-    "horizon_per_fog": "2", "malicious_low": "0.5", "malicious_high": "0.9",
-    "audit_cap": "100",
+    "adaptive": "true", "horizon_per_fog": "2", "malicious_low": "0.5",
+    "malicious_high": "0.9", "audit_cap": "100",
 }
 
 
@@ -201,6 +200,23 @@ def test_demo_auth_rejects_inconsistent_key_file(edit, tmp_path, capsys):
     assert run_cli(["demo-auth", "--config", str(config)]) == 3
     captured = capsys.readouterr()
     assert "InvalidConfig: key file %s" % key in captured.err
+    assert captured.out == ""
+
+
+def test_demo_auth_rejects_a_key_file_that_sets_a_key_twice(tmp_path, capsys):
+    run_cli(["keygen", "--count", "2", "--seed", "3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    privates = [dict(line.split(" = ") for line in
+                     (tmp_path / name).read_text().strip().splitlines())
+                ["private"] for name in ("key-00.txt", "key-01.txt")]
+    key = tmp_path / "twice.txt"
+    key.write_text("".join("private = %s\n" % value for value in privates))
+    config = tmp_path / "demo.cfg"
+    config.write_text("iot_key = %s\n" % key)
+    assert run_cli(["demo-auth", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert ("InvalidConfig: key file %s: config key 'private' is set on "
+            "lines 1 and 2" % key) in captured.err
     assert captured.out == ""
 
 
@@ -253,8 +269,6 @@ def test_non_ascii_file_is_a_config_error(where, tmp_path, capsys):
 
 SMALL_COST_CFG = """
 fog_count = 8
-iot_count = 8
-ring_size = 3
 trials = 4
 cluster = 2
 """
@@ -314,7 +328,7 @@ def test_simulate_flags_override_config_values(tmp_path):
     assert len(trials) == 1 + 2
 
 
-SMALL_STATE_CFG = ("fog_count = 6\niot_count = 8\nring_size = 3\n"
+SMALL_STATE_CFG = ("fog_count = 6\n"
                    "trials = 2\ncluster = 2\nhorizon_per_fog = 10\n")
 
 
@@ -342,7 +356,7 @@ def test_simulate_state_series_is_the_pointwise_mean_of_its_trials(tmp_path):
     assert run_cli(["simulate", "state", "--config", str(config),
                     "--seed", "5", "--out", str(tmp_path)]) == 0
     # the state study's own defaults: an adaptive population, deposit 10
-    study = ScenarioConfig(fog_count=6, iot_count=8, ring_size=3, trials=2,
+    study = ScenarioConfig(fog_count=6, trials=2,
                            cluster_size=2, horizon_per_fog=10, adaptive=True,
                            deposit=10, seed=5)
     first, second = (run_state_trial(study, random.Random(trial_seed(5, index)))
@@ -417,10 +431,12 @@ def test_simulate_rejects_zero_cluster(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["fee_rate", "audit_payment",
                                  "oracle_bounty", "iot_funds", "iot_key",
-                                 "fog_key", "reputation_threshold"])
+                                 "fog_key", "reputation_threshold",
+                                 "iot_count", "ring_size"])
 def test_simulate_rejects_contract_keys_no_study_reads(key, tmp_path, capsys):
-    # the studies make no service payment and no handshake, so none of
-    # these could change an output
+    # the studies make no service payment and no handshake, and they
+    # register one fixed two-device ring, so none of these could change
+    # an output
     config = tmp_path / "payment.cfg"
     config.write_text("%s = 0\n" % key)
     code = run_cli(["simulate", "cost", "--config", str(config),
@@ -429,6 +445,59 @@ def test_simulate_rejects_contract_keys_no_study_reads(key, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "unknown config key %r" % key in captured.err
     assert captured.out == ""  # fails before any table output
+
+
+def test_simulate_rejects_a_key_set_twice(tmp_path, capsys):
+    config = tmp_path / "twice.cfg"
+    config.write_text("fog_count = 4\ntrials = 1\ntrials = 2\n")
+    code = run_cli(["simulate", "cost", "--config", str(config),
+                    "--out", str(tmp_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "config key 'trials' is set on lines 2 and 3" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
+
+
+# a second value for each simulate key, one that changes some output of
+# TINY_CFG; reputation_min 7 expels a fog before its deposit runs out
+SECOND_VALUES = {
+    "policy": "random", "cluster": "3", "trials": "3", "seed": "5",
+    "fog_count": "5", "adaptive": "false", "horizon_per_fog": "7",
+    "malicious_low": "0.1", "malicious_high": "0.6", "audit_cap": "1",
+    "deposit": "5", "deposit_deduction": "2", "reward_step": "2",
+    "penalty_step": "3", "reputation_initial": "8", "reputation_min": "7",
+    "reputation_max": "12",
+}
+TINY_CFG = "fog_count = 4\ntrials = 2\ncluster = 2\nhorizon_per_fog = 6\n"
+
+
+def _simulate_outputs(tmp_path, capsys, name, text):
+    """Exit code, stdout and --out files of simulate cost and state."""
+    config = tmp_path / ("%s.cfg" % name)
+    config.write_text(text)
+    outputs = []
+    for scenario in ("cost", "state"):
+        out = tmp_path / name / scenario
+        out.mkdir(parents=True)
+        # no --seed flag, which would override a seed set in the config
+        code = run_cli(["simulate", scenario, "--config", str(config),
+                        "--out", str(out)])
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        outputs.append((code, capsys.readouterr().out, files))
+    return outputs
+
+
+@pytest.mark.parametrize("key", sorted(cli.SIMULATE_SCHEMA))
+def test_every_simulate_key_changes_an_output(key, tmp_path, capsys):
+    base = _simulate_outputs(tmp_path, capsys, "base", TINY_CFG)
+    assert [code for code, _, _ in base] == [0, 0]
+    lines = [line for line in TINY_CFG.splitlines()
+             if line.partition("=")[0].strip() != key]
+    lines.append("%s = %s" % (key, SECOND_VALUES[key]))
+    changed = _simulate_outputs(tmp_path, capsys, "changed",
+                                "\n".join(lines) + "\n")
+    assert changed != base
 
 
 def test_simulate_rejects_unknown_policy_in_config(tmp_path, capsys):

@@ -14,6 +14,7 @@ from fogtrust import scheduling, simulation
 from fogtrust.errors import (BadSignature, InvalidConfig, InvalidRingSignature,
                              NonTerminating)
 from fogtrust.ledger import Ledger, audit_message, call_message
+from fogtrust.ring import MIN_RING
 from fogtrust.scheduling import Policy
 from fogtrust.simulation import (
     ScenarioConfig,
@@ -55,7 +56,7 @@ def test_token_ring_verifies_only_its_message():
 
 
 def _token_population():
-    config = ScenarioConfig(fog_count=2, iot_count=4, trials=1)
+    config = ScenarioConfig(fog_count=2, trials=1)
     return _build_population(config, random.Random(0))
 
 
@@ -92,7 +93,9 @@ def _reward_with_members(ledger, fog, members):
 
 
 # a token must carry a string address and a tuple of string members; any
-# other value is a typed rejection, never a TypeError from the tables
+# other value is a typed rejection, never a TypeError from the tables.  A
+# ring of registered members must also pass the curve scheme's ring rules:
+# at least MIN_RING members, none repeated
 @pytest.mark.parametrize("submit, error", [
     (lambda ledger, fog: ledger.iot_registration(10, TokenSignature(
         ["x"], call_message("iot_registration", amount=10))), BadSignature),
@@ -100,7 +103,14 @@ def _reward_with_members(ledger, fog, members):
      InvalidRingSignature),
     (lambda ledger, fog: _reward_with_members(ledger, fog, None),
      InvalidRingSignature),
-], ids=["unhashable-address", "unhashable-member", "no-members"])
+    (lambda ledger, fog: _reward_with_members(ledger, fog, ()),
+     InvalidRingSignature),
+    (lambda ledger, fog: _reward_with_members(
+        ledger, fog, (simulation.ORACLE_DEVICE,)), InvalidRingSignature),
+    (lambda ledger, fog: _reward_with_members(
+        ledger, fog, (simulation.ORACLE_DEVICE,) * 2), InvalidRingSignature),
+], ids=["unhashable-address", "unhashable-member", "no-members",
+        "empty-ring", "one-member", "repeated-member"])
 def test_token_identity_types_malformed_tokens_and_changes_nothing(
         submit, error):
     population = _token_population()
@@ -154,11 +164,6 @@ def test_config_rejects_zero_trials():
         ScenarioConfig(trials=0)
 
 
-def test_config_rejects_tiny_ring():
-    with pytest.raises(InvalidConfig):
-        ScenarioConfig(ring_size=1)
-
-
 def test_config_rejects_inverted_malicious_bounds():
     with pytest.raises(InvalidConfig):
         ScenarioConfig(malicious_low=0.9, malicious_high=0.2)
@@ -167,11 +172,6 @@ def test_config_rejects_inverted_malicious_bounds():
 def test_config_rejects_out_of_range_malicious_bounds():
     with pytest.raises(InvalidConfig):
         ScenarioConfig(malicious_high=1.5)
-
-
-def test_config_rejects_too_few_devices_for_ring():
-    with pytest.raises(InvalidConfig):
-        ScenarioConfig(iot_count=2, ring_size=8)
 
 
 def test_config_surfaces_bad_contract_parameters():
@@ -197,8 +197,7 @@ def test_trial_seeds_are_deterministic_and_distinct():
 # -- population wiring --
 
 def test_population_ledger_is_conserved_through_verdicts():
-    config = ScenarioConfig(fog_count=6, iot_count=10, cluster_size=2,
-                            trials=1, ring_size=4)
+    config = ScenarioConfig(fog_count=6, cluster_size=2, trials=1)
     rng = random.Random(2)
     population = _build_population(config, rng)
     assert oracles.conservation_gap(population.ledger) == 0
@@ -210,16 +209,16 @@ def test_population_ledger_is_conserved_through_verdicts():
 
 
 def test_population_sizes_match_config():
-    config = ScenarioConfig(fog_count=5, iot_count=9, trials=1)
+    config = ScenarioConfig(fog_count=5, trials=1)
     population = _build_population(config, random.Random(0))
     assert len(population.fog_addresses) == 5
-    # the oracle's device identity is registered alongside the others
-    assert len(population.ledger.iot_table) == 10
+    # one decoy device and the oracle's, the smallest ring
+    assert len(population.ledger.iot_table) == 2
     assert len(population.ledger.oracle_table) == 1
 
 
 def test_population_rates_fall_in_configured_band():
-    config = ScenarioConfig(fog_count=50, iot_count=8, trials=1,
+    config = ScenarioConfig(fog_count=50, trials=1,
                             malicious_low=0.3, malicious_high=0.6)
     population = _build_population(config, random.Random(4))
     for rate in population.rates.values():
@@ -227,7 +226,7 @@ def test_population_rates_fall_in_configured_band():
 
 
 def test_registration_runs_once_per_settings(monkeypatch):
-    config = ScenarioConfig(fog_count=7, iot_count=11, cluster_size=2,
+    config = ScenarioConfig(fog_count=7, cluster_size=2,
                             trials=1, policy=Policy.WEIGHTED)
     simulation._registered.cache_clear()
     registered = []
@@ -240,12 +239,12 @@ def test_registration_runs_once_per_settings(monkeypatch):
     monkeypatch.setattr(Ledger, "iot_registration", counting)
     first = run_cost_trial(config, random.Random(5))
     second = run_cost_trial(config, random.Random(5))
-    assert len(registered) == config.iot_count + 1
+    assert len(registered) == 2
     assert first == second
 
 
 def test_same_seed_gives_equal_costs_with_cold_and_warm_registration():
-    config = ScenarioConfig(fog_count=6, iot_count=9, cluster_size=2,
+    config = ScenarioConfig(fog_count=6, cluster_size=2,
                             trials=5, policy=Policy.BIBD, seed=8)
     simulation._registered.cache_clear()
     cold = run_cost_scenario(config)
@@ -253,33 +252,37 @@ def test_same_seed_gives_equal_costs_with_cold_and_warm_registration():
 
 
 def test_restored_ledger_equals_a_freshly_registered_one():
-    config = ScenarioConfig(fog_count=5, iot_count=9, trials=1)
+    config = ScenarioConfig(fog_count=5, trials=1)
     population = _build_population(config, random.Random(3))
-    fresh = simulation._registered.__wrapped__(
-        config.fog_count, config.iot_count, config.ring_size, config.params())
+    fresh = simulation._registered.__wrapped__(config.fog_count,
+                                               config.params())
     snapshot, fog_addresses, verdicts = fresh
     assert population.ledger.to_snapshot() == snapshot
     assert population.fog_addresses == fog_addresses
     assert population.verdicts == verdicts
 
 
-def test_each_ring_size_registers_its_own_fixed_ring():
+def test_every_verdict_carries_the_one_fixed_two_device_ring():
     simulation._registered.cache_clear()
-    config = ScenarioConfig(fog_count=3, iot_count=5, trials=1)
-    sizes = (2, 4, 6)
-    for ring_size in sizes:
+    config = ScenarioConfig(fog_count=3, trials=1)
+    rings = set()
+    for deposit in (3, 4):
         for seed in (0, 1):
             population = _build_population(
-                replace(config, ring_size=ring_size), random.Random(seed))
-        registered = population.ledger.iot_table
-        assert len(population.verdicts) == 2 * config.fog_count
-        for (fog, passed), (attestation, _) in population.verdicts.items():
-            members = attestation.members
-            assert attestation.message == audit_message(fog, passed)
-            assert len(set(members)) == len(members) == ring_size
-            assert simulation.ORACLE_DEVICE in members
-            assert all(member in registered for member in members)
-    assert simulation._registered.cache_info().currsize == len(sizes)
+                replace(config, deposit=deposit), random.Random(seed))
+            registered = population.ledger.iot_table
+            assert len(population.verdicts) == 2 * config.fog_count
+            for (fog, passed), (attestation, _) in population.verdicts.items():
+                members = attestation.members
+                assert attestation.message == audit_message(fog, passed)
+                assert len(set(members)) == len(members) == MIN_RING
+                assert simulation.ORACLE_DEVICE in members
+                assert all(member in registered for member in members)
+                rings.add(members)
+    assert len(rings) == 1
+    # one registration per settings: two deposits, two seeds each
+    info = simulation._registered.cache_info()
+    assert info.currsize == info.misses == 2
 
 
 class _NoSampleRandom(random.Random):
@@ -291,17 +294,16 @@ class _NoSampleRandom(random.Random):
 def test_verdicts_draw_no_ring_decoys(policy):
     # these policies draw clusters without sample, so only a per-verdict
     # decoy draw could call it
-    config = ScenarioConfig(fog_count=6, iot_count=8, cluster_size=2,
+    config = ScenarioConfig(fog_count=6, cluster_size=2,
                             trials=1, policy=policy)
     assert run_cost_trial(config, _NoSampleRandom(4)) >= 6 * 3
 
 
 def test_trials_leave_the_shared_registration_untouched():
-    config = ScenarioConfig(fog_count=8, iot_count=8, cluster_size=3,
+    config = ScenarioConfig(fog_count=8, cluster_size=3,
                             trials=1, adaptive=True, deposit=4,
                             horizon_per_fog=5)
-    key = (config.fog_count, config.iot_count, config.ring_size,
-           config.params())
+    key = (config.fog_count, config.params())
     shared = simulation._registered(*key)
     saved = copy.deepcopy(shared)
     for policy in Policy:
@@ -314,7 +316,7 @@ def test_trials_leave_the_shared_registration_untouched():
 # -- cost scenario --
 
 def always_faulty(**overrides):
-    base = dict(fog_count=1, iot_count=8, cluster_size=1, trials=1,
+    base = dict(fog_count=1, cluster_size=1, trials=1,
                 malicious_low=1.0, malicious_high=1.0, policy=Policy.RANDOM)
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -337,7 +339,7 @@ def test_two_faulty_fogs_in_one_cluster_cost_two_audits():
 
 
 def test_cost_trial_is_deterministic_in_the_seed():
-    config = ScenarioConfig(fog_count=12, iot_count=8, cluster_size=3,
+    config = ScenarioConfig(fog_count=12, cluster_size=3,
                             trials=1, policy=Policy.WEIGHTED)
     first = run_cost_trial(config, random.Random(99))
     second = run_cost_trial(config, random.Random(99))
@@ -345,14 +347,14 @@ def test_cost_trial_is_deterministic_in_the_seed():
 
 
 def test_cost_trial_hits_the_audit_cap():
-    config = ScenarioConfig(fog_count=4, iot_count=8, cluster_size=2,
+    config = ScenarioConfig(fog_count=4, cluster_size=2,
                             trials=1, audit_cap=3, policy=Policy.RANDOM)
     with pytest.raises(NonTerminating):
         run_cost_trial(config, random.Random(0))
 
 
 def test_cost_scenario_returns_one_cost_per_trial():
-    config = ScenarioConfig(fog_count=5, iot_count=8, cluster_size=2,
+    config = ScenarioConfig(fog_count=5, cluster_size=2,
                             trials=7, policy=Policy.RANDOM, seed=13)
     costs = run_cost_scenario(config)
     assert len(costs) == 7
@@ -367,9 +369,8 @@ def test_weighted_policy_spends_fewest_audits():
     trials = 60
     means = {}
     for policy in Policy:
-        config = ScenarioConfig(fog_count=30, iot_count=8, cluster_size=5,
-                                trials=trials, policy=policy, seed=21,
-                                ring_size=4)
+        config = ScenarioConfig(fog_count=30, cluster_size=5,
+                                trials=trials, policy=policy, seed=21)
         means[policy] = aggregate(run_cost_scenario(config)).mean
     assert means[Policy.WEIGHTED] < means[Policy.BIBD]
     assert means[Policy.BIBD] < means[Policy.RANDOM]
@@ -381,7 +382,7 @@ def test_weighted_cost_follows_the_negative_binomial_law():
     # and the weighted policy never wastes an attempt, so each node costs
     # NegBin(3, p) attempts.
     rate = 0.6
-    config = ScenarioConfig(fog_count=20, iot_count=8, cluster_size=5,
+    config = ScenarioConfig(fog_count=20, cluster_size=5,
                             deposit=3, deposit_deduction=1,
                             malicious_low=rate, malicious_high=rate,
                             policy=Policy.WEIGHTED, trials=300, seed=40)
@@ -398,7 +399,7 @@ def test_block_design_cost_falls_in_its_bracket():
     # its mean cost lies in [E[W], E[W] + N - 1].  Seed, trials and the
     # z bound were fixed before the first run.
     rate = 0.6
-    config = ScenarioConfig(fog_count=20, iot_count=8, cluster_size=5,
+    config = ScenarioConfig(fog_count=20, cluster_size=5,
                             deposit=3, deposit_deduction=1,
                             malicious_low=rate, malicious_high=rate,
                             policy=Policy.BIBD, trials=300, seed=41)
@@ -413,9 +414,9 @@ def test_block_design_cost_falls_in_its_bracket():
 # -- state scenario --
 
 def small_state_config(**overrides):
-    base = dict(fog_count=10, iot_count=8, cluster_size=3, deposit=10,
+    base = dict(fog_count=10, cluster_size=3, deposit=10,
                 deposit_deduction=1, trials=1, adaptive=True,
-                policy=Policy.WEIGHTED, ring_size=4, horizon_per_fog=30,
+                policy=Policy.WEIGHTED, horizon_per_fog=30,
                 seed=3)
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -498,7 +499,7 @@ def _reference_weighted_draw(roster, slot_weights, cluster_size, rng):
 
 
 def test_weighted_trials_equal_trials_under_the_reference_draw(monkeypatch):
-    cost_config = ScenarioConfig(fog_count=20, iot_count=8, cluster_size=5,
+    cost_config = ScenarioConfig(fog_count=20, cluster_size=5,
                                  trials=1, policy=Policy.WEIGHTED)
     state_config = small_state_config()
 
