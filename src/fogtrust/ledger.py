@@ -145,10 +145,10 @@ def call_message(op: str, **fields) -> bytes:
     one function, so a signature can never be replayed against different
     arguments.
     """
-    parts = [op]
+    message = op
     for key in sorted(fields):
-        parts.append("%s=%s" % (key, fields[key]))
-    return "|".join(parts).encode()
+        message += f"|{key}={fields[key]!s}"
+    return message.encode()
 
 
 def audit_message(fog_address: str, passed: bool) -> bytes:
@@ -212,8 +212,12 @@ class Ledger:
 
     # -- helpers --
 
-    def _caller(self, op: str, signature, **fields) -> str:
-        return self.identity.recover_address(call_message(op, **fields), signature)
+    def _caller(self, message: bytes, signature) -> str:
+        """Recover the calling address from its signature over ``message``.
+
+        The one path from a contract call to ``recover_address``.
+        """
+        return self.identity.recover_address(message, signature)
 
     def _require_iot(self, address: str) -> IoTRecord:
         record = self.iot_table.get(address)
@@ -250,7 +254,7 @@ class Ledger:
     # -- device lifecycle --
 
     def iot_registration(self, amount: int, signature) -> str:
-        caller = self._caller("iot_registration", signature, amount=amount)
+        caller = self._caller(call_message("iot_registration", amount=amount), signature)
         _require_amount(amount, "registration")
         if caller in self.iot_table:
             raise AlreadyRegistered("IoT device %s already registered" % caller)
@@ -260,7 +264,7 @@ class Ledger:
         return caller
 
     def iot_add_funds(self, amount: int, signature) -> int:
-        caller = self._caller("iot_add_funds", signature, amount=amount)
+        caller = self._caller(call_message("iot_add_funds", amount=amount), signature)
         _require_amount(amount, "top-up")
         record = self._require_iot(caller)
         record.available_funds += amount
@@ -269,18 +273,18 @@ class Ledger:
         return record.available_funds
 
     def iot_withdraw_funds(self, amount: int, signature) -> int:
-        caller = self._caller("iot_withdraw_funds", signature, amount=amount)
+        caller = self._caller(call_message("iot_withdraw_funds", amount=amount), signature)
         return self._withdraw(self._require_iot, caller, amount)
 
     def iot_remove(self, signature) -> int:
-        caller = self._caller("iot_remove", signature)
+        caller = self._caller(call_message("iot_remove"), signature)
         record = self._require_iot(caller)
         return self._pay_out(self.iot_table, caller, record.available_funds)
 
     # -- fog lifecycle --
 
     def fog_registration(self, amount: int, signature) -> str:
-        caller = self._caller("fog_registration", signature, amount=amount)
+        caller = self._caller(call_message("fog_registration", amount=amount), signature)
         _require_amount(amount, "registration")
         if caller in self.fog_table:
             raise AlreadyRegistered("fog node %s already registered" % caller)
@@ -298,12 +302,12 @@ class Ledger:
         return caller
 
     def fog_withdraw_funds(self, amount: int, signature) -> int:
-        caller = self._caller("fog_withdraw_funds", signature, amount=amount)
+        caller = self._caller(call_message("fog_withdraw_funds", amount=amount), signature)
         return self._withdraw(self._require_fog, caller, amount)
 
     def fog_remove(self, signature) -> int:
         """Voluntary exit: refunds the remaining deposit plus earnings."""
-        caller = self._caller("fog_remove", signature)
+        caller = self._caller(call_message("fog_remove"), signature)
         record = self._require_fog(caller)
         return self._remove_fog(record)
 
@@ -319,8 +323,8 @@ class Ledger:
         Returns the fee retained by the pool.  Also advances the fog node's
         served-request counter.
         """
-        caller = self._caller("iot_fog_payment", signature,
-                              amount=amount, fog=fog_address)
+        caller = self._caller(call_message("iot_fog_payment", amount=amount,
+                                           fog=fog_address), signature)
         _require_amount(amount, "payment")
         payer = self._require_iot(caller)
         payee = self._require_fog(fog_address)
@@ -338,7 +342,7 @@ class Ledger:
     # -- oracle and audits --
 
     def oracle_registration(self, signature) -> str:
-        caller = self._caller("oracle_registration", signature)
+        caller = self._caller(call_message("oracle_registration"), signature)
         if caller in self.oracle_table:
             raise AlreadyRegistered("oracle %s already registered" % caller)
         self.oracle_table[caller] = None
@@ -347,11 +351,11 @@ class Ledger:
 
     def fog_reward(self, fog_address: str, ring_signature, signature) -> AuditApplication:
         return self._audit("fog_reward", fog_address, ring_signature, signature,
-                           passed=True)
+                           True)
 
     def fog_penalize(self, fog_address: str, ring_signature, signature) -> AuditApplication:
         return self._audit("fog_penalize", fog_address, ring_signature, signature,
-                           passed=False)
+                           False)
 
     def _audit(self, op: str, fog_address: str, ring_signature, signature,
                passed: bool) -> AuditApplication:
@@ -362,7 +366,7 @@ class Ledger:
         node is unknown, the attestation does not verify, a ring member is
         not a registered device.
         """
-        caller = self._caller(op, signature, fog=fog_address)
+        caller = self._caller(call_message(op, fog=fog_address), signature)
         if caller not in self.oracle_table:
             raise UnknownOracle("%s is not a registered oracle" % caller)
         # a non-string address, unhashable or not, names no fog node

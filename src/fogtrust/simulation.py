@@ -302,7 +302,9 @@ def run_state_trial(config: ScenarioConfig, rng) -> TrialMetrics:
     rates = population.rates
     fog_table = population.ledger.fog_table
     horizon = config.horizon_per_fog * config.fog_count
-    metrics = TrialMetrics([0.0] * horizon, [0.0] * horizon, [0] * horizon)
+    mean_malicious = [0.0] * horizon
+    mean_reputation = [0.0] * horizon
+    live_fogs = [0] * horizon
 
     malicious_sum = sum(rates.values())
     reputation_sum = sum(r.reputation for r in fog_table.values())
@@ -320,10 +322,10 @@ def run_state_trial(config: ScenarioConfig, rng) -> TrialMetrics:
                 malicious_sum += rates[address] - rate
         live = len(fog_table)
         if live:
-            metrics.mean_malicious[step] = malicious_sum / live
-            metrics.mean_reputation[step] = reputation_sum / live
-            metrics.live_fogs[step] = live
-    return metrics
+            mean_malicious[step] = malicious_sum / live
+            mean_reputation[step] = reputation_sum / live
+            live_fogs[step] = live
+    return TrialMetrics(mean_malicious, mean_reputation, live_fogs)
 
 
 def run_state_scenario(config: ScenarioConfig):

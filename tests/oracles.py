@@ -156,3 +156,15 @@ def conservation_gap(ledger):
     for record in ledger.fog_table.values():
         held += record.deposit + record.available_funds
     return ledger.total_deposited - ledger.total_withdrawn - held
+
+
+def call_message(op, **fields):
+    """The canonical call bytes as a list of parts joined by ``|``.
+
+    The op comes first, then one ``key=value`` part per field in sorted key
+    order, each value formatted with ``str``.
+    """
+    parts = [op]
+    for key in sorted(fields):
+        parts.append("%s=%s" % (key, fields[key]))
+    return "|".join(parts).encode()

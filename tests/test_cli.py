@@ -459,45 +459,65 @@ def test_simulate_rejects_a_key_set_twice(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
-# a second value for each simulate key, one that changes some output of
-# TINY_CFG; reputation_min 7 expels a fog before its deposit runs out
+# a second value for each simulate key, one that changes the output of
+# TINY_CFG under each scenario that reads the key.  TINY_CFG's reputation
+# floor of 7 expels a fog before its deposit runs out, so the reputation
+# parameters reach the cost counts; a deposit of 2, or a deduction of 5
+# from the state study's deposit of 10, expels a fog before the floor does
 SECOND_VALUES = {
     "policy": "random", "cluster": "3", "trials": "3", "seed": "5",
     "fog_count": "5", "adaptive": "false", "horizon_per_fog": "7",
     "malicious_low": "0.1", "malicious_high": "0.6", "audit_cap": "1",
-    "deposit": "5", "deposit_deduction": "2", "reward_step": "2",
-    "penalty_step": "3", "reputation_initial": "8", "reputation_min": "7",
+    "deposit": "2", "deposit_deduction": "5", "reward_step": "2",
+    "penalty_step": "3", "reputation_initial": "8", "reputation_min": "3",
     "reputation_max": "12",
 }
-TINY_CFG = "fog_count = 4\ntrials = 2\ncluster = 2\nhorizon_per_fog = 6\n"
+TINY_CFG = ("fog_count = 4\ntrials = 2\ncluster = 2\nhorizon_per_fog = 6\n"
+            "reputation_min = 7\n")
+# the keys a scenario does not read; both accept them, so that one config
+# file serves both scenarios (as in acceptance 8)
+UNREAD_KEYS = {"cost": ("adaptive", "horizon_per_fog"), "state": ("audit_cap",)}
 
 
-def _simulate_outputs(tmp_path, capsys, name, text):
-    """Exit code, stdout and --out files of simulate cost and state."""
-    config = tmp_path / ("%s.cfg" % name)
-    config.write_text(text)
-    outputs = []
-    for scenario in ("cost", "state"):
-        out = tmp_path / name / scenario
-        out.mkdir(parents=True)
-        # no --seed flag, which would override a seed set in the config
-        code = run_cli(["simulate", scenario, "--config", str(config),
-                        "--out", str(out)])
-        files = {path.name: path.read_bytes() for path in out.iterdir()}
-        outputs.append((code, capsys.readouterr().out, files))
-    return outputs
+def _simulate_output(tmp_path, capsys, scenario, key=None):
+    """Exit code, stdout and --out files of one scenario on TINY_CFG.
 
-
-@pytest.mark.parametrize("key", sorted(cli.SIMULATE_SCHEMA))
-def test_every_simulate_key_changes_an_output(key, tmp_path, capsys):
-    base = _simulate_outputs(tmp_path, capsys, "base", TINY_CFG)
-    assert [code for code, _, _ in base] == [0, 0]
+    With ``key``, the config sets that key to its second value instead.
+    """
+    name = "%s-%s" % (scenario, key or "base")
     lines = [line for line in TINY_CFG.splitlines()
              if line.partition("=")[0].strip() != key]
-    lines.append("%s = %s" % (key, SECOND_VALUES[key]))
-    changed = _simulate_outputs(tmp_path, capsys, "changed",
-                                "\n".join(lines) + "\n")
-    assert changed != base
+    if key is not None:
+        lines.append("%s = %s" % (key, SECOND_VALUES[key]))
+    config = tmp_path / ("%s.cfg" % name)
+    config.write_text("\n".join(lines) + "\n")
+    out = tmp_path / name
+    out.mkdir()
+    # no --seed flag, which would override a seed set in the config
+    code = run_cli(["simulate", scenario, "--config", str(config),
+                    "--out", str(out)])
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("scenario, key", [
+    (scenario, key) for scenario in UNREAD_KEYS
+    for key in sorted(cli.SIMULATE_SCHEMA) if key not in UNREAD_KEYS[scenario]
+])
+def test_every_simulate_key_changes_an_output(scenario, key, tmp_path, capsys):
+    base = _simulate_output(tmp_path, capsys, scenario)
+    assert base[0] == 0
+    assert _simulate_output(tmp_path, capsys, scenario, key) != base
+
+
+@pytest.mark.parametrize("scenario, key", [
+    (scenario, key) for scenario, keys in UNREAD_KEYS.items() for key in keys
+])
+def test_a_key_the_scenario_does_not_read_changes_no_byte(
+        scenario, key, tmp_path, capsys):
+    base = _simulate_output(tmp_path, capsys, scenario)
+    assert base[0] == 0
+    assert _simulate_output(tmp_path, capsys, scenario, key) == base
 
 
 def test_simulate_rejects_unknown_policy_in_config(tmp_path, capsys):

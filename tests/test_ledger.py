@@ -1,14 +1,18 @@
 """Contract-state behaviour: registration, funds, payments, audits, conservation."""
 
+import ast
+import inspect
 import itertools
 import json
 import random
+import string
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogtrust import ledger as ledger_mod
 from fogtrust import signing
 from fogtrust.errors import (
     AlreadyRegistered,
@@ -144,6 +148,74 @@ def test_fee_is_exact_floor(amount, rate):
     exact = Fraction(rate) * amount
     assert params.fee(amount) == exact.numerator // exact.denominator
     assert 0 <= params.fee(amount) <= amount
+
+
+# -- call messages --
+
+FIELD_NAMES = st.text(alphabet=string.ascii_lowercase + "_", min_size=1,
+                      max_size=8).filter(lambda name: name != "op")
+FIELD_VALUES = st.one_of(st.text(max_size=12), st.integers(), st.booleans())
+
+
+@given(op=st.text(max_size=20),
+       items=st.lists(st.tuples(FIELD_NAMES, FIELD_VALUES), max_size=3,
+                      unique_by=lambda item: item[0]),
+       data=st.data())
+def test_call_message_matches_a_joined_parts_list(op, items, data):
+    # the keywords may come in any order; the message must not depend on it
+    shuffled = data.draw(st.permutations(items))
+    assert call_message(op, **dict(shuffled)) == oracles.call_message(
+        op, **dict(items))
+
+
+def test_only_caller_recovers_and_every_signed_op_names_itself():
+    tree = ast.parse(inspect.getsource(ledger_mod))
+    ledger_class = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "Ledger")
+    methods = {node.name: node for node in ledger_class.body
+               if isinstance(node, ast.FunctionDef)}
+
+    def recovers(node):
+        return sum(isinstance(sub, ast.Attribute) and sub.attr == "recover_address"
+                   for sub in ast.walk(node))
+
+    assert recovers(tree) == recovers(methods["_caller"]) == 1
+
+    def calls(node, name):
+        """The calls of ``self.<name>`` anywhere in ``node``."""
+        return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute) and sub.func.attr == name
+                and isinstance(sub.func.value, ast.Name)
+                and sub.func.value.id == "self"]
+
+    signed = set()
+    for name, method in methods.items():
+        if name.startswith("_"):
+            continue
+        for call in calls(method, "_caller"):
+            message = call.args[0]
+            assert isinstance(message, ast.Call)
+            assert isinstance(message.func, ast.Name)
+            assert message.func.id == "call_message"
+            assert ast.literal_eval(message.args[0]) == name
+            signed.add(name)
+        for call in calls(method, "_audit"):
+            assert ast.literal_eval(call.args[0]) == name
+            signed.add(name)
+    # every public op that takes a signature checks it, and only once
+    takes_signature = {name for name, method in methods.items()
+                       if not name.startswith("_")
+                       and "signature" in [arg.arg for arg in method.args.args]}
+    assert signed == takes_signature
+    assert len(signed) == 11
+    for name in signed:
+        assert len(calls(methods[name], "_caller")
+                   + calls(methods[name], "_audit")) == 1
+    # _audit authenticates the op it was handed
+    (audit_call,) = calls(methods["_audit"], "_caller")
+    message = audit_call.args[0]
+    assert message.func.id == "call_message"
+    assert message.args[0].id == methods["_audit"].args.args[1].arg == "op"
 
 
 # -- registration --
@@ -515,17 +587,23 @@ AUDIT_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("passed", [True, False])
-@pytest.mark.parametrize("faults", list(itertools.combinations(AUDIT_FAULTS, 2)))
-def test_audit_with_two_faults_raises_the_earlier_check(passed, faults):
+def _token_ledger():
+    """Two devices, a fog node with 3 funds beyond its deposit, an oracle."""
     ledger = Ledger(small_params(), identity=TokenIdentity())
     funding = call_message("iot_registration", amount=10)
     for device in ("dev-0", "dev-1"):
         ledger.iot_registration(10, TokenSignature(device, funding))
     ledger.fog_registration(
-        3, TokenSignature("fog", call_message("fog_registration", amount=3)))
+        6, TokenSignature("fog", call_message("fog_registration", amount=6)))
     ledger.oracle_registration(
         TokenSignature("keeper", call_message("oracle_registration")))
+    return ledger
+
+
+@pytest.mark.parametrize("passed", [True, False])
+@pytest.mark.parametrize("faults", list(itertools.combinations(AUDIT_FAULTS, 2)))
+def test_audit_with_two_faults_raises_the_earlier_check(passed, faults):
+    ledger = _token_ledger()
     op = "fog_reward" if passed else "fog_penalize"
     fog = "ghost" if "fog" in faults else "fog"
     caller = "impostor" if "oracle" in faults else "keeper"
@@ -539,6 +617,50 @@ def test_audit_with_two_faults_raises_the_earlier_check(passed, faults):
         getattr(ledger, op)(fog, attestation, approval)
     assert raised.type is AUDIT_FAULTS[faults[0]]
     assert ledger.to_snapshot() == before
+
+
+# the signed ops whose call messages carry the same fields, each with the
+# fields, then per op its caller and the arguments before the signature;
+# within a group only the op name tells two approvals apart
+SAME_FIELD_OPS = (
+    ({"amount": 3}, {
+        "iot_registration": ("dev-2", (3,)),
+        "iot_add_funds": ("dev-0", (3,)),
+        "iot_withdraw_funds": ("dev-0", (3,)),
+        "fog_registration": ("fog-2", (3,)),
+        "fog_withdraw_funds": ("fog", (3,)),
+    }),
+    ({}, {
+        "iot_remove": ("dev-0", ()),
+        "fog_remove": ("fog", ()),
+        "oracle_registration": ("keeper-2", ()),
+    }),
+    ({"fog": "fog"}, {
+        op: ("keeper", ("fog", TokenRingSignature(
+            ("dev-0", "dev-1"), audit_message("fog", op == "fog_reward"))))
+        for op in ("fog_reward", "fog_penalize")
+    }),
+)
+
+
+@pytest.mark.parametrize("fields, calls, op, other", [
+    pytest.param(fields, calls, op, other, id="%s-%s" % (op, other))
+    for fields, calls in SAME_FIELD_OPS
+    for op, other in itertools.permutations(calls, 2)
+])
+def test_approval_of_another_op_with_the_same_fields_is_rejected(
+        fields, calls, op, other):
+    ledger = _token_ledger()
+    caller, arguments = calls[op]
+    forged = TokenSignature(caller, call_message(other, **fields))
+    before = ledger.to_snapshot()
+    with pytest.raises(BadSignature):
+        getattr(ledger, op)(*arguments, forged)
+    assert ledger.to_snapshot() == before
+    # the same call approved for this op goes through
+    getattr(ledger, op)(*arguments,
+                        TokenSignature(caller, call_message(op, **fields)))
+    assert ledger.to_snapshot() != before
 
 
 def test_penalty_updates_reputation_deposit_and_distribution():
