@@ -350,8 +350,8 @@ def select_ring(oracle: OracleAgent, ledger) -> list:
     pool = [address for address in ledger.iot_table
             if address != device and address in oracle.key_directory]
     others = min(oracle.ring_size - 1, len(pool))
-    if others < 1:
-        raise RingTooSmall("need at least one other registered device")
+    if others < ring.MIN_RING - 1:
+        raise RingTooSmall(f"need at least {ring.MIN_RING} ring members")
     members = oracle.rng.sample(pool, others) + [device]
     oracle.rng.shuffle(members)
     return members

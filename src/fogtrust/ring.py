@@ -120,16 +120,17 @@ def ring_sign(message: bytes, ring: Sequence[Point], signer_index: int,
 def ring_verify(message: bytes, signature: RingSignature) -> bool:
     ring = signature.ring
     responses = signature.responses
-    if not (isinstance(ring, (tuple, list)) and isinstance(responses, (tuple, list))):
-        raise MalformedRingSignature("ring and responses must be tuples or lists")
+    if not (type(ring) is tuple and type(responses) is tuple):
+        raise MalformedRingSignature("ring and responses must be tuples")
     _check_ring(ring)
     if len(responses) != len(ring):
         raise MalformedRingSignature("one response required per ring member")
-    if not isinstance(signature.challenge, int) \
-            or not (0 <= signature.challenge < CURVE_ORDER):
+    # type() rather than isinstance(): True is an int but not a scalar
+    if not (type(signature.challenge) is int
+            and 0 <= signature.challenge < CURVE_ORDER):
         raise MalformedRingSignature("challenge out of range")
     for s in responses:
-        if not isinstance(s, int) or not (0 <= s < CURVE_ORDER):
+        if not (type(s) is int and 0 <= s < CURVE_ORDER):
             raise MalformedRingSignature("response out of range")
 
     commitment = link_x(responses[0], signature.challenge, ring[0])

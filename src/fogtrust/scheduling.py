@@ -87,29 +87,6 @@ def update_weight(weight: int, passed: bool) -> int:
     return weight * WEIGHT_GAIN
 
 
-def _check_block_size(block_size: int, count: int):
-    if block_size < 1 or block_size > count:
-        raise InvalidDesign("block size %d needs between 1 and %d nodes"
-                            % (block_size, count))
-
-
-def build_bibd(live_fogs, block_size: int) -> list:
-    """Cyclic, replication-balanced design: block i covers positions
-    i..i+B-1 mod |F|.
-
-    Produces |F| blocks of size B with every node in exactly B blocks, for
-    any |F| >= B >= 1.  Pairs of nodes do not in general share equally many
-    blocks (neighbours share more), so this is not a balanced incomplete
-    block design (BIBD), whose pair balance would restrict |F| and B;
-    ``Policy.BIBD`` and this function keep that name.
-    """
-    roster = list(live_fogs)
-    count = len(roster)
-    _check_block_size(block_size, count)
-    return [[roster[(i + j) % count] for j in range(block_size)]
-            for i in range(count)]
-
-
 class Scheduler:
     """Cluster selection under one policy, tracking what the policy knows.
 
@@ -128,9 +105,15 @@ class Scheduler:
     Each address holds one slot, so a roster that repeats an address is
     rejected with ``InvalidDesign``.
 
-    Under the block design, block i is ``build_bibd(roster, size)[i]``,
-    computed when it is drawn rather than stored, so an ejection only
-    resets ``block_cursor`` to 0 instead of rebuilding every block.
+    The block design is cyclic and replication-balanced: block i covers
+    roster positions i..i+B-1 mod |F|, so each of the |F| blocks holds B
+    distinct nodes and every node is in exactly B blocks, for any
+    |F| >= B >= 1.  Pairs of nodes do not in general share equally many
+    blocks (neighbours share more), so it is not a balanced incomplete
+    block design (BIBD), whose pair balance would restrict |F| and B;
+    ``Policy.BIBD`` keeps that name.  ``next_cluster`` computes block
+    ``block_cursor`` when it is drawn rather than storing the design, so an
+    ejection only resets the cursor to 0.
     """
 
     def __init__(self, policy: Policy, cluster_size: int, fog_addresses, rng):
@@ -145,16 +128,8 @@ class Scheduler:
         self.slot_addresses = list(self.roster)
         self.slot_weights = [WEIGHT_FLOOR] * len(self.roster)
         self.block_cursor = 0
-        if policy is Policy.BIBD and self.roster:
-            _check_block_size(min(cluster_size, len(self.roster)),
-                              len(self.roster))
-
-    @property
-    def blocks(self) -> list:
-        """The current block design, empty unless the policy is BIBD."""
-        if self.policy is not Policy.BIBD or not self.roster:
-            return []
-        return build_bibd(self.roster, min(self.cluster_size, len(self.roster)))
+        if policy is Policy.BIBD and self.roster and cluster_size < 1:
+            raise InvalidDesign("block size %d is below 1" % cluster_size)
 
     def next_cluster(self) -> list:
         if not self.roster:

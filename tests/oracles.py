@@ -93,6 +93,14 @@ def pair_occurrence_counts(blocks):
     return counts
 
 
+def cyclic_design(roster, block_size):
+    """The block policy's design written out whole: block i holds roster
+    positions i..i+B-1 mod |F|, one block per position."""
+    count = len(roster)
+    return [[roster[(i + j) % count] for j in range(block_size)]
+            for i in range(count)]
+
+
 def next_bibd_cluster(blocks, cursor):
     """The block at ``cursor`` and the advanced cursor, cycling the design."""
     return list(blocks[cursor % len(blocks)]), (cursor + 1) % len(blocks)

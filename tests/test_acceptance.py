@@ -34,7 +34,7 @@ from fogtrust.protocol import (
     service_audit,
 )
 from fogtrust.ring import RingSignature, ring_sign, ring_verify
-from fogtrust.scheduling import Policy, Scheduler, build_bibd
+from fogtrust.scheduling import Policy, Scheduler
 from fogtrust.simulation import ScenarioConfig, aggregate, run_cost_scenario, run_state_scenario
 
 
@@ -525,17 +525,28 @@ def test_acceptance_6_state_dynamics(capsys):
 
 # -- 7. block-design balance --
 
+def _design_problems(label, blocks, live, block_size):
+    """What keeps drawn ``blocks`` from being a replication-balanced design
+    over ``live``: every block B distinct members, every node in B blocks."""
+    problems = []
+    if any(len(set(block)) != len(block) or len(block) != block_size
+           for block in blocks):
+        problems.append("%s: a block is not %d distinct nodes" % (label, block_size))
+    counts = oracles.occurrence_counts(blocks)
+    if sorted(counts) != sorted(live) \
+            or any(counts[node] != block_size for node in live):
+        problems.append("%s: unbalanced occurrences" % label)
+    return problems
+
+
 def test_acceptance_7_block_design_balance(capsys):
     problems = []
     for count, block_size in ((7, 3), (20, 5), (100, 25)):
         roster = ["fog-%03d" % index for index in range(count)]
-        blocks = build_bibd(roster, block_size)
-        if any(len(block) != block_size for block in blocks):
-            problems.append("(%d,%d): wrong block size" % (count, block_size))
-        counts = oracles.occurrence_counts(blocks)
-        if sorted(counts) != sorted(roster) \
-                or any(counts[node] != block_size for node in roster):
-            problems.append("(%d,%d): unbalanced occurrences" % (count, block_size))
+        scheduler = Scheduler(Policy.BIBD, block_size, roster, random.Random(count))
+        blocks = [scheduler.next_cluster() for _ in range(count)]
+        problems += _design_problems("(%d,%d)" % (count, block_size),
+                                     blocks, roster, block_size)
 
     rng = random.Random(0xB1BD)
     roster = ["fog-%03d" % index for index in range(100)]
@@ -543,17 +554,14 @@ def test_acceptance_7_block_design_balance(capsys):
     ejected = rng.choice(roster)
     scheduler.eject(ejected)
     survivors = [node for node in roster if node != ejected]
-    counts = oracles.occurrence_counts(scheduler.blocks)
-    if ejected in counts:
-        problems.append("ejected node still scheduled")
-    if any(len(block) != 25 for block in scheduler.blocks) \
-            or any(counts[node] != 25 for node in survivors):
-        problems.append("design over the survivors unbalanced")
+    blocks = [scheduler.next_cluster() for _ in range(99)]
+    problems += _design_problems("99 survivors", blocks, survivors, 25)
 
     ok = not problems
-    report(capsys, 7, ok, "(7,3), (20,5), (100,25) designs balanced: every node in "
-                  "exactly B blocks of size B; after an ejection the blocks drawn "
-                  "from the 99 survivors keep the property")
+    report(capsys, 7, ok, "(7,3), (20,5), (100,25): N clusters drawn by the block "
+                  "scheduler are N blocks of B distinct nodes with every node in "
+                  "exactly B; after an ejection the 99 clusters drawn over the "
+                  "survivors keep the property")
     assert not problems, problems
 
 

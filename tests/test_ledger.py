@@ -527,6 +527,9 @@ MALFORMED_ATTESTATIONS = {
         genuine, challenge=str(genuine.challenge)),
     "ring-is-none": lambda genuine: RingSignature(1, (1, 1), None),
     "responses-is-none": lambda genuine: RingSignature(1, None, genuine.ring),
+    "list-ring": lambda genuine: replace(genuine, ring=list(genuine.ring)),
+    "list-responses": lambda genuine: replace(
+        genuine, responses=list(genuine.responses)),
 }
 
 
@@ -537,6 +540,8 @@ MALFORMED_ATTESTATIONS = {
     ("non-int-challenge", InvalidRingSignature),
     ("ring-is-none", InvalidRingSignature),
     ("responses-is-none", InvalidRingSignature),
+    ("list-ring", InvalidRingSignature),
+    ("list-responses", InvalidRingSignature),
     ("not-a-call-signature", BadSignature),
     ("list-fog", UnknownFog),
     ("dict-fog", UnknownFog),

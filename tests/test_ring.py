@@ -146,6 +146,14 @@ def test_structural_validation_on_verify():
         ring.ring_verify(b"m", ring.RingSignature(sig.challenge,
                                                   bad_responses,
                                                   sig.ring))
+    # True is an int, but not a scalar: no second encoding of 1
+    with pytest.raises(MalformedRingSignature):
+        ring.ring_verify(b"m", ring.RingSignature(True, sig.responses,
+                                                  sig.ring))
+    with pytest.raises(MalformedRingSignature):
+        ring.ring_verify(b"m", ring.RingSignature(sig.challenge,
+                                                  (True,) + sig.responses[1:],
+                                                  sig.ring))
 
 
 def test_json_roundtrip_still_verifies():

@@ -1,5 +1,6 @@
 """The three cluster-sampling policies and what each learns."""
 
+import copy
 import math
 import random
 
@@ -11,7 +12,6 @@ from fogtrust.errors import ClusterTooLarge, InvalidDesign, UnknownFog
 from fogtrust.scheduling import (
     Policy,
     Scheduler,
-    build_bibd,
     sample_cluster_random,
     sample_cluster_weighted,
     update_weight,
@@ -257,13 +257,17 @@ def test_scheduler_mark_one_ulp_below_a_shifted_boundary():
 
 # -- block designs --
 
+def drawn_design(roster, size):
+    """One full cycle of clusters drawn by a fresh block-design scheduler."""
+    scheduler = Scheduler(Policy.BIBD, size, roster, random.Random(10))
+    return [scheduler.next_cluster() for _ in roster]
+
+
 @pytest.mark.parametrize("count,size", [(7, 3), (20, 5), (12, 1), (9, 9)])
 def test_block_design_is_balanced(count, size):
     roster = addresses(count)
-    blocks = build_bibd(roster, size)
-    assert len(blocks) == count
-    assert all(len(block) == size for block in blocks)
-    assert all(len(set(block)) == size for block in blocks)
+    blocks = drawn_design(roster, size)
+    assert all(len(set(block)) == len(block) == size for block in blocks)
     counts = oracles.occurrence_counts(blocks)
     assert set(counts) == set(roster)
     assert all(c == size for c in counts.values())
@@ -271,24 +275,15 @@ def test_block_design_is_balanced(count, size):
 
 def test_block_design_degenerate_sizes():
     roster = addresses(5)
-    singletons = build_bibd(roster, 1)
+    singletons = drawn_design(roster, 1)
     assert sorted(b[0] for b in singletons) == sorted(roster)
-    full = build_bibd(roster, 5)
+    full = drawn_design(roster, 5)
     assert all(sorted(block) == sorted(roster) for block in full)
-
-
-def test_block_design_rejects_bad_sizes():
-    with pytest.raises(InvalidDesign):
-        build_bibd(addresses(3), 4)
-    with pytest.raises(InvalidDesign):
-        build_bibd(addresses(3), 0)
-    with pytest.raises(InvalidDesign):
-        build_bibd([], 1)
 
 
 def test_next_cluster_cycles_through_every_block():
     roster = addresses(7)
-    blocks = build_bibd(roster, 3)
+    blocks = oracles.cyclic_design(roster, 3)
     scheduler = Scheduler(Policy.BIBD, 3, roster, random.Random(10))
     seen = [scheduler.next_cluster() for _ in range(7)]
     assert seen == blocks
@@ -326,23 +321,24 @@ def test_scheduler_ejection_rebuilds_design_and_resets_cursor():
     gone = roster[2]
     scheduler.eject(gone)
     assert scheduler.block_cursor == 0
-    for _ in range(2 * len(scheduler.roster)):
-        cluster = scheduler.next_cluster()
-        assert gone not in cluster
-    counts = oracles.occurrence_counts(scheduler.blocks)
-    assert all(c == 3 for c in counts.values())
+    # two cycles over the 6 survivors: each in 2 * 3 blocks of 3
+    blocks = [scheduler.next_cluster() for _ in range(12)]
+    assert all(len(set(block)) == 3 for block in blocks)
+    counts = oracles.occurrence_counts(blocks)
+    assert set(counts) == set(roster) - {gone}
+    assert all(c == 6 for c in counts.values())
 
 
 @settings(max_examples=200, deadline=None)
 @given(count=st.integers(1, 30), size=st.integers(1, 35),
        steps=st.lists(st.one_of(st.none(), st.integers(0, 29)), max_size=60))
-def test_scheduler_blocks_equal_a_design_rebuilt_at_every_ejection(
+def test_scheduler_draws_equal_a_design_rebuilt_at_every_ejection(
         count, size, steps):
     # None draws a cluster; an integer ejects that node (again, maybe)
     roster = addresses(count)
     scheduler = Scheduler(Policy.BIBD, size, roster, random.Random(0))
     live = list(roster)
-    blocks = build_bibd(live, min(size, count))
+    blocks = oracles.cyclic_design(live, min(size, count))
     cursor = 0
     for step in steps:
         if step is None:
@@ -355,14 +351,19 @@ def test_scheduler_blocks_equal_a_design_rebuilt_at_every_ejection(
         scheduler.eject(gone)
         if gone in live:
             live.remove(gone)
-            blocks = build_bibd(live, min(size, len(live))) if live else []
+            blocks = oracles.cyclic_design(live, min(size, len(live)))
             cursor = 0
-        assert scheduler.blocks == blocks
+        # the next full cycle, drawn from a copy, is the design from cursor
+        ahead = copy.deepcopy(scheduler)
+        assert [ahead.next_cluster() for _ in live] \
+            == blocks[cursor:] + blocks[:cursor]
 
 
-def test_scheduler_block_design_rejects_an_empty_cluster():
+@pytest.mark.parametrize("size", [0, -1])
+def test_scheduler_block_design_rejects_an_empty_cluster(size):
     with pytest.raises(InvalidDesign):
-        Scheduler(Policy.BIBD, 0, addresses(3), random.Random(19))
+        Scheduler(Policy.BIBD, size, addresses(3), random.Random(19))
+    assert Scheduler(Policy.BIBD, size, [], random.Random(19)).next_cluster() == []
 
 
 def test_scheduler_single_survivor_keeps_returning_it():
