@@ -41,15 +41,18 @@ key decoded earlier. The policy:
 
 A point without a table (a nonce point, any other point before its third
 use) is multiplied over the same GLV split: the odd multiples P, 3P, ...,
-15P are normalized with one inversion, the lambda column is beta * x of the
-same rows, and the two halves' width-5 signed digits run interleaved, about
-128 Jacobian doublings and 43 mixed additions in all.
+15P are brought to one common Z with multiplications only, which makes
+them affine on an isomorphic curve y^2 = x^3 + 7 * scale^6; the lambda
+column is beta * x of the same rows, and the two halves' width-5 signed
+digits run interleaved on that curve, about 128 Jacobian doublings and 43
+mixed additions in all, before the final Z times ``scale`` maps the sum
+back. A cold product thus takes no inversion of its own.
 
 ``mult_add`` computes s * G + c * P in a single accumulator that ends in
-one inversion, whether or not P has a table (a cold P adds the inversion
-of its odd multiples); ``link_x`` is the same sum for the ring-signature
-link, returning only the x-coordinate. Every product leaves its accumulator
-through ``_to_point``, so each result is a ``Point``, curve-checked there.
+one inversion, whether or not P has a table; ``link_x`` is the same sum
+for the ring-signature link, returning only the x-coordinate. Every
+product leaves its accumulator through ``_to_point``, so each result is a
+``Point``, curve-checked there.
 
 Infinity is represented as None at the public API; it never appears as a
 stored key or signature component.
@@ -105,7 +108,8 @@ class Point:
     __slots__ = ("x", "y")
 
     def __init__(self, x: int, y: int):
-        if not isinstance(x, int) or not isinstance(y, int):
+        # type() rather than isinstance(): True is an int but not a coordinate
+        if not (type(x) is int and type(y) is int):
             raise InvalidPoint("coordinates must be integers")
         if not (0 <= x < FIELD_PRIME and 0 <= y < FIELD_PRIME):
             raise InvalidPoint("coordinate out of field range")
@@ -151,6 +155,38 @@ def _j_double(pt):
     Y3 = (M * (S - X3) - 8 * YY * YY) % p
     Z3 = 2 * Y1 * Z1 % p
     return (X3, Y3, Z3)
+
+
+def _squarings(t, n):
+    """t^(2^n) mod p."""
+    p = FIELD_PRIME
+    for _ in range(n):
+        t = t * t % p
+    return t
+
+
+def _sqrt(a):
+    """a^((p+1)/4) mod p: a square root of a when a has one.
+
+    libsecp256k1's addition chain, where x_n is a^(2^n - 1): the exponent
+    is 223 ones, a zero, 22 ones, four zeros, two ones and two zeros in
+    binary, reached in 253 squarings and 13 multiplications.
+    """
+    p = FIELD_PRIME
+    x2 = a * a % p * a % p
+    x3 = x2 * x2 % p * a % p
+    x6 = _squarings(x3, 3) * x3 % p
+    x9 = _squarings(x6, 3) * x3 % p
+    x11 = _squarings(x9, 2) * x2 % p
+    x22 = _squarings(x11, 11) * x11 % p
+    x44 = _squarings(x22, 22) * x22 % p
+    x88 = _squarings(x44, 44) * x44 % p
+    x176 = _squarings(x88, 88) * x88 % p
+    x220 = _squarings(x176, 44) * x44 % p
+    x223 = _squarings(x220, 3) * x3 % p
+    t = _squarings(x223, 23) * x22 % p
+    t = _squarings(t, 6) * x2 % p
+    return _squarings(t, 2)
 
 
 def _batch_inverse(values):
@@ -386,19 +422,25 @@ def _to_point(acc):
 
 
 def _odd_multiples(x, y):
-    """Affine x and y columns of P, 3P, ..., 15P for P = (x, y).
+    """(xs, ys, scale): P, 3P, ..., 15P for P = (x, y), affine on the curve
+    y^2 = x^3 + 7 * scale^6, whose point (u, v) is (u / scale^2,
+    v / scale^3) on secp256k1.
 
     2P = (X, Y, Z) in Jacobian form is affine on the isomorphic curve
     y^2 = x^3 + 7 * Z^6, reached by (x, y) -> (x * Z^2, y * Z^3). The chain
     P + 2P + 2P ... runs there in mixed additions, which never read the
-    curve constant; each result maps back with its Z multiplied by that
-    of 2P, so one batched inversion normalizes the whole column.
+    curve constant, and step i multiplies Z by its H_i. Walking back from
+    15P, each earlier multiple is rescaled to the last one's Z by the
+    product of the later H_i, so the whole column shares one Z (times that
+    of 2P): no inversion is taken.
     """
     p = FIELD_PRIME
     dx, dy, dz = _j_double((x, y, 1))
     dz2 = dz * dz % p
     X1, Y1, Z1 = x * dz2 % p, y * dz2 % p * dz % p, 1
-    chain = []
+    xs = [X1]
+    ys = [Y1]
+    hs = []
     for _ in range(7):  # 3P, 5P, ..., 15P
         ZZ = Z1 * Z1 % p
         H = dx * ZZ % p - X1
@@ -409,14 +451,16 @@ def _odd_multiples(x, y):
         X1 = (R * R - HHH - 2 * V) % p
         Y1 = (R * (V - X1) - Y1 * HHH) % p
         Z1 = Z1 * H % p
-        chain.append((X1, Y1, Z1 * dz % p))
-    xs = [x]
-    ys = [y]
-    for (X, Y, _), zinv in zip(chain, _batch_inverse([z for _, _, z in chain])):
-        zinv2 = zinv * zinv % p
-        xs.append(X * zinv2 % p)
-        ys.append(Y * zinv2 % p * zinv % p)
-    return xs, ys
+        xs.append(X1)
+        ys.append(Y1)
+        hs.append(H)
+    ratio = 1
+    for i in range(6, -1, -1):  # 13P, 11P, ..., P
+        ratio = ratio * hs[i] % p
+        ratio2 = ratio * ratio % p
+        xs[i] = xs[i] * ratio2 % p
+        ys[i] = ys[i] * ratio2 % p * ratio % p
+    return xs, ys, Z1 * dz % p
 
 
 def _cold_xyzz(k, point):
@@ -438,9 +482,14 @@ def _cold_xyzz(k, point):
     vector, so that lattice vector is 0 and A = +-d; but A is a multiple of
     2^5 there. Additions from the second half are the same with A and B
     swapped.
+
+    The loop runs on the isomorphic curve of the odd multiples, since
+    doublings and mixed additions never read the curve constant, and the
+    endomorphism holds there too; the final Z times their scale maps the
+    sum back to secp256k1.
     """
     p = FIELD_PRIME
-    xs, ys = _odd_multiples(point.x, point.y)
+    xs, ys, scale = _odd_multiples(point.x, point.y)
     terms = []  # (bit, x, y) of every addition
     for k, column in zip(_glv_split(k), (xs, [_BETA * v % p for v in xs])):
         negate = k < 0
@@ -484,6 +533,7 @@ def _cold_xyzz(k, point):
         X = (R * R - HHH - 2 * V) % p
         Y = (R * (V - X) - Y * HHH) % p
         Z = Z * H % p
+    Z = Z * scale % p
     ZZ = Z * Z % p
     return X, Y, ZZ, ZZ * Z % p
 

@@ -26,7 +26,8 @@ def random_scalar(rng=None) -> int:
 
 def require_secret(secret) -> int:
     """secret itself when it is an int in [1, order-1], else InvalidScalar."""
-    if not isinstance(secret, int) or not (1 <= secret < CURVE_ORDER):
+    # type() rather than isinstance(): True is an int but not a secret
+    if type(secret) is not int or not (1 <= secret < CURVE_ORDER):
         raise InvalidScalar("secret must be in [1, order-1]")
     return secret
 

@@ -103,7 +103,8 @@ class Scheduler:
     are exact at any total (see ``sample_cluster_weighted``).
 
     Each address holds one slot, so a roster that repeats an address is
-    rejected with ``InvalidDesign``.
+    rejected with ``InvalidDesign``, as is a cluster size below 1 under
+    any policy once the roster is non-empty.
 
     The block design is cyclic and replication-balanced: block i covers
     roster positions i..i+B-1 mod |F|, so each of the |F| blocks holds B
@@ -128,8 +129,8 @@ class Scheduler:
         self.slot_addresses = list(self.roster)
         self.slot_weights = [WEIGHT_FLOOR] * len(self.roster)
         self.block_cursor = 0
-        if policy is Policy.BIBD and self.roster and cluster_size < 1:
-            raise InvalidDesign("block size %d is below 1" % cluster_size)
+        if self.roster and cluster_size < 1:
+            raise InvalidDesign("cluster size %d is below 1" % cluster_size)
 
     def next_cluster(self) -> list:
         if not self.roster:

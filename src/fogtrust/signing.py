@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import digest
-from .curve import CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, mult_add, scalar_mult
+from .curve import (CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, _sqrt, mult_add,
+                    scalar_mult)
 from .errors import InvalidSignature, RecoveryFailed
 from .keys import random_scalar, require_secret
 
@@ -77,8 +78,8 @@ def recover(message: bytes, signature: Signature) -> Point:
     x = r + CURVE_ORDER if hint & 2 else r
     if x >= FIELD_PRIME:
         raise RecoveryFailed("nonce x-coordinate outside the field")
-    y_sq = (pow(x, 3, FIELD_PRIME) + 7) % FIELD_PRIME
-    y = pow(y_sq, (FIELD_PRIME + 1) // 4, FIELD_PRIME)
+    y_sq = (x * x % FIELD_PRIME * x + 7) % FIELD_PRIME
+    y = _sqrt(y_sq)
     if y * y % FIELD_PRIME != y_sq:
         raise RecoveryFailed("no curve point at the nonce x-coordinate")
     if (y & 1) != (hint & 1):

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fogtrust import curve
+from fogtrust import curve, keys, signing
 from fogtrust.errors import InvalidPoint
 
 import oracles
@@ -168,6 +170,10 @@ def test_point_rejects_off_curve_coordinates():
         curve.Point(-1, curve.GENERATOR.y)
     with pytest.raises(InvalidPoint):
         curve.Point(curve.FIELD_PRIME, curve.GENERATOR.y)
+    # (1, y) is on the curve for y^2 = 8, but True is not a coordinate
+    one = curve.Point(1, pow(8, (curve.FIELD_PRIME + 1) // 4, curve.FIELD_PRIME))
+    with pytest.raises(InvalidPoint):
+        curve.Point(True, one.y)
 
 
 def test_point_bytes_roundtrip():
@@ -432,7 +438,6 @@ def test_cache_evicts_least_recently_used_at_its_cap(monkeypatch):
 
 
 def test_recovering_one_signature_five_times_admits_nothing():
-    from fogtrust import keys, signing
     pair = keys.KeyPair.generate(random.Random(0x5EC))
     signature = signing.sign(b"replayed call", pair.secret, random.Random(1))
     empty_cache()
@@ -464,3 +469,63 @@ def test_packed_table_entries_and_products_match_oracle():
         s = rng.randrange(1, curve.CURVE_ORDER)
         assert as_tuple(curve.scalar_mult(k, point)) == oracles.affine_scalar_mult(k, base)
         assert curve.link_x(s, k, point) == oracle_link_x(s, k, base)
+
+
+# -- field work: the square root chain and the inversions a product takes --
+
+field_elements = st.integers(min_value=0, max_value=curve.FIELD_PRIME - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=field_elements)
+def test_sqrt_chain_matches_the_plain_power(a):
+    p = curve.FIELD_PRIME
+    square = a * a % p
+    # p = 3 (mod 4), so -1 is a non-square, and so is -a^2 for a != 0
+    for v in (a, square, (p - square) % p, 0, p - 1):
+        assert curve._sqrt(v) == pow(v, (p + 1) // 4, p)
+    assert curve._sqrt(square) in (a, p - a)
+
+
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """(exponent, modulus) of every pow call made in curve and signing,
+    which shadow the builtin in their module namespaces."""
+    calls = []
+
+    def counting_pow(base, exponent, modulus=None):
+        calls.append((exponent, modulus))
+        return pow(base, exponent, modulus)
+
+    # the generator's table takes inversions of its own when it is built
+    curve.scalar_mult(1, curve.GENERATOR)
+    for module in (curve, signing):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    return calls
+
+
+def test_cold_products_take_one_inversion_and_recover_two(pow_calls):
+    rng = random.Random(0x1AF)
+    p, n = curve.FIELD_PRIME, curve.CURVE_ORDER
+    base = oracles.affine_scalar_mult(0xF1E1D, oracles.GEN)
+    for _ in range(3):
+        k = rng.randrange(1, n)
+        curve._cold_xyzz(k, cold_point(base))
+        assert pow_calls == []
+        assert cold_mult(k, base) == oracles.affine_scalar_mult(k, base)
+        assert pow_calls == [(-1, p)]
+        pow_calls.clear()
+        curve.link_x(rng.randrange(n), k, cold_point(base))
+        assert pow_calls == [(-1, p)]
+        pow_calls.clear()
+
+    pair = keys.KeyPair.generate(rng)
+    for index in range(3):
+        message = b"call %d" % index
+        signature = signing.sign(message, pair.secret, rng)
+        pow_calls.clear()
+        empty_cache()
+        assert signing.recover(message, signature) == pair.public
+        # r^-1 mod n and the accumulator's final inversion, and nothing
+        # else: the nonce's y comes from the square-root chain, not from pow
+        assert pow_calls == [(-1, n), (-1, p)]

@@ -23,7 +23,7 @@ def test_derive_public_matches_oracle_for_small_secrets():
 
 
 def test_derive_public_rejects_out_of_range_secrets():
-    for bad in (0, -1, CURVE_ORDER, CURVE_ORDER + 5):
+    for bad in (0, -1, CURVE_ORDER, CURVE_ORDER + 5, True):
         with pytest.raises(InvalidScalar):
             keys.derive_public(bad)
     with pytest.raises(InvalidScalar):

@@ -359,11 +359,12 @@ def test_scheduler_draws_equal_a_design_rebuilt_at_every_ejection(
             == blocks[cursor:] + blocks[:cursor]
 
 
+@pytest.mark.parametrize("policy", list(Policy))
 @pytest.mark.parametrize("size", [0, -1])
-def test_scheduler_block_design_rejects_an_empty_cluster(size):
+def test_scheduler_block_design_rejects_an_empty_cluster(size, policy):
     with pytest.raises(InvalidDesign):
-        Scheduler(Policy.BIBD, size, addresses(3), random.Random(19))
-    assert Scheduler(Policy.BIBD, size, [], random.Random(19)).next_cluster() == []
+        Scheduler(policy, size, addresses(3), random.Random(19))
+    assert Scheduler(policy, size, [], random.Random(19)).next_cluster() == []
 
 
 def test_scheduler_single_survivor_keeps_returning_it():
