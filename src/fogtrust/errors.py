@@ -106,12 +106,8 @@ class SchedulingError(FogTrustError):
     """Base class for audit scheduling failures."""
 
 
-class ClusterTooLarge(SchedulingError):
-    pass
-
-
 class InvalidDesign(SchedulingError):
-    """Block design parameters are unsatisfiable."""
+    """Scheduler settings are unusable: policy, cluster size or roster."""
 
 
 # -------------------------------------------------------------- protocol

@@ -11,7 +11,7 @@ import enum
 from bisect import bisect_right, insort
 from itertools import accumulate
 
-from .errors import ClusterTooLarge, InvalidDesign, UnknownFog
+from .errors import InvalidDesign, UnknownFog
 
 WEIGHT_GAIN = 2
 WEIGHT_FLOOR = 1
@@ -23,16 +23,7 @@ class Policy(enum.Enum):
     BIBD = "bibd"
 
 
-def sample_cluster_random(live_fogs, cluster_size: int, rng) -> list:
-    pool = list(live_fogs)
-    if cluster_size > len(pool):
-        raise ClusterTooLarge("cluster %d exceeds %d live nodes"
-                              % (cluster_size, len(pool)))
-    return rng.sample(pool, cluster_size)
-
-
-def sample_cluster_weighted(roster, slot_weights, cluster_size: int,
-                            rng) -> list:
+def _sample_weighted(roster, slot_weights, cluster_size: int, rng) -> list:
     """Successive weighted draws without replacement over parallel slots.
 
     ``slot_weights[i]`` is the weight of ``roster[i]``; a slot holding 0 is
@@ -53,11 +44,9 @@ def sample_cluster_weighted(roster, slot_weights, cluster_size: int,
     never found.  Every sum is of whole numbers, so each is exact: shifting
     an unfloored mark would round it.  The ``mark == total`` float edge
     takes the last live, unpicked slot, as the mark ``total - 1`` does.
+
+    ``cluster_size`` must not exceed the number of nonzero slots.
     """
-    live = len(slot_weights) - slot_weights.count(0)
-    if cluster_size > live:
-        raise ClusterTooLarge("cluster %d exceeds %d live nodes"
-                              % (cluster_size, live))
     totals = list(accumulate(slot_weights))
     total = totals[-1] if totals else 0
     random = rng.random
@@ -100,11 +89,12 @@ class Scheduler:
     ``slot_addresses``: a live node's slot holds its weight, an ejected
     node's slot holds 0.  Every weight is an int power of two of at least
     1 (floor 1, doubled on a failure, halved on a pass), so weighted draws
-    are exact at any total (see ``sample_cluster_weighted``).
+    are exact at any total (see ``_sample_weighted``).
 
     Each address holds one slot, so a roster that repeats an address is
-    rejected with ``InvalidDesign``, as is a cluster size below 1 under
-    any policy once the roster is non-empty.
+    rejected with ``InvalidDesign``, as are a policy that is not a
+    ``Policy`` and a cluster size below 1 under any policy once the roster
+    is non-empty.
 
     The block design is cyclic and replication-balanced: block i covers
     roster positions i..i+B-1 mod |F|, so each of the |F| blocks holds B
@@ -118,6 +108,8 @@ class Scheduler:
     """
 
     def __init__(self, policy: Policy, cluster_size: int, fog_addresses, rng):
+        if not isinstance(policy, Policy):
+            raise InvalidDesign("policy %r is not a Policy" % (policy,))
         self.policy = policy
         self.cluster_size = cluster_size
         self.rng = rng
@@ -137,10 +129,10 @@ class Scheduler:
             return []
         size = min(self.cluster_size, len(self.roster))
         if self.policy is Policy.RANDOM:
-            return sample_cluster_random(self.roster, size, self.rng)
+            return self.rng.sample(self.roster, size)
         if self.policy is Policy.WEIGHTED:
-            return sample_cluster_weighted(self.slot_addresses,
-                                           self.slot_weights, size, self.rng)
+            return _sample_weighted(self.slot_addresses, self.slot_weights,
+                                    size, self.rng)
         roster = self.roster
         count = len(roster)
         cursor = self.block_cursor

@@ -110,6 +110,8 @@ class ScenarioConfig:
     audit_cap: int = 10**6
 
     def __post_init__(self):
+        if not isinstance(self.policy, Policy):
+            raise InvalidConfig("policy %r is not a Policy" % (self.policy,))
         if self.fog_count < 1:
             raise InvalidConfig("fog count must be positive")
         if self.cluster_size < 1:

@@ -841,7 +841,7 @@ def test_penalty_distribution_is_exact(devices, deduction):
 
 # -- sequence numbers and snapshots --
 
-def test_events_have_strictly_increasing_sequence():
+def test_seq_counts_accepted_state_changes():
     """``seq`` counts accepted state changes; an expulsion is one more."""
     bench = Bench(small_params(reputation_initial=3))
     payer = bench.iot(funds=30)

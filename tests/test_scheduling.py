@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogtrust.errors import ClusterTooLarge, InvalidDesign, UnknownFog
+from fogtrust.errors import InvalidDesign, UnknownFog
 from fogtrust.scheduling import (
     Policy,
     Scheduler,
-    sample_cluster_random,
-    sample_cluster_weighted,
+    _sample_weighted,
     update_weight,
 )
 
@@ -34,30 +33,26 @@ def live_weights(scheduler):
 
 def test_random_cluster_of_full_size_is_the_whole_roster():
     roster = addresses(6)
-    cluster = sample_cluster_random(roster, 6, random.Random(1))
+    cluster = Scheduler(Policy.RANDOM, 6, roster,
+                        random.Random(1)).next_cluster()
     assert sorted(cluster) == sorted(roster)
 
 
 def test_random_cluster_members_are_distinct():
     roster = addresses(30)
-    rng = random.Random(2)
+    scheduler = Scheduler(Policy.RANDOM, 7, roster, random.Random(2))
     for _ in range(50):
-        cluster = sample_cluster_random(roster, 7, rng)
+        cluster = scheduler.next_cluster()
         assert len(set(cluster)) == 7
-
-
-def test_random_cluster_too_large_rejected():
-    with pytest.raises(ClusterTooLarge):
-        sample_cluster_random(addresses(3), 4, random.Random(3))
 
 
 def test_random_single_draws_are_uniform():
     roster = addresses(100)
-    rng = random.Random(4)
+    scheduler = Scheduler(Policy.RANDOM, 1, roster, random.Random(4))
     draws = 100_000
     counts = {address: 0 for address in roster}
     for _ in range(draws):
-        counts[sample_cluster_random(roster, 1, rng)[0]] += 1
+        counts[scheduler.next_cluster()[0]] += 1
     expected = draws / 100
     sigma = math.sqrt(draws * 0.01 * 0.99)
     for address in roster:
@@ -66,20 +61,12 @@ def test_random_single_draws_are_uniform():
 
 # -- weighted sampling --
 
-def test_weighted_cluster_too_large_rejected():
-    roster = addresses(3)
-    with pytest.raises(ClusterTooLarge):
-        sample_cluster_weighted(roster, [1.0] * 3, 4, random.Random(5))
-    with pytest.raises(ClusterTooLarge):  # a zero slot is not live
-        sample_cluster_weighted(roster, [1.0, 0.0, 1.0], 3, random.Random(5))
-
-
 def test_weighted_never_draws_a_zero_slot_and_restores_weights():
     roster = addresses(6)
     slot_weights = [0.0, 2.0, 0.0, 1.0, 4.0, 0.0]
     rng = random.Random(6)
     for _ in range(200):
-        cluster = sample_cluster_weighted(roster, slot_weights, 3, rng)
+        cluster = _sample_weighted(roster, slot_weights, 3, rng)
         assert sorted(cluster) == sorted([roster[1], roster[3], roster[4]])
     assert slot_weights == [0.0, 2.0, 0.0, 1.0, 4.0, 0.0]
 
@@ -87,10 +74,9 @@ def test_weighted_never_draws_a_zero_slot_and_restores_weights():
 def test_weighted_draw_reads_its_weights_without_writing_them():
     roster = addresses(6)
     slot_weights = [0.0, 2.0, 1.0, 8.0, 0.0, 4.0]
-    expected = sample_cluster_weighted(roster, slot_weights, 3,
-                                       random.Random(13))
-    assert sample_cluster_weighted(roster, tuple(slot_weights), 3,
-                                   random.Random(13)) == expected
+    expected = _sample_weighted(roster, slot_weights, 3, random.Random(13))
+    assert _sample_weighted(roster, tuple(slot_weights), 3,
+                            random.Random(13)) == expected
 
 
 def test_weighted_with_uniform_weights_matches_uniform_sampling():
@@ -100,7 +86,7 @@ def test_weighted_with_uniform_weights_matches_uniform_sampling():
     draws = 20_000
     counts = {a: 0 for a in roster}
     for _ in range(draws):
-        for address in sample_cluster_weighted(roster, slot_weights, 5, rng):
+        for address in _sample_weighted(roster, slot_weights, 5, rng):
             counts[address] += 1
     inclusion = 5 / 20
     sigma = math.sqrt(draws * inclusion * (1 - inclusion))
@@ -116,7 +102,7 @@ def test_weighted_heavy_node_frequency_matches_analytic_probability():
     draws = 100_000
     hits = 0
     for _ in range(draws):
-        if sample_cluster_weighted(roster, slot_weights, 1, rng)[0] == roster[0]:
+        if _sample_weighted(roster, slot_weights, 1, rng)[0] == roster[0]:
             hits += 1
     p = 10.0 / 19.0
     sigma = math.sqrt(draws * p * (1 - p))
@@ -134,8 +120,7 @@ def test_weighted_inclusion_grows_with_repeated_failures():
                                                   passed=False)
         rng = random.Random(9)
         hits = sum(
-            roster[suspect] in sample_cluster_weighted(roster, slot_weights,
-                                                       2, rng)
+            roster[suspect] in _sample_weighted(roster, slot_weights, 2, rng)
             for _ in range(5000))
         frequencies.append(hits)
     assert frequencies[0] < frequencies[1] < frequencies[2]
@@ -237,7 +222,7 @@ def test_weighted_mark_one_ulp_below_a_shifted_boundary(heavy):
         roster, dict(zip(roster, slot_weights)), 2,
         _Marks(ULP_BELOW_A_SHIFTED_BOUNDARY))
     assert expected == roster[:2]
-    assert sample_cluster_weighted(
+    assert _sample_weighted(
         roster, slot_weights, 2, _Marks(ULP_BELOW_A_SHIFTED_BOUNDARY)) == expected
 
 
@@ -305,6 +290,12 @@ def test_scheduler_rejects_a_roster_that_repeats_an_address(policy):
     with pytest.raises(InvalidDesign):
         Scheduler(policy, 3, [roster[0], roster[0], roster[1]],
                   random.Random(12))
+
+
+@pytest.mark.parametrize("policy", ["random", "weighted", "bibd", None])
+def test_scheduler_refuses_a_policy_that_is_not_a_policy(policy):
+    with pytest.raises(InvalidDesign):
+        Scheduler(policy, 2, addresses(4), random.Random(12))
 
 
 @pytest.mark.parametrize("policy", list(Policy))

@@ -159,6 +159,12 @@ def test_config_rejects_zero_cluster():
         ScenarioConfig(cluster_size=0)
 
 
+@pytest.mark.parametrize("policy", ["random", None])
+def test_config_rejects_a_policy_that_is_not_a_policy(policy):
+    with pytest.raises(InvalidConfig):
+        ScenarioConfig(policy=policy)
+
+
 def test_config_rejects_zero_trials():
     with pytest.raises(InvalidConfig):
         ScenarioConfig(trials=0)
@@ -492,7 +498,7 @@ def test_running_means_match_direct_recomputation():
 
 
 def _reference_weighted_draw(roster, slot_weights, cluster_size, rng):
-    """``sample_cluster_weighted`` through the plain reference draw."""
+    """``_sample_weighted`` through the plain reference draw."""
     weights = dict(zip(roster, slot_weights))
     live = [address for address in roster if weights[address]]
     return oracles.weighted_cluster(live, weights, cluster_size, rng)
@@ -508,7 +514,7 @@ def test_weighted_trials_equal_trials_under_the_reference_draw(monkeypatch):
                 run_state_trial(state_config, random.Random(52)))
 
     cost, state = run_both()
-    monkeypatch.setattr(scheduling, "sample_cluster_weighted",
+    monkeypatch.setattr(scheduling, "_sample_weighted",
                         _reference_weighted_draw)
     reference_cost, reference_state = run_both()
     assert cost == reference_cost
