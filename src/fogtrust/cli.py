@@ -2,9 +2,9 @@
 
 Output is deterministic: every number is formatted with fixed precision,
 independent of locale, and a fixed seed reproduces byte-identical files.
-Configs are flat ``key = value`` text, and each command accepts only the
-keys it reads; command-line flags override file values; defaults follow
-the evaluation setup shipped with the package.
+Configs are flat ``key = value`` text; each command accepts only the keys
+that can change its output, command-line flags override file values, and
+defaults follow the evaluation setup shipped with the package.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     CryptoError,
     FogTrustError,
     InvalidConfig,
+    InvalidParams,
     IoError,
     LedgerError,
     ProtocolError,
@@ -28,7 +29,7 @@ from .errors import (
     SimulationError,
 )
 from .keys import KeyPair, derive_public, public_to_hex, secret_from_hex, secret_to_hex
-from .ledger import Ledger
+from .ledger import Ledger, Params
 from .protocol import Channel, FogAgent, IoTAgent, mutual_authenticate
 from .scheduling import Policy
 from .simulation import (
@@ -76,12 +77,11 @@ def exit_code_for(error: FogTrustError) -> int:
 _FIELDS = {("cluster" if f.name == "cluster_size" else f.name): f
            for f in fields(ScenarioConfig)}
 SIMULATE_SCHEMA = {key: type(f.default) for key, f in _FIELDS.items()}
-# the handshake demo reads the seed, the contract parameters that
-# ScenarioConfig.params() passes, two key files and the device's threshold
+# the handshake demo reads the seed, the fog's reputation band (its floor
+# is the default threshold), two key files and the device's threshold
+_REPUTATION_BAND = ("reputation_initial", "reputation_min", "reputation_max")
 DEMO_AUTH_SCHEMA = dict(
-    {key: SIMULATE_SCHEMA[key] for key in (
-        "seed", "deposit", "deposit_deduction", "reward_step", "penalty_step",
-        "reputation_initial", "reputation_min", "reputation_max")},
+    {key: SIMULATE_SCHEMA[key] for key in ("seed",) + _REPUTATION_BAND},
     iot_key=str, fog_key=str, reputation_threshold=int)
 KEY_FILE_SCHEMA = {"private": str, "public": str, "address": str}
 
@@ -153,7 +153,7 @@ def _write_text(path, text: str):
 KEY_FILE_PATTERN = "key-%02d.txt"
 
 
-def cmd_keygen(count: int, out_dir: str = ".", rng=None) -> list:
+def cmd_keygen(count: int, out_dir: str, rng) -> list:
     """Write ``count`` fresh key pair files and return their paths."""
     paths = []
     for index in range(count):
@@ -187,9 +187,10 @@ def _load_keypair(path: str) -> KeyPair:
 
 # -- demo-auth --
 
-def cmd_demo_auth(settings: dict, stream=None) -> None:
-    """Register two parties on a fresh ledger and walk the handshake."""
-    stream = stream or sys.stdout
+def cmd_demo_auth(settings: dict) -> None:
+    """Register two parties on a fresh ledger and walk the handshake.
+
+    The fog stakes the default deposit, which no output line shows."""
     rng = random.Random(settings.get("seed", 0))
 
     if "iot_key" in settings:
@@ -201,38 +202,38 @@ def cmd_demo_auth(settings: dict, stream=None) -> None:
     else:
         fog_pair = KeyPair.generate(rng)
 
-    scenario = _scenario(settings)
-    params = scenario.params()
+    try:
+        params = Params(**{key: settings[key] for key in _REPUTATION_BAND
+                           if key in settings})
+    except InvalidParams as exc:
+        raise InvalidConfig(str(exc))
     threshold = settings.get("reputation_threshold", params.reputation_min)
     ledger = Ledger(params)
     iot = IoTAgent(iot_pair, reputation_threshold=threshold, rng=rng)
     fog = FogAgent(fog_pair, rng=rng)
 
-    print("iot address  %s" % iot_pair.address, file=stream)
-    print("fog address  %s" % fog_pair.address, file=stream)
+    print("iot address  %s" % iot_pair.address)
+    print("fog address  %s" % fog_pair.address)
     iot.register(ledger, funds=DEVICE_FUNDS)
-    fog.register(ledger, stake=scenario.deposit)
-    print("registered both parties on a fresh ledger", file=stream)
+    fog.register(ledger, stake=params.deposit_requirement)
+    print("registered both parties on a fresh ledger")
 
     channel = Channel()
     session = mutual_authenticate(iot, fog, ledger, channel)
 
     frames = channel.framing_summary()
     print("1. iot -> fog  identity proof (%s, %d bytes)"
-          % (frames[0][1], frames[0][2]), file=stream)
-    print("2. fog         recovered device address, registration confirmed",
-          file=stream)
+          % (frames[0][1], frames[0][2]))
+    print("2. fog         recovered device address, registration confirmed")
     print("3. fog -> iot  identity proof (%s, %d bytes)"
-          % (frames[1][1], frames[1][2]), file=stream)
-    print("4. iot         recovered fog address, registration confirmed",
-          file=stream)
+          % (frames[1][1], frames[1][2]))
+    print("4. iot         recovered fog address, registration confirmed")
     print("5. iot         fog reputation %d meets threshold %d"
-          % (ledger.fog_table[fog_pair.address].reputation, threshold),
-          file=stream)
-    print("6. iot         session key derived", file=stream)
-    print("7. fog         session key derived", file=stream)
+          % (ledger.fog_table[fog_pair.address].reputation, threshold))
+    print("6. iot         session key derived")
+    print("7. fog         session key derived")
     assert session.symmetric_key == fog.sessions[iot_pair.address]
-    print("session established", file=stream)
+    print("session established")
 
 
 # -- simulate --
@@ -241,10 +242,8 @@ def _fmt(value: float) -> str:
     return "%.6f" % value
 
 
-def cmd_simulate(scenario: str, settings: dict, out_dir: str = ".",
-                 stream=None) -> list:
+def cmd_simulate(scenario: str, settings: dict, out_dir: str) -> list:
     """Run all trials for one scenario and write CSVs plus a plot script."""
-    stream = stream or sys.stdout
     if scenario not in ("cost", "state"):
         raise InvalidConfig("unknown scenario %r (choose cost or state)"
                             % scenario)
@@ -255,18 +254,18 @@ def cmd_simulate(scenario: str, settings: dict, out_dir: str = ".",
     if not os.access(out_dir, os.W_OK | os.X_OK):
         raise IoError("output directory %s is not writable" % out_dir)
     if scenario == "cost":
-        return _simulate_cost(settings, out_dir, stream)
-    return _simulate_state(settings, out_dir, stream)
+        return _simulate_cost(settings, out_dir)
+    return _simulate_state(settings, out_dir)
 
 
-def _simulate_cost(settings: dict, out_dir: str, stream) -> list:
+def _simulate_cost(settings: dict, out_dir: str) -> list:
     policies = [settings["policy"]] if "policy" in settings else list(Policy)
     configs = [(policy, _scenario(dict(settings, policy=policy)))
                for policy in policies]
 
     trial_lines = ["trial,policy,cluster_size,audits"]
     summary_lines = ["policy,cluster_size,trials,mean,variance"]
-    print("policy      cluster  trials  mean          variance", file=stream)
+    print("policy      cluster  trials  mean          variance")
     for policy, config in configs:
         costs = run_cost_scenario(config)
         for index, cost in enumerate(costs):
@@ -278,7 +277,7 @@ def _simulate_cost(settings: dict, out_dir: str, stream) -> list:
                                 _fmt(summary.mean), _fmt(summary.variance)))
         print("%-10s  %7d  %6d  %12s  %s"
               % (policy.value, config.cluster_size, summary.count,
-                 _fmt(summary.mean), _fmt(summary.variance)), file=stream)
+                 _fmt(summary.mean), _fmt(summary.variance)))
 
     trials_path = os.path.join(out_dir, "cost_trials.csv")
     summary_path = os.path.join(out_dir, "cost_summary.csv")
@@ -289,7 +288,7 @@ def _simulate_cost(settings: dict, out_dir: str, stream) -> list:
     return [trials_path, summary_path, plot_path]
 
 
-def _simulate_state(settings: dict, out_dir: str, stream) -> list:
+def _simulate_state(settings: dict, out_dir: str) -> list:
     # the adaptive-population study is this scenario's whole point, and it
     # needs a deposit that survives the learning phase
     config = _scenario({"adaptive": True, "deposit": 10, **settings})
@@ -318,11 +317,11 @@ def _simulate_state(settings: dict, out_dir: str, stream) -> list:
                             live))
 
     print("state scenario: %d trials, %d fog nodes, horizon %d steps"
-          % (config.trials, config.fog_count, len(live)), file=stream)
+          % (config.trials, config.fog_count, len(live)))
     print("mean malicious rate  start %s  end %s"
-          % (_fmt(malicious[0]), _fmt(malicious[-1])), file=stream)
+          % (_fmt(malicious[0]), _fmt(malicious[-1])))
     print("mean live fog nodes  start %s  end %s"
-          % (_fmt(live[0]), _fmt(live[-1])), file=stream)
+          % (_fmt(live[0]), _fmt(live[-1])))
 
     trials_path = os.path.join(out_dir, "state_trials.csv")
     series_path = os.path.join(out_dir, "state_series.csv")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .constants import digest
 from .errors import BadSignature, InvalidConfig, InvalidParams, NonTerminating
@@ -110,8 +110,13 @@ class ScenarioConfig:
     audit_cap: int = 10**6
 
     def __post_init__(self):
-        if not isinstance(self.policy, Policy):
-            raise InvalidConfig("policy %r is not a Policy" % (self.policy,))
+        # each field takes the type of its default, where a float also takes
+        # an int; type() rather than isinstance(), since True is an int
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            if type(value) is not kind and (kind, type(value)) != (float, int):
+                raise InvalidConfig("%s must be of type %s, not %r"
+                                    % (f.name, kind.__name__, value))
         if self.fog_count < 1:
             raise InvalidConfig("fog count must be positive")
         if self.cluster_size < 1:

@@ -6,10 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from fogtrust import cli
+from fogtrust import cli, errors
 from fogtrust.errors import (
     BadSignature,
+    ChannelFailure,
+    FogTrustError,
     InvalidConfig,
+    InvalidDesign,
+    InvalidScalar,
     IoError,
     NonTerminating,
     ReputationBelowThreshold,
@@ -70,11 +74,20 @@ def test_flat_config_rejects_shapeless_line():
 
 
 def test_exit_codes_are_distinct_per_family():
-    codes = [cli.exit_code_for(error("boom")) for error in
-             (InvalidConfig, IoError, ReputationBelowThreshold,
-              BadSignature, NonTerminating)]
-    assert codes == [3, 4, 5, 6, 8]
+    # one error of each family, in the order of cli._EXIT_FAMILIES
+    members = (InvalidConfig, IoError, ReputationBelowThreshold, BadSignature,
+               ChannelFailure, NonTerminating, InvalidScalar, InvalidDesign)
+    assert len(members) == len(cli._EXIT_FAMILIES)
+    for error, (family, _) in zip(members, cli._EXIT_FAMILIES):
+        assert issubclass(error, family)
+    codes = [cli.exit_code_for(error("boom")) for error in members]
+    assert codes == [3, 4, 5, 6, 7, 8, 9, 10]
     assert len(set(codes)) == len(codes)
+    # the generic code 1 is left for errors the package does not define
+    for error in vars(errors).values():
+        if (isinstance(error, type) and issubclass(error, FogTrustError)
+                and error is not FogTrustError):
+            assert cli.exit_code_for(error("boom")) != 1, error.__name__
 
 
 # -- keygen --
@@ -161,24 +174,63 @@ def test_demo_auth_uses_key_files(tmp_path, capsys):
     assert "iot address  %s" % key_fields["address"] in out
 
 
-# a value each key would accept in simulate
-SIMULATE_ONLY_SETTINGS = {
+# keys demo-auth does not read, each with a value simulate would accept
+UNREAD_BY_DEMO_AUTH = {
     "policy": "bibd", "cluster": "2", "trials": "5", "fog_count": "3",
     "adaptive": "true", "horizon_per_fog": "2", "malicious_low": "0.5",
-    "malicious_high": "0.9", "audit_cap": "100",
+    "malicious_high": "0.9", "audit_cap": "100", "deposit": "50",
+    "deposit_deduction": "9", "reward_step": "3", "penalty_step": "7",
 }
 
 
-@pytest.mark.parametrize("key", sorted(SIMULATE_ONLY_SETTINGS))
+@pytest.mark.parametrize("key", sorted(UNREAD_BY_DEMO_AUTH))
 def test_demo_auth_rejects_study_keys(key, tmp_path, capsys):
-    # the handshake demo reads none of the study's settings
+    # keys demo-auth does not read: the study's settings, and the deposit
+    # and step parameters, which reach only a stake no output line shows
     config = tmp_path / "demo.cfg"
-    config.write_text("%s = %s\n" % (key, SIMULATE_ONLY_SETTINGS[key]))
+    config.write_text("%s = %s\n" % (key, UNREAD_BY_DEMO_AUTH[key]))
     code = run_cli(["demo-auth", "--config", str(config), "--seed", "7"])
     assert code == 3
     captured = capsys.readouterr()
     assert "unknown config key %r" % key in captured.err
     assert captured.out == ""
+
+
+# a second value for each demo-auth key, set on top of "seed = 7"; a key
+# file's name is relative to the test's directory
+DEMO_AUTH_SECOND_VALUES = {
+    "seed": "8", "iot_key": "key-00.txt", "fog_key": "key-01.txt",
+    "reputation_initial": "9", "reputation_min": "3",
+    "reputation_threshold": "4", "reputation_max": "12",
+}
+
+
+def _demo_auth_output(tmp_path, capsys, lines):
+    """Exit code and stdout of demo-auth on a config of ``lines``."""
+    config = tmp_path / "demo.cfg"
+    config.write_text("".join(line + "\n" for line in lines))
+    code = run_cli(["demo-auth", "--config", str(config)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", sorted(cli.DEMO_AUTH_SCHEMA))
+def test_every_demo_auth_key_changes_its_output(key, tmp_path, capsys):
+    run_cli(["keygen", "--count", "2", "--seed", "3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    value = DEMO_AUTH_SECOND_VALUES[key]
+    if key.endswith("_key"):
+        value = tmp_path / value
+    base = ["seed = 7"]
+    if key == "reputation_max":
+        # a fog shown above the default ceiling of 10 needs a higher one
+        base.append("reputation_initial = 12")
+    before = _demo_auth_output(tmp_path, capsys, base)
+    changed = [line for line in base if not line.startswith(key + " ")]
+    after = _demo_auth_output(tmp_path, capsys,
+                              changed + ["%s = %s" % (key, value)])
+    assert before[0] == (3 if key == "reputation_max" else 0)
+    assert after[0] == 0
+    assert after != before
 
 
 @pytest.mark.parametrize("edit", ["address", "public", "junk line"])

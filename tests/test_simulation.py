@@ -165,6 +165,25 @@ def test_config_rejects_a_policy_that_is_not_a_policy(policy):
         ScenarioConfig(policy=policy)
 
 
+# at the same size, a float or bool seed ran as the int it rounds to, a
+# string flag was truthy, and a float count failed mid-trial
+@pytest.mark.parametrize("field, value", [
+    ("seed", 2.5), ("seed", True), ("adaptive", "false"),
+    ("fog_count", 2.5), ("cluster_size", 1.5), ("trials", "3"),
+    ("malicious_low", "0.4"),
+])
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    settings = dict(fog_count=4, trials=2, cluster_size=2)
+    settings[field] = value
+    with pytest.raises(InvalidConfig):
+        ScenarioConfig(**settings)
+
+
+def test_config_takes_an_int_for_a_float_field():
+    config = ScenarioConfig(malicious_low=0, malicious_high=1)
+    assert (config.malicious_low, config.malicious_high) == (0, 1)
+
+
 def test_config_rejects_zero_trials():
     with pytest.raises(InvalidConfig):
         ScenarioConfig(trials=0)
