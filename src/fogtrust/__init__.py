@@ -3,7 +3,7 @@
 The package splits into layers that can be used independently:
 
 - ``keys``, ``signing``, ``ring``, ``aead``: curve arithmetic, recoverable
-  signatures, linkable-free ring signatures, and authenticated encryption.
+  signatures, unlinkable ring signatures, and authenticated encryption.
 - ``ledger``: the registry/payment/reputation contract emulation.
 - ``protocol``: mutual authentication, paid service exchange, and the
   disguised integrity audit, all over a lossy channel model.

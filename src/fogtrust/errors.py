@@ -107,7 +107,8 @@ class SchedulingError(FogTrustError):
 
 
 class InvalidDesign(SchedulingError):
-    """Scheduler settings are unusable: policy, cluster size or roster."""
+    """Scheduler settings are unusable (policy, cluster size or roster), or
+    an outcome names a node the weighted roster holds no live weight for."""
 
 
 # -------------------------------------------------------------- protocol

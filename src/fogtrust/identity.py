@@ -1,17 +1,17 @@
 """The verifier the ledger checks caller signatures and attestations with.
 
 Agents always sign with ``signing`` and ``ring`` directly; only the ledger's
-side is swappable.  It recovers each caller's address and checks ring
-attestations through this object, so bulk simulation runs can hand it
-``simulation.TokenIdentity`` and verify bearer tokens instead of curve
-signatures.
+side is swappable.  It recovers each caller's address and reads each
+verified ring attestation's members through this object, so bulk simulation
+runs can hand it ``simulation.TokenIdentity`` and verify bearer tokens
+instead of curve signatures.
 """
 
 from __future__ import annotations
 
 from . import keys, ring, signing
-from .errors import (BadSignature, InvalidSignature, MalformedRingSignature,
-                     RecoveryFailed, RingTooSmall)
+from .errors import (BadSignature, InvalidRingSignature, InvalidSignature,
+                     MalformedRingSignature, RecoveryFailed, RingTooSmall)
 
 
 class Secp256k1Identity:
@@ -26,16 +26,18 @@ class Secp256k1Identity:
             raise BadSignature(str(exc)) from exc
         return keys.address_of(public)
 
-    def ring_verify(self, message: bytes, signature) -> bool:
-        if not isinstance(signature, ring.RingSignature):
-            return False
+    def ring_members(self, message: bytes, attestation) -> tuple:
+        """The member addresses of a ring that verifies over ``message``;
+        else InvalidRingSignature, caused by the ring check that refused."""
+        if not isinstance(attestation, ring.RingSignature):
+            raise InvalidRingSignature("not a ring signature")
         try:
-            return ring.ring_verify(message, signature)
-        except (MalformedRingSignature, RingTooSmall):
-            return False
-
-    def ring_addresses(self, signature) -> tuple:
-        return tuple(keys.address_of(member) for member in signature.ring)
+            verified = ring.ring_verify(message, attestation)
+        except (MalformedRingSignature, RingTooSmall) as exc:
+            raise InvalidRingSignature(str(exc)) from exc
+        if not verified:
+            raise InvalidRingSignature("audit attestation does not verify")
+        return tuple(keys.address_of(member) for member in attestation.ring)
 
     def sign(self, message: bytes, secret: int, rng=None):
         """A signature this scheme verifies; perfbench signs calls with it."""

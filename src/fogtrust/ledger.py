@@ -26,7 +26,6 @@ from .errors import (
     InsufficientFunds,
     InvalidAmount,
     InvalidParams,
-    InvalidRingSignature,
     NotRegistered,
     RingMemberNotInIoTTable,
     UnknownFog,
@@ -225,11 +224,11 @@ class Ledger:
             raise NotRegistered("no IoT device at %s" % address)
         return record
 
-    def _require_fog(self, address: str) -> FogRecord:
+    def _require_fog(self, address: str, error=NotRegistered) -> FogRecord:
         # a non-string address, unhashable or not, names no fog node
         record = self.fog_table.get(address) if isinstance(address, str) else None
         if record is None:
-            raise NotRegistered("no fog node at %s" % address)
+            raise error("no fog node at %s" % address)
         return record
 
     def _withdraw(self, require, caller: str, amount: int) -> int:
@@ -369,15 +368,10 @@ class Ledger:
         caller = self._caller(call_message(op, fog=fog_address), signature)
         if caller not in self.oracle_table:
             raise UnknownOracle("%s is not a registered oracle" % caller)
-        # a non-string address, unhashable or not, names no fog node
-        record = self.fog_table.get(fog_address) if isinstance(fog_address, str) else None
-        if record is None:
-            raise UnknownFog("no fog node at %s" % fog_address)
-        identity = self.identity
-        if not identity.ring_verify(audit_message(fog_address, passed), ring_signature):
-            raise InvalidRingSignature("audit attestation does not verify")
+        record = self._require_fog(fog_address, UnknownFog)
         iot_table = self.iot_table
-        for member in identity.ring_addresses(ring_signature):
+        for member in self.identity.ring_members(
+                audit_message(fog_address, passed), ring_signature):
             if member not in iot_table:
                 raise RingMemberNotInIoTTable("ring member %s is not a registered device"
                                               % member)

@@ -107,6 +107,12 @@ class ServiceExchange:
     result: Optional[bytes] = None
 
 
+def _approval(keypair: KeyPair, rng, op: str, **fields) -> signing.Signature:
+    """Sign the contract call ``op``: the one place agents build a call."""
+    return signing.sign(ledger_mod.call_message(op, **fields), keypair.secret,
+                        rng)
+
+
 @dataclass
 class IoTAgent:
     keypair: KeyPair
@@ -119,10 +125,8 @@ class IoTAgent:
         return self.keypair.address
 
     def register(self, ledger, funds: int) -> str:
-        approval = signing.sign(
-            ledger_mod.call_message("iot_registration", amount=funds),
-            self.keypair.secret, self.rng)
-        return ledger.iot_registration(funds, approval)
+        return ledger.iot_registration(funds, _approval(
+            self.keypair, self.rng, "iot_registration", amount=funds))
 
 
 @dataclass
@@ -147,10 +151,8 @@ class FogAgent:
         return self.keypair.address
 
     def register(self, ledger, stake: int) -> str:
-        approval = signing.sign(
-            ledger_mod.call_message("fog_registration", amount=stake),
-            self.keypair.secret, self.rng)
-        return ledger.fog_registration(stake, approval)
+        return ledger.fog_registration(stake, _approval(
+            self.keypair, self.rng, "fog_registration", amount=stake))
 
     def serve(self, package: bytes):
         result = digest(package)
@@ -245,10 +247,8 @@ def service_exchange(session: Session, iot: IoTAgent, fog: FogAgent,
         return ServiceExchange(ExchangeStatus.REJECTED)
 
     result = aead.decrypt(session.symmetric_key, reply.payload)
-    payment_sig = signing.sign(
-        ledger_mod.call_message("iot_fog_payment", amount=payment,
-                                fog=session.fog_address),
-        iot.keypair.secret, iot.rng)
+    payment_sig = _approval(iot.keypair, iot.rng, "iot_fog_payment",
+                            amount=payment, fog=session.fog_address)
     try:
         ledger.iot_fog_payment(session.fog_address, payment, payment_sig)
     except LedgerError as exc:
@@ -327,14 +327,11 @@ class OracleAgent:
 
     def register(self, ledger, device_funds: int) -> tuple:
         """Enroll both identities: the device with funds, the oracle in T_O."""
-        device_sig = signing.sign(
-            ledger_mod.call_message("iot_registration", amount=device_funds),
-            self.iot_keypair.secret, self.rng)
-        device_address = ledger.iot_registration(device_funds, device_sig)
-        oracle_sig = signing.sign(
-            ledger_mod.call_message("oracle_registration"),
-            self.oracle_keypair.secret, self.rng)
-        oracle_address = ledger.oracle_registration(oracle_sig)
+        device_address = ledger.iot_registration(device_funds, _approval(
+            self.iot_keypair, self.rng, "iot_registration",
+            amount=device_funds))
+        oracle_address = ledger.oracle_registration(_approval(
+            self.oracle_keypair, self.rng, "oracle_registration"))
         return device_address, oracle_address
 
 
@@ -399,16 +396,19 @@ def service_audit(oracle: OracleAgent, fog: FogAgent, ledger,
 
 def submit_verdict(oracle: OracleAgent, fog_address: str, passed: bool,
                    ledger, ring_members: list):
-    """Ring-sign the verdict and apply it through the contract."""
-    members = [oracle.key_directory[address] for address in ring_members]
-    signer_index = ring_members.index(oracle.device_address)
+    """Ring-sign the verdict and apply it through the contract.  A ring
+    without the oracle's device or with a member of unknown key signs
+    nothing."""
+    device = oracle.device_address
+    directory = oracle.key_directory
+    if device not in ring_members or not all(
+            address in directory for address in ring_members):
+        raise SignerMismatch("the ring must hold the oracle's device %s and "
+                             "only members of known key" % device)
+    members = [directory[address] for address in ring_members]
     message = ledger_mod.audit_message(fog_address, passed)
-    attestation = ring.ring_sign(message, members, signer_index,
+    attestation = ring.ring_sign(message, members, ring_members.index(device),
                                  oracle.iot_keypair.secret, oracle.rng)
     op = "fog_reward" if passed else "fog_penalize"
-    approval = signing.sign(
-        ledger_mod.call_message(op, fog=fog_address),
-        oracle.oracle_keypair.secret, oracle.rng)
-    if passed:
-        return ledger.fog_reward(fog_address, attestation, approval)
-    return ledger.fog_penalize(fog_address, attestation, approval)
+    approval = _approval(oracle.oracle_keypair, oracle.rng, op, fog=fog_address)
+    return getattr(ledger, op)(fog_address, attestation, approval)

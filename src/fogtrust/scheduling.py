@@ -11,7 +11,7 @@ import enum
 from bisect import bisect_right, insort
 from itertools import accumulate
 
-from .errors import InvalidDesign, UnknownFog
+from .errors import InvalidDesign
 
 WEIGHT_GAIN = 2
 WEIGHT_FLOOR = 1
@@ -144,7 +144,7 @@ class Scheduler:
         if self.policy is Policy.WEIGHTED:
             slot = self._slot_of.get(fog_address)
             if slot is None or not self.slot_weights[slot]:
-                raise UnknownFog("no weight recorded for %s" % fog_address)
+                raise InvalidDesign("no weight recorded for %s" % fog_address)
             self.slot_weights[slot] = update_weight(self.slot_weights[slot],
                                                     passed)
             if removed:

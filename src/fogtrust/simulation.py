@@ -28,7 +28,8 @@ import random
 from dataclasses import dataclass, fields
 
 from .constants import digest
-from .errors import BadSignature, InvalidConfig, InvalidParams, NonTerminating
+from .errors import (BadSignature, InvalidConfig, InvalidParams,
+                     InvalidRingSignature, NonTerminating)
 from .ledger import Ledger, Params, audit_message, call_message
 from .ring import MIN_RING
 from .scheduling import Policy, Scheduler
@@ -68,16 +69,14 @@ class TokenIdentity:
             raise BadSignature("token carries no address")
         return signature.address
 
-    def ring_verify(self, message: bytes, signature) -> bool:
-        if not isinstance(signature, TokenRingSignature):
-            return False
-        members = signature.members
-        return (signature.message == message and type(members) is tuple
-                and all(map(str.__instancecheck__, members))
-                and MIN_RING <= len(set(members)) == len(members))
-
-    def ring_addresses(self, signature) -> tuple:
-        return signature.members
+    def ring_members(self, message: bytes, attestation) -> tuple:
+        if isinstance(attestation, TokenRingSignature):
+            members = attestation.members
+            if (attestation.message == message and type(members) is tuple
+                    and all(map(str.__instancecheck__, members))
+                    and MIN_RING <= len(set(members)) == len(members)):
+                return members
+        raise InvalidRingSignature("audit attestation does not verify")
 
 
 # -- fog behavior --

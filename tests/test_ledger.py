@@ -23,8 +23,10 @@ from fogtrust.errors import (
     InvalidParams,
     InvalidRingSignature,
     LedgerError,
+    MalformedRingSignature,
     NotRegistered,
     RingMemberNotInIoTTable,
+    RingTooSmall,
     UnknownFog,
     UnknownOracle,
 )
@@ -530,6 +532,25 @@ MALFORMED_ATTESTATIONS = {
     "list-ring": lambda genuine: replace(genuine, ring=list(genuine.ring)),
     "list-responses": lambda genuine: replace(
         genuine, responses=list(genuine.responses)),
+    "empty-ring": lambda genuine: replace(genuine, responses=(), ring=()),
+    "repeated-member": lambda genuine: replace(
+        genuine, ring=(genuine.ring[0],) * 2),
+    "non-point-member": lambda genuine: replace(
+        genuine, ring=(genuine.ring[0], "not a point")),
+}
+
+# the ring primitive's error, chained as the cause of InvalidRingSignature;
+# every other malformed input raises with no cause
+RING_CHECK_CAUSES = {
+    "one-member-ring": RingTooSmall,
+    "non-int-challenge": MalformedRingSignature,
+    "ring-is-none": MalformedRingSignature,
+    "responses-is-none": MalformedRingSignature,
+    "list-ring": MalformedRingSignature,
+    "list-responses": MalformedRingSignature,
+    "empty-ring": RingTooSmall,
+    "repeated-member": MalformedRingSignature,
+    "non-point-member": MalformedRingSignature,
 }
 
 
@@ -542,6 +563,9 @@ MALFORMED_ATTESTATIONS = {
     ("responses-is-none", InvalidRingSignature),
     ("list-ring", InvalidRingSignature),
     ("list-responses", InvalidRingSignature),
+    ("empty-ring", InvalidRingSignature),
+    ("repeated-member", InvalidRingSignature),
+    ("non-point-member", InvalidRingSignature),
     ("not-a-call-signature", BadSignature),
     ("list-fog", UnknownFog),
     ("dict-fog", UnknownFog),
@@ -563,8 +587,10 @@ def test_malformed_audit_inputs_are_typed_and_change_nothing(
     elif malformed in MALFORMED_ATTESTATIONS:
         attestation = MALFORMED_ATTESTATIONS[malformed](attestation)
     before = bench.ledger.to_snapshot()
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         getattr(bench.ledger, op)(fog_address, attestation, approval)
+    assert (type(raised.value.__cause__)
+            is RING_CHECK_CAUSES.get(malformed, type(None)))
     assert bench.ledger.to_snapshot() == before
 
 

@@ -1,12 +1,14 @@
 """Handshake, paid exchange, and disguised-audit flows between agents."""
 
+import ast
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from fogtrust import cli, keys, signing
+from fogtrust import cli, keys, protocol, signing
 from fogtrust.constants import digest
 from fogtrust.errors import (
     BadSignature,
@@ -18,6 +20,7 @@ from fogtrust.errors import (
     PaymentFailed,
     ReputationBelowThreshold,
     RingTooSmall,
+    SignerMismatch,
     UnknownOracle,
 )
 from fogtrust.keys import KeyPair
@@ -34,6 +37,7 @@ from fogtrust.protocol import (
     select_ring,
     service_audit,
     service_exchange,
+    submit_verdict,
 )
 
 import oracles
@@ -361,6 +365,37 @@ def test_select_ring_needs_other_devices():
     oracle.register(ledger, device_funds=10)
     with pytest.raises(RingTooSmall):
         select_ring(oracle, ledger)
+
+
+@pytest.mark.parametrize("fault", ["device-missing", "key-unknown"])
+def test_submit_verdict_refuses_a_bad_ring_before_signing(fault):
+    ledger, _, fog, oracle, extras = build_world(rng=random.Random(26))
+    members = [extra.address for extra in extras]
+    if fault == "key-unknown":
+        members[0] = KeyPair.generate(RNG).address
+        members.append(oracle.device_address)
+    before = ledger.to_snapshot()
+    drawn = oracle.rng.getstate()
+    with pytest.raises(SignerMismatch):
+        submit_verdict(oracle, fog.address, True, ledger, members)
+    assert oracle.rng.getstate() == drawn  # nothing signed
+    assert ledger.to_snapshot() == before
+
+
+def test_agents_build_call_messages_only_in_the_builder():
+    tree = ast.parse(Path(protocol.__file__).read_text())
+
+    def reads(node):
+        return sum(isinstance(n, ast.Attribute) and n.attr == "call_message"
+                   or isinstance(n, ast.Name) and n.id == "call_message"
+                   or isinstance(n, ast.alias) and n.name == "call_message"
+                   for n in ast.walk(node))
+
+    builders = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_approval"]
+    assert len(builders) == 1
+    assert reads(builders[0]) == reads(tree) == 1
 
 
 def test_audit_framing_matches_genuine_request():

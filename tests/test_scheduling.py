@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogtrust.errors import InvalidDesign, UnknownFog
+from fogtrust.errors import InvalidDesign
 from fogtrust.scheduling import (
     Policy,
     Scheduler,
@@ -376,9 +376,9 @@ def test_scheduler_weighted_learns_from_outcomes():
     assert live_weights(scheduler)[roster[0]] == 2.0
     scheduler.eject(roster[0])
     assert roster[0] not in live_weights(scheduler)
-    with pytest.raises(UnknownFog):  # ejected
+    with pytest.raises(InvalidDesign):  # ejected
         scheduler.record_outcome(roster[0], passed=True, removed=False)
-    with pytest.raises(UnknownFog):  # never on the roster
+    with pytest.raises(InvalidDesign):  # never on the roster
         scheduler.record_outcome("missing", passed=True, removed=False)
 
 
