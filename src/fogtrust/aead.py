@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import secrets
 
-from .errors import DecryptionFailed
+from .errors import DecryptionFailed, InvalidKey
 
 NONCE_BYTES = 12
 TAG_BYTES = 16
@@ -28,14 +28,14 @@ def _aesgcm(key: bytes):
 
 def encrypt(key: bytes, plaintext: bytes, rng=None) -> bytes:
     if len(key) != KEY_BYTES:
-        raise ValueError(f"key must be {KEY_BYTES} bytes, got {len(key)}")
+        raise InvalidKey(f"key must be {KEY_BYTES} bytes, got {len(key)}")
     nonce = rng.randbytes(NONCE_BYTES) if rng is not None else secrets.token_bytes(NONCE_BYTES)
     return nonce + _aesgcm(key).encrypt(nonce, plaintext, None)
 
 
 def decrypt(key: bytes, blob: bytes) -> bytes:
     if len(key) != KEY_BYTES:
-        raise ValueError(f"key must be {KEY_BYTES} bytes, got {len(key)}")
+        raise InvalidKey(f"key must be {KEY_BYTES} bytes, got {len(key)}")
     if len(blob) < NONCE_BYTES + TAG_BYTES:
         raise DecryptionFailed("ciphertext too short")
     from cryptography.exceptions import InvalidTag

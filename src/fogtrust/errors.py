@@ -36,6 +36,10 @@ class DecryptionFailed(CryptoError):
     """Ciphertext failed authentication or is malformed."""
 
 
+class InvalidKey(CryptoError):
+    """Symmetric key of the wrong length."""
+
+
 class SignerMismatch(CryptoError):
     """Secret key does not match the claimed ring position."""
 

@@ -358,21 +358,30 @@ class Ledger:
 
     def _audit(self, op: str, fog_address: str, ring_signature, signature,
                passed: bool) -> AuditApplication:
-        """Check a verdict, then apply it; a rejected verdict changes nothing.
+        """Authenticate a verdict, then apply it; a rejected one changes nothing.
 
         The checks run in a fixed order, so a verdict with several faults
         raises the first one's error: the caller is not an oracle, the fog
         node is unknown, the attestation does not verify, a ring member is
-        not a registered device.
+        not a registered device (the last in ``_apply_verdict``).
         """
         caller = self._caller(call_message(op, fog=fog_address), signature)
         if caller not in self.oracle_table:
             raise UnknownOracle("%s is not a registered oracle" % caller)
         record = self._require_fog(fog_address, UnknownFog)
-        iot_table = self.iot_table
-        for member in self.identity.ring_members(
-                audit_message(fog_address, passed), ring_signature):
-            if member not in iot_table:
+        members = self.identity.ring_members(audit_message(fog_address, passed),
+                                             ring_signature)
+        return self._apply_verdict(record, members, passed)
+
+    def _apply_verdict(self, record: FogRecord, members,
+                       passed: bool) -> AuditApplication:
+        """Apply a verdict that ``_audit`` authenticated, or a study's unsigned one.
+
+        A member of the verified ring ``members`` that is not a registered
+        device rejects the verdict before anything changes.
+        """
+        for member in members:
+            if member not in self.iot_table:
                 raise RingMemberNotInIoTTable("ring member %s is not a registered device"
                                               % member)
 
@@ -402,7 +411,7 @@ class Ledger:
             reason = None
         refunded = self._remove_fog(record) if reason is not None else 0
         # positional, in field order: keywords cost about twice as much here
-        return AuditApplication(fog_address, passed, reputation_after,
+        return AuditApplication(record.address, passed, reputation_after,
                                 deducted, per_device, remainder, oracle_paid,
                                 reason is not None, reason, refunded)
 

@@ -5,14 +5,16 @@ attempts each scheduling policy spends before every fog node has been
 expelled; the state scenario tracks system health over time while fog nodes
 adapt their misbehavior after penalties.
 
-Bulk trials run thousands of audits per second, so they use lightweight
-token identities instead of curve signatures: every contract rule (registry
-checks, ring membership, conservation, reputation arithmetic) stays active,
-while signing collapses to an equality check.  No token fog reads a ring,
-so every verdict names one fixed two-device ring, not fresh decoys.  The
-cryptographic layer is exercised end to end by the protocol flows and
-their tests; a trial's audit verdict draws from the same Bernoulli law
-either way, because a corrupted response never equals the correct one.
+Bulk trials run thousands of audits per second, so they sign nothing.  The
+population registers through the contract under token identities, and each
+verdict goes straight to the contract's state transition,
+``Ledger._apply_verdict``, which keeps ring membership, conservation and the
+reputation arithmetic; the oracle's signature and the ring attestation are
+never built.  No simulated fog reads a ring, so every verdict names one
+fixed two-device ring, not fresh decoys.  The cryptographic layer is
+exercised end to end by the protocol flows and their tests; a trial's audit
+verdict draws from the same Bernoulli law either way, because a corrupted
+response never equals the correct one.
 
 A trial's population differs from the next one's only in its malicious
 rates.  Registration through the contract is therefore replayed once per
@@ -30,15 +32,14 @@ from dataclasses import dataclass, fields
 from .constants import digest
 from .errors import (BadSignature, InvalidConfig, InvalidParams,
                      InvalidRingSignature, NonTerminating)
-from .ledger import Ledger, Params, audit_message, call_message
+from .ledger import Ledger, Params, call_message
 from .ring import MIN_RING
 from .scheduling import Policy, Scheduler
 
 
 # -- token identities for bulk runs --
 
-# slotted rather than frozen, like ledger.AuditApplication: the studies build
-# one per contract call
+# slotted rather than frozen, like ledger.AuditApplication
 
 @dataclass(slots=True)
 class TokenSignature:
@@ -152,7 +153,9 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 
 ORACLE_DEVICE = "oracle-device"
-ORACLE_ADMIN = "oracle-admin"
+# the two registered devices, a decoy and the oracle's: the smallest ring
+# the curve scheme accepts, named by every study verdict
+STUDY_RING = ("iot-0000", ORACLE_DEVICE)
 # each device's registration funds; no scenario makes a service payment,
 # so the amount reaches no output
 DEVICE_FUNDS = 10
@@ -163,40 +166,26 @@ class _Population:
     ledger: Ledger
     fog_addresses: tuple
     rates: dict
-    # (fog address, passed) -> (ring attestation, oracle's signed call)
-    verdicts: dict
 
 
 @functools.lru_cache(maxsize=4)
 def _registered(fog_count: int, params: Params) -> tuple:
-    """The registered population's snapshot, fog addresses and verdicts.
+    """The registered population's snapshot and fog addresses.
 
-    Every attestation names the two registered devices, a decoy and the
-    oracle's: the smallest ring the curve scheme accepts, since no token
-    fog reads a ring.  Shared by every trial with these settings, so
-    nothing may mutate what it returns.
+    The devices are ``STUDY_RING``'s.  Shared by every trial with these
+    settings, so nothing may mutate what it returns.
     """
     ledger = Ledger(params, identity=TokenIdentity())
-    ring = ("iot-0000", ORACLE_DEVICE)
     funding = call_message("iot_registration", amount=DEVICE_FUNDS)
-    for address in ring:
+    for address in STUDY_RING:
         ledger.iot_registration(DEVICE_FUNDS, TokenSignature(address, funding))
-    ledger.oracle_registration(
-        TokenSignature(ORACLE_ADMIN, call_message("oracle_registration")))
 
     fog_addresses = tuple("fog-%04d" % n for n in range(fog_count))
     deposit = params.deposit_requirement
     staking = call_message("fog_registration", amount=deposit)
     for address in fog_addresses:
         ledger.fog_registration(deposit, TokenSignature(address, staking))
-
-    verdicts = {}
-    for address in fog_addresses:
-        for passed, op in ((True, "fog_reward"), (False, "fog_penalize")):
-            verdicts[address, passed] = (
-                TokenRingSignature(ring, audit_message(address, passed)),
-                TokenSignature(ORACLE_ADMIN, call_message(op, fog=address)))
-    return ledger.to_snapshot(), fog_addresses, verdicts
+    return ledger.to_snapshot(), fog_addresses
 
 
 def _build_population(config: ScenarioConfig, rng) -> _Population:
@@ -207,13 +196,12 @@ def _build_population(config: ScenarioConfig, rng) -> _Population:
     that snapshot, through ``from_snapshot``'s checks, and draws one
     malicious rate per fog node from ``rng``, in fog order.
     """
-    snapshot, fog_addresses, verdicts = _registered(config.fog_count,
-                                                    config.params())
-    ledger = Ledger.from_snapshot(snapshot, identity=TokenIdentity())
+    snapshot, fog_addresses = _registered(config.fog_count, config.params())
+    ledger = Ledger.from_snapshot(snapshot)
     low = config.malicious_low
     span = config.malicious_high - low
     rates = {address: low + span * rng.random() for address in fog_addresses}
-    return _Population(ledger, fog_addresses, rates, verdicts)
+    return _Population(ledger, fog_addresses, rates)
 
 
 def _attempts(config: ScenarioConfig, population: _Population, rng):
@@ -227,7 +215,6 @@ def _attempts(config: ScenarioConfig, population: _Population, rng):
     ledger = population.ledger
     fog_table = ledger.fog_table
     rates = population.rates
-    verdicts = population.verdicts
     scheduler = Scheduler(config.policy, config.cluster_size,
                           population.fog_addresses, rng)
     while fog_table:
@@ -244,9 +231,7 @@ def _attempts(config: ScenarioConfig, population: _Population, rng):
                 continue
             passed = rng.random() >= rates[address]
             before = record.reputation
-            # looked up per verdict, so a wrapped contract method sees each
-            submit = ledger.fog_reward if passed else ledger.fog_penalize
-            outcome = submit(address, *verdicts[address, passed])
+            outcome = ledger._apply_verdict(record, STUDY_RING, passed)
             scheduler.record_outcome(address, passed, outcome.removed)
             yield address, passed, before, outcome
             if not fog_table:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogtrust import aead
-from fogtrust.errors import DecryptionFailed
+from fogtrust.errors import DecryptionFailed, InvalidKey
 
 KEY = bytes(range(32))
 OTHER_KEY = bytes(range(1, 33))
@@ -63,9 +63,9 @@ def test_deterministic_with_injected_rng():
 
 
 def test_key_length_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidKey):
         aead.encrypt(b"short", b"x")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidKey):
         aead.decrypt(b"short", b"\x00" * 28)
 
 

@@ -7,6 +7,7 @@ import json
 import random
 import string
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,35 @@ def test_only_caller_recovers_and_every_signed_op_names_itself():
     message = audit_call.args[0]
     assert message.func.id == "call_message"
     assert message.args[0].id == methods["_audit"].args.args[1].arg == "op"
+
+
+def test_only_the_audit_and_the_studies_apply_a_verdict():
+    """Nothing in the package changes a reputation without authentication,
+    except the studies, which sign nothing."""
+    name = "_apply_verdict"
+    calls, references = [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Attribute) and child.attr == name
+                  or isinstance(child, ast.Name) and child.id == name
+                  or isinstance(child, ast.Constant) and child.value == name):
+                references.append(".".join(scope))
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == name):
+                calls.append(".".join(scope))
+            visit(child, inner)
+
+    package = Path(ledger_mod.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    assert sorted(calls) == sorted(references) == [
+        "ledger.Ledger._audit", "simulation._attempts"]
 
 
 # -- registration --

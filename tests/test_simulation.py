@@ -13,7 +13,7 @@ import oracles
 from fogtrust import scheduling, simulation
 from fogtrust.errors import (BadSignature, InvalidConfig, InvalidRingSignature,
                              NonTerminating)
-from fogtrust.ledger import Ledger, audit_message, call_message
+from fogtrust.ledger import Ledger, Params, audit_message, call_message
 from fogtrust.ring import MIN_RING
 from fogtrust.scheduling import Policy
 from fogtrust.simulation import (
@@ -55,9 +55,21 @@ def test_token_ring_verifies_only_its_message():
         identity.ring_members(b"forged", ring)
 
 
-def _token_population():
-    config = ScenarioConfig(fog_count=2, trials=1)
-    return _build_population(config, random.Random(0))
+FOG = "fog-0000"
+ORACLE = "oracle-admin"
+
+
+def _token_ledger():
+    """The study ring's two devices, one fog node and an oracle, under tokens."""
+    ledger = Ledger(Params(), identity=TokenIdentity())
+    funding = call_message("iot_registration", amount=10)
+    for device in simulation.STUDY_RING:
+        ledger.iot_registration(10, TokenSignature(device, funding))
+    ledger.fog_registration(
+        10, TokenSignature(FOG, call_message("fog_registration", amount=10)))
+    ledger.oracle_registration(
+        TokenSignature(ORACLE, call_message("oracle_registration")))
+    return ledger
 
 
 # the same inputs under Secp256k1Identity: a call signature of the wrong
@@ -71,23 +83,20 @@ def _token_population():
 ])
 def test_token_identity_types_malformed_audits_and_changes_nothing(
         op, approval, attestation, error):
-    population = _token_population()
-    ledger = population.ledger
-    fog = population.fog_addresses[0]
+    ledger = _token_ledger()
     if approval == "genuine":
-        approval = TokenSignature(simulation.ORACLE_ADMIN,
-                                  call_message(op, fog=fog))
+        approval = TokenSignature(ORACLE, call_message(op, fog=FOG))
     if attestation == "genuine":
-        attestation = population.verdicts[fog, op == "fog_reward"][0]
+        attestation = TokenRingSignature(
+            simulation.STUDY_RING, audit_message(FOG, op == "fog_reward"))
     before = ledger.to_snapshot()
     with pytest.raises(error):
-        getattr(ledger, op)(fog, attestation, approval)
+        getattr(ledger, op)(FOG, attestation, approval)
     assert ledger.to_snapshot() == before
 
 
 def _reward_with_members(ledger, fog, members):
-    approval = TokenSignature(simulation.ORACLE_ADMIN,
-                              call_message("fog_reward", fog=fog))
+    approval = TokenSignature(ORACLE, call_message("fog_reward", fog=fog))
     attestation = TokenRingSignature(members, audit_message(fog, True))
     return ledger.fog_reward(fog, attestation, approval)
 
@@ -113,16 +122,15 @@ def _reward_with_members(ledger, fog, members):
         "empty-ring", "one-member", "repeated-member"])
 def test_token_identity_types_malformed_tokens_and_changes_nothing(
         submit, error):
-    population = _token_population()
-    ledger = population.ledger
+    ledger = _token_ledger()
     before = ledger.to_snapshot()
     with pytest.raises(error):
-        submit(ledger, population.fog_addresses[0])
+        submit(ledger, FOG)
     assert ledger.to_snapshot() == before
 
 
 def test_token_identity_rejects_a_top_up_without_a_token():
-    ledger = _token_population().ledger
+    ledger = _token_ledger()
     before = ledger.to_snapshot()
     with pytest.raises(BadSignature):
         ledger.iot_add_funds(5, None)
@@ -227,8 +235,8 @@ def test_population_ledger_is_conserved_through_verdicts():
     population = _build_population(config, rng)
     assert oracles.conservation_gap(population.ledger) == 0
     for address in population.fog_addresses[:4]:
-        population.ledger.fog_penalize(
-            address, *population.verdicts[address, False])
+        population.ledger._apply_verdict(
+            population.ledger.fog_table[address], simulation.STUDY_RING, False)
         assert oracles.conservation_gap(population.ledger) == 0
     assert len(population.ledger.fog_table) == 6
 
@@ -237,9 +245,10 @@ def test_population_sizes_match_config():
     config = ScenarioConfig(fog_count=5, trials=1)
     population = _build_population(config, random.Random(0))
     assert len(population.fog_addresses) == 5
-    # one decoy device and the oracle's, the smallest ring
+    # one decoy device and the oracle's, the smallest ring; no study
+    # verdict is signed, so no oracle is registered
     assert len(population.ledger.iot_table) == 2
-    assert len(population.ledger.oracle_table) == 1
+    assert len(population.ledger.oracle_table) == 0
 
 
 def test_population_rates_fall_in_configured_band():
@@ -281,33 +290,88 @@ def test_restored_ledger_equals_a_freshly_registered_one():
     population = _build_population(config, random.Random(3))
     fresh = simulation._registered.__wrapped__(config.fog_count,
                                                config.params())
-    snapshot, fog_addresses, verdicts = fresh
+    snapshot, fog_addresses = fresh
     assert population.ledger.to_snapshot() == snapshot
     assert population.fog_addresses == fog_addresses
-    assert population.verdicts == verdicts
 
 
-def test_every_verdict_carries_the_one_fixed_two_device_ring():
+def test_every_verdict_carries_the_one_fixed_two_device_ring(monkeypatch):
     simulation._registered.cache_clear()
-    config = ScenarioConfig(fog_count=3, trials=1)
-    rings = set()
+    config = ScenarioConfig(fog_count=3, cluster_size=2, trials=1,
+                            horizon_per_fog=4)
+    apply_verdict = Ledger._apply_verdict
+    rings = []
+
+    def recording(ledger, record, members, passed):
+        registered = ledger.iot_table
+        assert len(set(members)) == len(members) == MIN_RING
+        assert simulation.ORACLE_DEVICE in members
+        assert all(member in registered for member in members)
+        rings.append(members)
+        return apply_verdict(ledger, record, members, passed)
+
+    monkeypatch.setattr(Ledger, "_apply_verdict", recording)
     for deposit in (3, 4):
         for seed in (0, 1):
-            population = _build_population(
-                replace(config, deposit=deposit), random.Random(seed))
-            registered = population.ledger.iot_table
-            assert len(population.verdicts) == 2 * config.fog_count
-            for (fog, passed), (attestation, _) in population.verdicts.items():
-                members = attestation.members
-                assert attestation.message == audit_message(fog, passed)
-                assert len(set(members)) == len(members) == MIN_RING
-                assert simulation.ORACLE_DEVICE in members
-                assert all(member in registered for member in members)
-                rings.add(members)
-    assert len(rings) == 1
+            settings = replace(config, deposit=deposit)
+            run_cost_trial(settings, random.Random(seed))
+            run_state_trial(settings, random.Random(seed))
+    assert rings and all(ring is simulation.STUDY_RING for ring in rings)
     # one registration per settings: two deposits, two seeds each
     info = simulation._registered.cache_info()
     assert info.currsize == info.misses == 2
+
+
+class _SignedContract(Ledger):
+    """A ledger whose verdicts keep the contract's own transition, however
+    a test wraps ``Ledger._apply_verdict``."""
+
+    _apply_verdict = Ledger._apply_verdict
+
+
+@pytest.mark.parametrize("run, config", [
+    (run_cost_trial, ScenarioConfig(fog_count=6, cluster_size=2, trials=1,
+                                    policy=policy))
+    for policy in Policy
+] + [
+    (run_state_trial, ScenarioConfig(fog_count=4, cluster_size=2, trials=1,
+                                     adaptive=True, horizon_per_fog=6)),
+], ids=[policy.value for policy in Policy] + ["state"])
+def test_each_study_verdict_equals_the_signed_contract_call(
+        monkeypatch, run, config):
+    # each verdict a trial applies unsigned is also submitted, token-signed
+    # by a registered oracle, to a twin of the trial's ledger
+    apply_verdict = Ledger._apply_verdict
+    twins = {}
+    applied = []
+
+    def on_both(ledger, record, members, passed):
+        if ledger not in twins:
+            twin = _SignedContract.from_snapshot(ledger.to_snapshot(),
+                                                 identity=TokenIdentity())
+            twin.oracle_registration(
+                TokenSignature(ORACLE, call_message("oracle_registration")))
+            twins[ledger] = twin
+        twin = twins[ledger]
+        fog, op = record.address, "fog_reward" if passed else "fog_penalize"
+        expected = getattr(twin, op)(
+            fog, TokenRingSignature(members, audit_message(fog, passed)),
+            TokenSignature(ORACLE, call_message(op, fog=fog)))
+        outcome = apply_verdict(ledger, record, members, passed)
+        assert outcome == expected
+        state, signed = ledger.to_snapshot(), twin.to_snapshot()
+        assert signed.pop("oracle_table") == [ORACLE]
+        assert state.pop("oracle_table") == []
+        assert signed.pop("seq") == state.pop("seq") + 1
+        assert state == signed
+        applied.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(Ledger, "_apply_verdict", on_both)
+    run(config, random.Random(11))
+    assert len(twins) == 1
+    assert {outcome.passed for outcome in applied} == {True, False}
+    assert any(outcome.removed for outcome in applied)
 
 
 class _NoSampleRandom(random.Random):
