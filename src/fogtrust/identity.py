@@ -2,9 +2,10 @@
 
 Agents always sign with ``signing`` and ``ring`` directly; only the ledger's
 side is swappable.  It recovers each caller's address and reads each
-verified ring attestation's members through this object, so bulk simulation
-runs can hand it ``simulation.TokenIdentity`` and verify bearer tokens
-instead of curve signatures.
+verified ring attestation's members through this object, so a ledger whose
+calls are signed in bulk can take ``simulation.TokenIdentity`` and verify
+bearer tokens instead of curve signatures.  The studies need neither: they
+call the ledger's state transitions directly and sign nothing.
 """
 
 from __future__ import annotations

@@ -7,6 +7,12 @@ from that signature, never passed in.  All currency amounts are integers in
 the smallest unit, so conservation can be checked exactly: everything
 deposited either sits in a table, sits in the pool, or has been withdrawn.
 
+Three signed ops authenticate, then apply: ``iot_registration``,
+``fog_registration`` and ``_audit`` (for ``fog_reward`` and ``fog_penalize``)
+recover the caller and verify what they must, then run the private state
+transitions ``_register_iot``, ``_register_fog`` and ``_apply_verdict``,
+which keep every other check.  The studies call those three directly.
+
 Reputation bookkeeping follows the audit contract: a passed audit rewards
 the fog node up to a ceiling, a failed audit deducts reputation and seizes
 part of the deposit, and a node is expelled the moment its reputation drops
@@ -253,7 +259,12 @@ class Ledger:
     # -- device lifecycle --
 
     def iot_registration(self, amount: int, signature) -> str:
-        caller = self._caller(call_message("iot_registration", amount=amount), signature)
+        return self._register_iot(self._caller(
+            call_message("iot_registration", amount=amount), signature), amount)
+
+    def _register_iot(self, caller: str, amount: int) -> str:
+        """Register the device ``caller``, which ``iot_registration``
+        authenticated or a study names."""
         _require_amount(amount, "registration")
         if caller in self.iot_table:
             raise AlreadyRegistered("IoT device %s already registered" % caller)
@@ -283,7 +294,12 @@ class Ledger:
     # -- fog lifecycle --
 
     def fog_registration(self, amount: int, signature) -> str:
-        caller = self._caller(call_message("fog_registration", amount=amount), signature)
+        return self._register_fog(self._caller(
+            call_message("fog_registration", amount=amount), signature), amount)
+
+    def _register_fog(self, caller: str, amount: int) -> str:
+        """Register the fog node ``caller``, which ``fog_registration``
+        authenticated or a study names."""
         _require_amount(amount, "registration")
         if caller in self.fog_table:
             raise AlreadyRegistered("fog node %s already registered" % caller)

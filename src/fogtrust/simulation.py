@@ -5,41 +5,35 @@ attempts each scheduling policy spends before every fog node has been
 expelled; the state scenario tracks system health over time while fog nodes
 adapt their misbehavior after penalties.
 
-Bulk trials run thousands of audits per second, so they sign nothing.  The
-population registers through the contract under token identities, and each
-verdict goes straight to the contract's state transition,
-``Ledger._apply_verdict``, which keeps ring membership, conservation and the
-reputation arithmetic; the oracle's signature and the ring attestation are
-never built.  No simulated fog reads a ring, so every verdict names one
-fixed two-device ring, not fresh decoys.  The cryptographic layer is
-exercised end to end by the protocol flows and their tests; a trial's audit
-verdict draws from the same Bernoulli law either way, because a corrupted
-response never equals the correct one.
-
-A trial's population differs from the next one's only in its malicious
-rates.  Registration through the contract is therefore replayed once per
-settings per process, and each trial restores its own ledger from that
-state with ``Ledger.from_snapshot``, so every trial's ledger passes the
-same checks as any snapshot a user could load.
+Bulk trials run thousands of audits per second, so they sign nothing.  Each
+trial registers its population on a fresh ledger through the contract's own
+state transitions, ``Ledger._register_iot`` and ``Ledger._register_fog``, and
+each verdict goes straight to ``Ledger._apply_verdict``, which keeps ring
+membership, conservation and the reputation arithmetic; no call message,
+signature or ring attestation is ever built.  No simulated fog reads a
+ring, so every verdict names one fixed two-device ring, not fresh decoys.
+The cryptographic layer is exercised end to end by the protocol flows and
+their tests; a trial's audit verdict draws from the same Bernoulli law
+either way, because a corrupted response never equals the correct one.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, fields
 
 from .constants import digest
 from .errors import (BadSignature, InvalidConfig, InvalidParams,
                      InvalidRingSignature, NonTerminating)
-from .ledger import Ledger, Params, call_message
+from .ledger import Ledger, Params
 from .ring import MIN_RING
 from .scheduling import Policy, Scheduler
 
 
-# -- token identities for bulk runs --
+# -- token identities --
 
-# slotted rather than frozen, like ledger.AuditApplication
+# bearer tokens for ledgers whose calls are signed in bulk; the studies
+# sign nothing.  Slotted rather than frozen, like ledger.AuditApplication.
 
 @dataclass(slots=True)
 class TokenSignature:
@@ -168,36 +162,20 @@ class _Population:
     rates: dict
 
 
-@functools.lru_cache(maxsize=4)
-def _registered(fog_count: int, params: Params) -> tuple:
-    """The registered population's snapshot and fog addresses.
-
-    The devices are ``STUDY_RING``'s.  Shared by every trial with these
-    settings, so nothing may mutate what it returns.
-    """
-    ledger = Ledger(params, identity=TokenIdentity())
-    funding = call_message("iot_registration", amount=DEVICE_FUNDS)
-    for address in STUDY_RING:
-        ledger.iot_registration(DEVICE_FUNDS, TokenSignature(address, funding))
-
-    fog_addresses = tuple("fog-%04d" % n for n in range(fog_count))
-    deposit = params.deposit_requirement
-    staking = call_message("fog_registration", amount=deposit)
-    for address in fog_addresses:
-        ledger.fog_registration(deposit, TokenSignature(address, staking))
-    return ledger.to_snapshot(), fog_addresses
-
-
 def _build_population(config: ScenarioConfig, rng) -> _Population:
-    """One trial's population: the registered ledger and fresh rates.
+    """One trial's population: a freshly registered ledger and its rates.
 
-    Registration is replayed through the contract once per settings per
-    process (``_registered``); each trial restores its own ledger from
-    that snapshot, through ``from_snapshot``'s checks, and draws one
-    malicious rate per fog node from ``rng``, in fog order.
+    ``STUDY_RING``'s devices and then the fog nodes register through the
+    contract's own transitions, and one malicious rate per fog node is
+    drawn from ``rng``, in fog order.
     """
-    snapshot, fog_addresses = _registered(config.fog_count, config.params())
-    ledger = Ledger.from_snapshot(snapshot)
+    params = config.params()
+    ledger = Ledger(params)
+    for address in STUDY_RING:
+        ledger._register_iot(address, DEVICE_FUNDS)
+    fog_addresses = tuple("fog-%04d" % n for n in range(config.fog_count))
+    for address in fog_addresses:
+        ledger._register_fog(address, params.deposit_requirement)
     low = config.malicious_low
     span = config.malicious_high - low
     rates = {address: low + span * rng.random() for address in fog_addresses}

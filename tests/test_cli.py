@@ -151,6 +151,24 @@ def test_readme_config_block_names_every_config_key():
     assert named == set(cli.SIMULATE_SCHEMA) | set(cli.DEMO_AUTH_SCHEMA)
 
 
+# stdout of each README ``python`` block, in README order: the fog serves
+# the package's digest, and the audit passes at the reputation ceiling
+README_PYTHON_OUTPUTS = [
+    "ExchangeStatus.PAID %r\nTrue 10\n"
+    % hashlib.sha256(b"compute this").digest(),
+]
+
+
+def test_readme_python_blocks_print_their_seeded_output(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = [part.split("```", 1)[0]
+              for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == len(README_PYTHON_OUTPUTS)
+    for block, expected in zip(blocks, README_PYTHON_OUTPUTS):
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out == expected
+
+
 # -- demo-auth --
 
 def test_demo_auth_establishes_a_session(capsys):

@@ -221,10 +221,16 @@ def test_only_caller_recovers_and_every_signed_op_names_itself():
     assert message.args[0].id == methods["_audit"].args.args[1].arg == "op"
 
 
-def test_only_the_audit_and_the_studies_apply_a_verdict():
-    """Nothing in the package changes a reputation without authentication,
-    except the studies, which sign nothing."""
-    name = "_apply_verdict"
+@pytest.mark.parametrize("name, signed_op, study", [
+    ("_apply_verdict", "ledger.Ledger._audit", "simulation._attempts"),
+    ("_register_iot", "ledger.Ledger.iot_registration",
+     "simulation._build_population"),
+    ("_register_fog", "ledger.Ledger.fog_registration",
+     "simulation._build_population"),
+], ids=["_apply_verdict", "_register_iot", "_register_fog"])
+def test_only_the_audit_and_the_studies_apply_a_verdict(name, signed_op, study):
+    """Nothing in the package runs a state transition without its signed
+    op's authentication, except one study function, which signs nothing."""
     calls, references = [], []
 
     def visit(node, scope):
@@ -246,8 +252,7 @@ def test_only_the_audit_and_the_studies_apply_a_verdict():
     package = Path(ledger_mod.__file__).parent
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), (path.stem,))
-    assert sorted(calls) == sorted(references) == [
-        "ledger.Ledger._audit", "simulation._attempts"]
+    assert sorted(calls) == sorted(references) == [signed_op, study]
 
 
 # -- registration --
@@ -893,6 +898,94 @@ def test_penalty_distribution_is_exact(devices, deduction):
         assert bench.ledger.iot_table[member.address].available_funds \
             == 7 + deduction // n
     bench.assert_conserved()
+
+
+# -- the token verifier --
+
+def test_token_signature_recovers_its_address():
+    identity = TokenIdentity()
+    signature = TokenSignature("alice", b"msg")
+    assert identity.recover_address(b"msg", signature) == "alice"
+
+
+def test_token_signature_fails_on_other_message():
+    identity = TokenIdentity()
+    signature = TokenSignature("alice", b"msg")
+    with pytest.raises(BadSignature):
+        identity.recover_address(b"other", signature)
+
+
+def test_token_ring_verifies_only_its_message():
+    identity = TokenIdentity()
+    ring = TokenRingSignature(("a", "b", "c"), b"attest")
+    assert identity.ring_members(b"attest", ring) == ("a", "b", "c")
+    with pytest.raises(InvalidRingSignature):
+        identity.ring_members(b"forged", ring)
+
+
+# the same inputs under Secp256k1Identity: a call signature of the wrong
+# type is BadSignature, an attestation of the wrong type does not verify
+@pytest.mark.parametrize("op", ["fog_reward", "fog_penalize"])
+@pytest.mark.parametrize("approval, attestation, error", [
+    (None, "genuine", BadSignature),
+    (b"fog_reward|fog=fog", "genuine", BadSignature),
+    ("genuine", None, InvalidRingSignature),
+    ("genuine", b"audit|fog|pass", InvalidRingSignature),
+])
+def test_token_identity_types_malformed_audits_and_changes_nothing(
+        op, approval, attestation, error):
+    ledger = _token_ledger()
+    if approval == "genuine":
+        approval = TokenSignature("keeper", call_message(op, fog="fog"))
+    if attestation == "genuine":
+        attestation = TokenRingSignature(
+            ("dev-0", "dev-1"), audit_message("fog", op == "fog_reward"))
+    before = ledger.to_snapshot()
+    with pytest.raises(error):
+        getattr(ledger, op)("fog", attestation, approval)
+    assert ledger.to_snapshot() == before
+
+
+def _reward_with_members(ledger, members):
+    approval = TokenSignature("keeper", call_message("fog_reward", fog="fog"))
+    attestation = TokenRingSignature(members, audit_message("fog", True))
+    return ledger.fog_reward("fog", attestation, approval)
+
+
+# a token must carry a string address and a tuple of string members; any
+# other value is a typed rejection, never a TypeError from the tables.  A
+# ring of registered members must also pass the curve scheme's ring rules:
+# at least MIN_RING members, none repeated
+@pytest.mark.parametrize("submit, error", [
+    (lambda ledger: ledger.iot_registration(10, TokenSignature(
+        ["x"], call_message("iot_registration", amount=10))), BadSignature),
+    (lambda ledger: _reward_with_members(ledger, (["x"],)),
+     InvalidRingSignature),
+    (lambda ledger: _reward_with_members(ledger, None),
+     InvalidRingSignature),
+    (lambda ledger: _reward_with_members(ledger, ()),
+     InvalidRingSignature),
+    (lambda ledger: _reward_with_members(ledger, ("dev-1",)),
+     InvalidRingSignature),
+    (lambda ledger: _reward_with_members(ledger, ("dev-1",) * 2),
+     InvalidRingSignature),
+], ids=["unhashable-address", "unhashable-member", "no-members",
+        "empty-ring", "one-member", "repeated-member"])
+def test_token_identity_types_malformed_tokens_and_changes_nothing(
+        submit, error):
+    ledger = _token_ledger()
+    before = ledger.to_snapshot()
+    with pytest.raises(error):
+        submit(ledger)
+    assert ledger.to_snapshot() == before
+
+
+def test_token_identity_rejects_a_top_up_without_a_token():
+    ledger = _token_ledger()
+    before = ledger.to_snapshot()
+    with pytest.raises(BadSignature):
+        ledger.iot_add_funds(5, None)
+    assert ledger.to_snapshot() == before
 
 
 # -- sequence numbers and snapshots --

@@ -1,6 +1,5 @@
-"""Monte-Carlo scenario harness: token identities, fog rates, trials."""
+"""Monte-Carlo scenario harness: population registration, fog rates, trials."""
 
-import copy
 import math
 import random
 from dataclasses import replace
@@ -11,9 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from fogtrust import scheduling, simulation
-from fogtrust.errors import (BadSignature, InvalidConfig, InvalidRingSignature,
-                             NonTerminating)
-from fogtrust.ledger import Ledger, Params, audit_message, call_message
+from fogtrust.errors import InvalidConfig, NonTerminating
+from fogtrust.ledger import Ledger, audit_message, call_message
 from fogtrust.ring import MIN_RING
 from fogtrust.scheduling import Policy
 from fogtrust.simulation import (
@@ -30,111 +28,6 @@ from fogtrust.simulation import (
     trial_seed,
     _build_population,
 )
-
-
-# -- token identities --
-
-def test_token_signature_recovers_its_address():
-    identity = TokenIdentity()
-    signature = TokenSignature("alice", b"msg")
-    assert identity.recover_address(b"msg", signature) == "alice"
-
-
-def test_token_signature_fails_on_other_message():
-    identity = TokenIdentity()
-    signature = TokenSignature("alice", b"msg")
-    with pytest.raises(BadSignature):
-        identity.recover_address(b"other", signature)
-
-
-def test_token_ring_verifies_only_its_message():
-    identity = TokenIdentity()
-    ring = TokenRingSignature(("a", "b", "c"), b"attest")
-    assert identity.ring_members(b"attest", ring) == ("a", "b", "c")
-    with pytest.raises(InvalidRingSignature):
-        identity.ring_members(b"forged", ring)
-
-
-FOG = "fog-0000"
-ORACLE = "oracle-admin"
-
-
-def _token_ledger():
-    """The study ring's two devices, one fog node and an oracle, under tokens."""
-    ledger = Ledger(Params(), identity=TokenIdentity())
-    funding = call_message("iot_registration", amount=10)
-    for device in simulation.STUDY_RING:
-        ledger.iot_registration(10, TokenSignature(device, funding))
-    ledger.fog_registration(
-        10, TokenSignature(FOG, call_message("fog_registration", amount=10)))
-    ledger.oracle_registration(
-        TokenSignature(ORACLE, call_message("oracle_registration")))
-    return ledger
-
-
-# the same inputs under Secp256k1Identity: a call signature of the wrong
-# type is BadSignature, an attestation of the wrong type does not verify
-@pytest.mark.parametrize("op", ["fog_reward", "fog_penalize"])
-@pytest.mark.parametrize("approval, attestation, error", [
-    (None, "genuine", BadSignature),
-    (b"fog_reward|fog=fog-0000", "genuine", BadSignature),
-    ("genuine", None, InvalidRingSignature),
-    ("genuine", b"audit|fog-0000|pass", InvalidRingSignature),
-])
-def test_token_identity_types_malformed_audits_and_changes_nothing(
-        op, approval, attestation, error):
-    ledger = _token_ledger()
-    if approval == "genuine":
-        approval = TokenSignature(ORACLE, call_message(op, fog=FOG))
-    if attestation == "genuine":
-        attestation = TokenRingSignature(
-            simulation.STUDY_RING, audit_message(FOG, op == "fog_reward"))
-    before = ledger.to_snapshot()
-    with pytest.raises(error):
-        getattr(ledger, op)(FOG, attestation, approval)
-    assert ledger.to_snapshot() == before
-
-
-def _reward_with_members(ledger, fog, members):
-    approval = TokenSignature(ORACLE, call_message("fog_reward", fog=fog))
-    attestation = TokenRingSignature(members, audit_message(fog, True))
-    return ledger.fog_reward(fog, attestation, approval)
-
-
-# a token must carry a string address and a tuple of string members; any
-# other value is a typed rejection, never a TypeError from the tables.  A
-# ring of registered members must also pass the curve scheme's ring rules:
-# at least MIN_RING members, none repeated
-@pytest.mark.parametrize("submit, error", [
-    (lambda ledger, fog: ledger.iot_registration(10, TokenSignature(
-        ["x"], call_message("iot_registration", amount=10))), BadSignature),
-    (lambda ledger, fog: _reward_with_members(ledger, fog, (["x"],)),
-     InvalidRingSignature),
-    (lambda ledger, fog: _reward_with_members(ledger, fog, None),
-     InvalidRingSignature),
-    (lambda ledger, fog: _reward_with_members(ledger, fog, ()),
-     InvalidRingSignature),
-    (lambda ledger, fog: _reward_with_members(
-        ledger, fog, (simulation.ORACLE_DEVICE,)), InvalidRingSignature),
-    (lambda ledger, fog: _reward_with_members(
-        ledger, fog, (simulation.ORACLE_DEVICE,) * 2), InvalidRingSignature),
-], ids=["unhashable-address", "unhashable-member", "no-members",
-        "empty-ring", "one-member", "repeated-member"])
-def test_token_identity_types_malformed_tokens_and_changes_nothing(
-        submit, error):
-    ledger = _token_ledger()
-    before = ledger.to_snapshot()
-    with pytest.raises(error):
-        submit(ledger, FOG)
-    assert ledger.to_snapshot() == before
-
-
-def test_token_identity_rejects_a_top_up_without_a_token():
-    ledger = _token_ledger()
-    before = ledger.to_snapshot()
-    with pytest.raises(BadSignature):
-        ledger.iot_add_funds(5, None)
-    assert ledger.to_snapshot() == before
 
 
 # -- fog behavior --
@@ -259,44 +152,7 @@ def test_population_rates_fall_in_configured_band():
         assert 0.3 <= rate <= 0.6
 
 
-def test_registration_runs_once_per_settings(monkeypatch):
-    config = ScenarioConfig(fog_count=7, cluster_size=2,
-                            trials=1, policy=Policy.WEIGHTED)
-    simulation._registered.cache_clear()
-    registered = []
-    original = Ledger.iot_registration
-
-    def counting(self, amount, signature):
-        registered.append(signature.address)
-        return original(self, amount, signature)
-
-    monkeypatch.setattr(Ledger, "iot_registration", counting)
-    first = run_cost_trial(config, random.Random(5))
-    second = run_cost_trial(config, random.Random(5))
-    assert len(registered) == 2
-    assert first == second
-
-
-def test_same_seed_gives_equal_costs_with_cold_and_warm_registration():
-    config = ScenarioConfig(fog_count=6, cluster_size=2,
-                            trials=5, policy=Policy.BIBD, seed=8)
-    simulation._registered.cache_clear()
-    cold = run_cost_scenario(config)
-    assert cold == run_cost_scenario(config)
-
-
-def test_restored_ledger_equals_a_freshly_registered_one():
-    config = ScenarioConfig(fog_count=5, trials=1)
-    population = _build_population(config, random.Random(3))
-    fresh = simulation._registered.__wrapped__(config.fog_count,
-                                               config.params())
-    snapshot, fog_addresses = fresh
-    assert population.ledger.to_snapshot() == snapshot
-    assert population.fog_addresses == fog_addresses
-
-
 def test_every_verdict_carries_the_one_fixed_two_device_ring(monkeypatch):
-    simulation._registered.cache_clear()
     config = ScenarioConfig(fog_count=3, cluster_size=2, trials=1,
                             horizon_per_fog=4)
     apply_verdict = Ledger._apply_verdict
@@ -317,16 +173,64 @@ def test_every_verdict_carries_the_one_fixed_two_device_ring(monkeypatch):
             run_cost_trial(settings, random.Random(seed))
             run_state_trial(settings, random.Random(seed))
     assert rings and all(ring is simulation.STUDY_RING for ring in rings)
-    # one registration per settings: two deposits, two seeds each
-    info = simulation._registered.cache_info()
-    assert info.currsize == info.misses == 2
+
+
+# the verdict twins' oracle
+ORACLE = "oracle-admin"
 
 
 class _SignedContract(Ledger):
-    """A ledger whose verdicts keep the contract's own transition, however
-    a test wraps ``Ledger._apply_verdict``."""
+    """A ledger whose signed ops keep the contract's own transitions,
+    however a test wraps ``Ledger``'s."""
 
+    _register_iot = Ledger._register_iot
+    _register_fog = Ledger._register_fog
     _apply_verdict = Ledger._apply_verdict
+
+
+@pytest.mark.parametrize("fog_count", [1, 6])
+@pytest.mark.parametrize("deposit", [3, 4])
+def test_each_study_registration_equals_the_signed_contract_call(
+        monkeypatch, deposit, fog_count):
+    # each registration a trial makes unsigned is also made, token-signed
+    # by the same address, on a twin of the trial's ledger
+    twins = {}
+    registered = []
+
+    def on_both(op, transition):
+        def register(ledger, address, amount):
+            if ledger not in twins:
+                twins[ledger] = _SignedContract(ledger.params,
+                                                identity=TokenIdentity())
+            twin = twins[ledger]
+            before = ledger.to_snapshot()
+            expected = getattr(twin, op)(amount, TokenSignature(
+                address, call_message(op, amount=amount)))
+            assert transition(ledger, address, amount) == expected == address
+            state = ledger.to_snapshot()
+            assert state == twin.to_snapshot()
+            # one accepted state change, which deposits the whole amount
+            assert state["seq"] == before["seq"] + 1
+            assert (state["total_deposited"]
+                    == before["total_deposited"] + amount)
+            registered.append((op, address, amount))
+            return address
+        return register
+
+    monkeypatch.setattr(Ledger, "_register_iot",
+                        on_both("iot_registration", Ledger._register_iot))
+    monkeypatch.setattr(Ledger, "_register_fog",
+                        on_both("fog_registration", Ledger._register_fog))
+    config = ScenarioConfig(fog_count=fog_count, deposit=deposit, trials=1)
+    population = _build_population(config, random.Random(3))
+    assert list(twins) == [population.ledger]
+    assert registered == [
+        ("iot_registration", device, simulation.DEVICE_FUNDS)
+        for device in simulation.STUDY_RING
+    ] + [("fog_registration", fog, deposit)
+         for fog in population.fog_addresses]
+    assert population.fog_addresses == tuple(
+        "fog-%04d" % n for n in range(fog_count))
 
 
 @pytest.mark.parametrize("run, config", [
@@ -386,20 +290,6 @@ def test_verdicts_draw_no_ring_decoys(policy):
     config = ScenarioConfig(fog_count=6, cluster_size=2,
                             trials=1, policy=policy)
     assert run_cost_trial(config, _NoSampleRandom(4)) >= 6 * 3
-
-
-def test_trials_leave_the_shared_registration_untouched():
-    config = ScenarioConfig(fog_count=8, cluster_size=3,
-                            trials=1, adaptive=True, deposit=4,
-                            horizon_per_fog=5)
-    key = (config.fog_count, config.params())
-    shared = simulation._registered(*key)
-    saved = copy.deepcopy(shared)
-    for policy in Policy:
-        run_cost_trial(replace(config, policy=policy), random.Random(6))
-    run_state_trial(config, random.Random(6))
-    assert simulation._registered(*key) is shared
-    assert shared == saved
 
 
 # -- cost scenario --
