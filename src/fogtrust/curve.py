@@ -11,8 +11,12 @@ libsecp256k1's). A table of width w holds, for each w-bit row i of a half,
 the affine multiples d * 2^(w*i) * P for d = 1..2^(w-1). Digits are recoded
 into (-2^(w-1), 2^(w-1)], so a negative digit costs only y -> p - y, and
 the lambda half reuses the same rows: its terms are summed apart and the
-sum is mapped once by x -> beta * x. A multiplication is then one mixed
-addition per nonzero digit, summed in XYZZ coordinates, and one inversion.
+sum is mapped once by x -> beta * x. A scalar already below 2^128 (a
+ring challenge) is its own first half: it takes no split and no mapped
+sum, so on a width-8 table it costs at most 17 terms (16 rows and a carry
+into the one-entry top row) where a split scalar costs up to 34. A
+multiplication is then one mixed addition per nonzero digit, summed in
+XYZZ coordinates, and one inversion.
 Each entry is one packed int, x << 256 | y, split again by a shift and a
 mask when it is read; two separate ints per entry take about 30% more
 memory.
@@ -322,14 +326,15 @@ def _cached(point):
 def _gather(k, table, plain, mapped):
     """Append the affine terms of k * P, k in [0, order), to plain (those
     of the first GLV half) and mapped (the second half, whose sum is still
-    to be taken through the endomorphism)."""
+    to be taken through the endomorphism). A k below 2^_HALF_BITS is its
+    own first half and adds nothing to mapped."""
     width, entries = table
     half = 1 << (width - 1)
     full = half << 1
     mask = full - 1
     p = FIELD_PRIME
     low = _COORDINATE_MASK
-    k1, k2 = _glv_split(k)
+    k1, k2 = (k, 0) if k >> _HALF_BITS == 0 else _glv_split(k)
     for k, terms in ((k1, plain), (k2, mapped)):
         negate = k < 0
         if negate:

@@ -1,11 +1,15 @@
 """Ring signatures over secp256k1.
 
 A ring signature proves that one of n listed public keys signed the message
-without revealing which. Construction: the signer at position j picks a
-random q and sets T_j = q * G, then walks the ring cyclically from j+1,
-deriving each challenge from the previous commitment's x-coordinate,
+without revealing which. Construction: the ring is hashed once,
 
-    c_i = H(message || x_{i-1})  (mod order)
+    r = H("fogtrust/ring/v2" || P_0 || ... || P_{n-1})
+
+and the signer at position j picks a random q and sets T_j = q * G, then
+walks the ring cyclically from j+1, deriving each challenge from the ring
+digest, the previous commitment's x-coordinate and the message,
+
+    c_i = H(r || x_{i-1} || message), its first 128 bits
     T_i = sigma_i * G + c_i * P_i      with random sigma_i
 
 and finally closes the loop at the signer's own slot:
@@ -16,6 +20,14 @@ which makes T_j = sigma_j * G + c_j * P_j = q * G hold for the verifier.
 The published signature is (c_0, sigma_0..sigma_{n-1}, P_0..P_{n-1}); the
 verifier rebuilds the whole commitment chain and accepts iff it closes back
 to the published first challenge.
+
+Every challenge names the ordered ring (Abe, Ohkubo and Suzuki,
+ASIACRYPT 2002), so a signature's ring and responses cannot be rotated
+into a second encoding that verifies without a secret key. Challenges
+keep 128 bits, half the group's length, which keeps secp256k1's ~128-bit
+security for Schnorr-type signatures that hash the commitment before the
+message (Neven, Smart and Warinschi, J. Math. Cryptology 2009), and lets
+c_i * P_i skip the GLV split in ``fogtrust.curve``.
 """
 
 from __future__ import annotations
@@ -30,6 +42,8 @@ from .errors import InvalidPoint, MalformedRingSignature, RingTooSmall, SignerMi
 from .keys import derive_public, public_from_hex, public_to_hex, random_scalar
 
 MIN_RING = 2
+_CHALLENGE_BYTES = 16
+_CHALLENGE_LIMIT = 1 << (8 * _CHALLENGE_BYTES)
 
 
 @dataclass(frozen=True)
@@ -63,9 +77,13 @@ class RingSignature:
             raise MalformedRingSignature(str(exc)) from exc
 
 
-def _chain_challenge(message: bytes, commitment_x: int) -> int:
-    payload = message + commitment_x.to_bytes(32, "big")
-    return int.from_bytes(digest(payload), "big") % CURVE_ORDER
+def _ring_digest(ring: Sequence[Point]) -> bytes:
+    return digest(b"fogtrust/ring/v2" + b"".join(p.to_bytes() for p in ring))
+
+
+def _chain_challenge(ring_digest: bytes, commitment_x: int, message: bytes) -> int:
+    payload = ring_digest + commitment_x.to_bytes(32, "big") + message
+    return int.from_bytes(digest(payload)[:_CHALLENGE_BYTES], "big")
 
 
 def _check_ring(ring: Sequence[Point]) -> None:
@@ -90,6 +108,7 @@ def ring_sign(message: bytes, ring: Sequence[Point], signer_index: int,
         raise SignerMismatch("secret key does not match the ring slot")
 
     j = signer_index
+    ring_digest = _ring_digest(ring)
     commitments = [None] * n
     responses = [0] * n
     challenges = [0] * n
@@ -101,7 +120,7 @@ def ring_sign(message: bytes, ring: Sequence[Point], signer_index: int,
     for step in range(1, n):
         i = (j + step) % n
         prev = (i - 1) % n
-        challenges[i] = _chain_challenge(message, commitments[prev])
+        challenges[i] = _chain_challenge(ring_digest, commitments[prev], message)
         while True:
             responses[i] = random_scalar(rng)
             commitment = link_x(responses[i], challenges[i], ring[i])
@@ -109,7 +128,8 @@ def ring_sign(message: bytes, ring: Sequence[Point], signer_index: int,
                 break
         commitments[i] = commitment
 
-    challenges[j] = _chain_challenge(message, commitments[(j - 1) % n])
+    challenges[j] = _chain_challenge(ring_digest, commitments[(j - 1) % n],
+                                     message)
     responses[j] = (q - challenges[j] * secret) % CURVE_ORDER
 
     return RingSignature(challenge=challenges[0],
@@ -127,18 +147,19 @@ def ring_verify(message: bytes, signature: RingSignature) -> bool:
         raise MalformedRingSignature("one response required per ring member")
     # type() rather than isinstance(): True is an int but not a scalar
     if not (type(signature.challenge) is int
-            and 0 <= signature.challenge < CURVE_ORDER):
+            and 0 <= signature.challenge < _CHALLENGE_LIMIT):
         raise MalformedRingSignature("challenge out of range")
     for s in responses:
         if not (type(s) is int and 0 <= s < CURVE_ORDER):
             raise MalformedRingSignature("response out of range")
 
+    ring_digest = _ring_digest(ring)
     commitment = link_x(responses[0], signature.challenge, ring[0])
     if commitment is None:
         return False
     for i in range(1, len(ring)):
-        c_i = _chain_challenge(message, commitment)
+        c_i = _chain_challenge(ring_digest, commitment, message)
         commitment = link_x(responses[i], c_i, ring[i])
         if commitment is None:
             return False
-    return _chain_challenge(message, commitment) == signature.challenge
+    return _chain_challenge(ring_digest, commitment, message) == signature.challenge

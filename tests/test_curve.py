@@ -218,6 +218,19 @@ def warm_point(pt):
     return point
 
 
+def half_length_scalars(rng):
+    """Scalars below 2^128 that reach every row of both tables, the top
+    rows included: a carry out of the last full row, or a top digit that
+    reaches the generator's last entry."""
+    return [
+        1 << 127,
+        (1 << 128) - 1,        # -1 in the first row, its carry into the top row
+        0xFF << 120,           # last member row -1, carry into its top row
+        (0x81 << 120) | 0x80,  # the largest positive digit, then -127 and a carry
+        (0x7FF << 117) | (0x1FFF << 104),  # the generator's top row, carried
+    ] + [rng.randrange(1 << 127, 1 << 128) for _ in range(4)]
+
+
 def test_glv_split_recombines_with_short_halves():
     rng = random.Random(0x61F)
     n = curve.CURVE_ORDER
@@ -261,9 +274,10 @@ def test_scalars_with_negative_glv_halves_match_oracle():
 def test_link_x_matches_oracle_on_table_and_cold_points():
     rng = random.Random(0x117C)
     base = oracles.affine_scalar_mult(rng.randrange(1, curve.CURVE_ORDER), oracles.GEN)
-    for _ in range(6):
+    # full-length challenges, then half-length ones, which take no split
+    challenges = [rng.randrange(curve.CURVE_ORDER) for _ in range(6)]
+    for c in challenges + half_length_scalars(rng)[:6]:
         s = rng.randrange(curve.CURVE_ORDER)
-        c = rng.randrange(curve.CURVE_ORDER)
         want = oracle_link_x(s, c, base)
         assert curve.link_x(s, c, warm_point(base)) == want
         cold = cold_point(base)
@@ -306,6 +320,29 @@ def test_link_x_handles_cancellation_and_doubling():
         # 763 recodes as -5 + 3 * 2^8: the accumulator passes through
         # infinity and starts again from the next term
         assert curve.link_x(5, 763, point()) == oracles.affine_scalar_mult(768, oracles.GEN)[0]
+
+
+# -- scalars below 2^128, ring challenges among them: no GLV split --
+
+def test_half_length_scalars_match_oracle_on_a_member_and_the_generator():
+    rng = random.Random(0x128)
+    base = oracles.affine_scalar_mult(0x5C41A2, oracles.GEN)
+    point = warm_point(base)
+    for k in half_length_scalars(rng):
+        assert as_tuple(curve.scalar_mult(k, point)) == \
+            oracles.affine_scalar_mult(k, base), hex(k)
+        assert as_tuple(curve.scalar_mult(k, curve.GENERATOR)) == \
+            oracles.affine_scalar_mult(k, oracles.GEN), hex(k)
+
+
+def test_half_length_scalars_take_no_split_on_a_warm_table():
+    rng = random.Random(0x17)
+    table = curve._cached(warm_point(oracles.affine_scalar_mult(0x17AB, oracles.GEN)))
+    for c in half_length_scalars(rng) + [rng.randrange(1 << 128) for _ in range(20)]:
+        plain, mapped = [], []
+        curve._gather(c, table, plain, mapped)
+        assert not mapped, hex(c)
+        assert len(plain) <= 17, hex(c)
 
 
 # -- points without a table: the interleaved wNAF path and mult_add --

@@ -562,6 +562,8 @@ MALFORMED_ATTESTATIONS = {
     "not-a-ring-signature": lambda genuine: object(),
     "non-int-challenge": lambda genuine: replace(
         genuine, challenge=str(genuine.challenge)),
+    "full-length-challenge": lambda genuine: replace(
+        genuine, challenge=genuine.challenge + (1 << 128)),
     "ring-is-none": lambda genuine: RingSignature(1, (1, 1), None),
     "responses-is-none": lambda genuine: RingSignature(1, None, genuine.ring),
     "list-ring": lambda genuine: replace(genuine, ring=list(genuine.ring)),
@@ -579,6 +581,7 @@ MALFORMED_ATTESTATIONS = {
 RING_CHECK_CAUSES = {
     "one-member-ring": RingTooSmall,
     "non-int-challenge": MalformedRingSignature,
+    "full-length-challenge": MalformedRingSignature,
     "ring-is-none": MalformedRingSignature,
     "responses-is-none": MalformedRingSignature,
     "list-ring": MalformedRingSignature,
@@ -594,6 +597,7 @@ RING_CHECK_CAUSES = {
     ("one-member-ring", InvalidRingSignature),
     ("not-a-ring-signature", InvalidRingSignature),
     ("non-int-challenge", InvalidRingSignature),
+    ("full-length-challenge", InvalidRingSignature),
     ("ring-is-none", InvalidRingSignature),
     ("responses-is-none", InvalidRingSignature),
     ("list-ring", InvalidRingSignature),

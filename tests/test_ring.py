@@ -2,10 +2,11 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
-from fogtrust import ring
+from fogtrust import curve, ring
 from fogtrust.curve import CURVE_ORDER
 from fogtrust.errors import MalformedRingSignature, RingTooSmall, SignerMismatch
 from fogtrust.keys import KeyPair
@@ -93,11 +94,31 @@ def test_random_forgery_rejected():
     rng = random.Random(8)
     _, pubs = make_ring(4, rng)
     forged = ring.RingSignature(
-        challenge=rng.randrange(CURVE_ORDER),
+        challenge=rng.randrange(1 << 128),
         responses=tuple(rng.randrange(CURVE_ORDER) for _ in range(4)),
         ring=tuple(pubs),
     )
     assert not ring.ring_verify(b"anything", forged)
+    # a challenge is 128 bits: a full-length one is malformed, not wrong
+    full_length = replace(forged, challenge=rng.randrange(1 << 128, CURVE_ORDER))
+    with pytest.raises(MalformedRingSignature):
+        ring.ring_verify(b"anything", full_length)
+
+
+def test_rotated_encoding_of_a_signature_is_rejected():
+    """Each challenge hashes the ordered ring, so a signature has one
+    encoding: rotating the ring and the responses by one, with c_1
+    recomputed from link 0 and no secret key, must not verify."""
+    rng = random.Random(16)
+    members, pubs = make_ring(3, rng)
+    message = b"one encoding"
+    sig = ring.ring_sign(message, pubs, 1, members[1].secret, rng)
+    assert ring.ring_verify(message, sig)
+    first_link = curve.link_x(sig.responses[0], sig.challenge, sig.ring[0])
+    c_1 = ring._chain_challenge(ring._ring_digest(sig.ring), first_link, message)
+    rotated = ring.RingSignature(c_1, sig.responses[1:] + sig.responses[:1],
+                                 sig.ring[1:] + sig.ring[:1])
+    assert not ring.ring_verify(message, rotated)
 
 
 def test_ring_too_small():
