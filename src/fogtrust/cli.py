@@ -26,6 +26,7 @@ from .errors import (
     LedgerError,
     ProtocolError,
     SchedulingError,
+    SessionKeyMismatch,
     SimulationError,
 )
 from .keys import KeyPair, derive_public, public_to_hex, secret_from_hex, secret_to_hex
@@ -232,7 +233,11 @@ def cmd_demo_auth(settings: dict) -> None:
           % (ledger.fog_table[fog_pair.address].reputation, threshold))
     print("6. iot         session key derived")
     print("7. fog         session key derived")
-    assert session.symmetric_key == fog.sessions[iot_pair.address]
+    # a raise, not an assert: ``python -O`` strips asserts, and the line
+    # below must never print over keys that disagree
+    if session.symmetric_key != fog.sessions[iot_pair.address]:
+        raise SessionKeyMismatch("the device and the fog node derived "
+                                 "different session keys")
     print("session established")
 
 

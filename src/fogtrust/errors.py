@@ -138,6 +138,10 @@ class NoSession(AuthError):
     """The fog node holds no session with the requesting device."""
 
 
+class SessionKeyMismatch(AuthError):
+    """The two sides of a handshake derived different session keys."""
+
+
 class ProtocolError(FogTrustError):
     """Base class for service-exchange failures."""
 

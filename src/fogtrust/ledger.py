@@ -404,17 +404,24 @@ class Ledger:
         params = self.params
         deducted = per_device = remainder = 0
         if passed:
-            record.reputation = min(record.reputation + params.reward_step,
-                                    params.reputation_max)
+            # capped by a comparison: min() costs about five times as much here
+            reputation = record.reputation + params.reward_step
+            ceiling = params.reputation_max
+            record.reputation = reputation if reputation <= ceiling else ceiling
         else:
             record.reputation -= params.penalty_step
-            deducted = min(params.deposit_deduction, record.deposit)
+            # at most the deposit, by a comparison for the same reason
+            deducted = params.deposit_deduction
+            if deducted > record.deposit:
+                deducted = record.deposit
             record.deposit -= deducted
             per_device, remainder = self._distribute(deducted)
         # The pool reimburses the oracle's disguised service payment and pays
-        # a flat bounty on top, to the extent the pool can cover it.
-        oracle_paid = min(params.audit_payment + params.oracle_bounty,
-                          self.fee_pool)
+        # a flat bounty on top, to the extent the pool can cover it; a
+        # comparison again, since this runs on every study audit attempt.
+        oracle_paid = params.audit_payment + params.oracle_bounty
+        if oracle_paid > self.fee_pool:
+            oracle_paid = self.fee_pool
         self.fee_pool -= oracle_paid
         self.total_withdrawn += oracle_paid
         self._seq += 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fogtrust import cli, errors
+from fogtrust import cli, errors, keys
 from fogtrust.errors import (
     BadSignature,
     ChannelFailure,
@@ -177,6 +177,24 @@ def test_demo_auth_establishes_a_session(capsys):
     assert out.strip().endswith("session established")
     for step in range(1, 8):
         assert "%d." % step in out
+
+
+def test_demo_auth_refuses_session_keys_that_disagree(monkeypatch, capsys):
+    derive = keys.shared_secret
+    derived = []
+
+    def fog_side_off_by_one_bit(secret, peer_public):
+        key = derive(secret, peer_public)
+        derived.append(key)
+        # the device derives first, then the fog node
+        return key if len(derived) == 1 else bytes([key[0] ^ 1]) + key[1:]
+
+    monkeypatch.setattr(keys, "shared_secret", fog_side_off_by_one_bit)
+    assert run_cli(["demo-auth", "--seed", "11"]) == cli.EXIT_AUTH
+    captured = capsys.readouterr()
+    assert len(derived) == 2
+    assert "session established" not in captured.out
+    assert "SessionKeyMismatch" in captured.err
 
 
 def test_demo_auth_uses_key_files(tmp_path, capsys):
@@ -474,6 +492,19 @@ PINNED_SIMULATE_DIGESTS = {
         "cost_summary.csv": "bd8abb1b308c7defc8fb8815faa15363a5fd0f8b87e26e4e1100ccd1ffc92795",
         "cost_plot.gp": "1bb43888d8cbfeedaa93d660c3d5f42504c9c9fa1676fcfbd6b2cf574276ba01",
         "stdout": "e7694e946a91f078758b76b591caed4fe51132ff9755f6b94437e1f9005e4418",
+    }),
+    # the one-trial shapes the simulate-cli benchmark runs
+    "state-trials1": (("state", "--trials", "1"), {
+        "state_trials.csv": "c3495a2de0f5cae3ddea3a92005292718331fa3b281461023bbc8d0055fb68a6",
+        "state_series.csv": "45e1bc38b0eac0ba37fc6de456f8c1075e937715739775021dcee6836c6fb0bf",
+        "state_plot.gp": "d83cd420629200eef06c1c6efce4deece66e036f23e8d3542af281fad3609f76",
+        "stdout": "73c04c1f409abe2a4ff44c308029320a572ff270bc95e5217fd25be3d8bcf686",
+    }),
+    "cost-cluster25-trials1": (("cost", "--trials", "1", "--cluster", "25"), {
+        "cost_trials.csv": "334a7cbd90525d76192ab646b03be183efc7e1da0f1d4a37851359a84657ddeb",
+        "cost_summary.csv": "8aeb72d4aa55d4841de9194aee1489370de73e1d75ed0cd44eda343cff08a98d",
+        "cost_plot.gp": "1bb43888d8cbfeedaa93d660c3d5f42504c9c9fa1676fcfbd6b2cf574276ba01",
+        "stdout": "25770e749162f7218fba7f04554253e98f169e8b72d4905ea17db4118d7ac656",
     }),
 }
 

@@ -511,15 +511,25 @@ def test_payment_to_malformed_fog_address_is_typed_and_changes_nothing(malformed
 
 # -- audits --
 
-def test_reward_saturates_at_reputation_ceiling():
-    bench = Bench()
+# from reputation 5 under a ceiling of 10, each step's rewards in order:
+# step 1 and step 5 land exactly on the ceiling, step 3 overshoots it
+@pytest.mark.parametrize("step, expected", [
+    (1, (6, 7, 8, 9, 10, 10, 10)),
+    (5, (10, 10)),
+    (3, (8, 10, 10)),
+])
+def test_reward_saturates_at_reputation_ceiling(step, expected):
+    bench = Bench(small_params(reward_step=step, penalty_step=step + 1))
     devices = [bench.iot(10) for _ in range(2)]
     node = bench.fog()
     keeper = bench.oracle()
-    for expected in (6, 7, 8, 9, 10, 10, 10):
+    record = bench.ledger.fog_table[node.address]
+    for reputation in expected:
+        # the formula the contract compares its way to, without min()'s cost
+        assert reputation == min(record.reputation + step, 10)
         outcome = bench.audit(keeper, node.address, devices, passed=True)
-        assert outcome.reputation_after == expected
-    assert bench.ledger.fog_table[node.address].reputation == 10
+        assert outcome.reputation_after == reputation
+    assert record.reputation == 10
     bench.assert_conserved()
 
 
@@ -781,8 +791,10 @@ def test_distribution_with_no_devices_goes_to_pool():
     bench.assert_conserved()
 
 
+# the last penalty's deduction equals the deposit left in (3, 1), (5, 5) and
+# (10, 5), and exceeds it in (10, 3), (7, 2) and (3, 5)
 @pytest.mark.parametrize("deposit,deduction,expected", [
-    (3, 1, 3), (10, 3, 4), (5, 5, 1), (7, 2, 4),
+    (3, 1, 3), (10, 3, 4), (5, 5, 1), (7, 2, 4), (10, 5, 2), (3, 5, 1),
 ])
 def test_fog_survives_exactly_ceil_deposit_over_deduction_penalties(
         deposit, deduction, expected):
@@ -798,8 +810,11 @@ def test_fog_survives_exactly_ceil_deposit_over_deduction_penalties(
     keeper = bench.oracle()
     for step in range(1, expected + 1):
         assert node.address in bench.ledger.fog_table
+        left = bench.ledger.fog_table[node.address].deposit
         outcome = bench.audit(keeper, node.address, devices, passed=False)
         assert outcome.removed == (step == expected)
+        # the formula the contract compares its way to, without min()'s cost
+        assert outcome.deducted == min(deduction, left)
     assert node.address not in bench.ledger.fog_table
     assert outcome.removal_reason is RemovalReason.DEPOSIT_EXHAUSTED
     bench.assert_conserved()
@@ -859,7 +874,12 @@ def test_no_surviving_fog_below_floor_or_without_deposit():
     bench.assert_conserved()
 
 
-def test_oracle_compensation_capped_by_pool():
+# a payment of 20 leaves a pool of 10 above the 7 owed, then 3 below it;
+# one of 14 leaves a pool of exactly 7, then an empty one; one of 12 a pool
+# of 6, one below
+@pytest.mark.parametrize("payment, paid", [(20, (7, 3)), (14, (7, 0)),
+                                           (12, (6,))])
+def test_oracle_compensation_capped_by_pool(payment, paid):
     params = small_params(fee_rate="0.5", audit_payment=5, oracle_bounty=2)
     bench = Bench(params)
     devices = [bench.iot(100) for _ in range(2)]
@@ -868,15 +888,17 @@ def test_oracle_compensation_capped_by_pool():
     first = bench.audit(keeper, node.address, devices, passed=True)
     assert first.oracle_paid == 0  # pool is empty
     bench.ledger.iot_fog_payment(
-        node.address, 20,
-        bench.approve(devices[0], "iot_fog_payment", amount=20, fog=node.address))
-    assert bench.ledger.fee_pool == 10
-    second = bench.audit(keeper, node.address, devices, passed=True)
-    assert second.oracle_paid == 7
-    third = bench.audit(keeper, node.address, devices, passed=True)
-    assert third.oracle_paid == 3
+        node.address, payment,
+        bench.approve(devices[0], "iot_fog_payment", amount=payment,
+                      fog=node.address))
+    assert bench.ledger.fee_pool == payment // 2
+    for expected in paid:
+        # the formula the contract compares its way to, without min()'s cost
+        assert expected == min(5 + 2, bench.ledger.fee_pool)
+        outcome = bench.audit(keeper, node.address, devices, passed=True)
+        assert outcome.oracle_paid == expected
     assert bench.ledger.fee_pool == 0
-    assert bench.ledger.total_withdrawn == 10
+    assert bench.ledger.total_withdrawn == payment // 2
     bench.assert_conserved()
 
 

@@ -3,7 +3,10 @@
 import ast
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -480,3 +483,14 @@ def test_demo_auth_stdout_matches_pinned_digest(capsys):
     assert cli.main(["demo-auth", "--seed", "7"]) == 0
     assert (_sha256(capsys.readouterr().out.encode())
             == PINNED_PROTOCOL_DIGESTS["demo_auth_stdout"])
+
+
+def test_demo_auth_stdout_matches_pinned_digest_with_asserts_stripped():
+    # python -O drops every assert, so no check the demo relies on may be one
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "fogtrust.cli", "demo-auth", "--seed", "7"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert _sha256(done.stdout) == PINNED_PROTOCOL_DIGESTS["demo_auth_stdout"]

@@ -126,10 +126,19 @@ def test_weighted_inclusion_grows_with_repeated_failures():
     assert frequencies[0] < frequencies[1] < frequencies[2]
 
 
-def test_update_weight_rules():
-    assert update_weight(1.0, passed=False) == 2.0
-    assert update_weight(4.0, passed=True) == 2.0
-    assert update_weight(1.0, passed=True) == 1.0  # floor holds
+@pytest.mark.parametrize("weight, passed", [
+    (1.0, False), (4.0, True), (1.0, True),
+    (1, True), (2, True), (3, True), (8, True), (1, False), (4, False),
+    # the floor tie: the halved weight, as max() returns its first operand
+    (2.0, True),
+])
+def test_update_weight_rules(weight, passed):
+    # the formula update_weight compares its way to, without max()'s cost
+    expected = max(weight // 2, 1) if passed else weight * 2
+    result = update_weight(weight, passed)
+    assert result == expected
+    # an int stays an int, which _sample_weighted's exact sums need
+    assert type(result) is type(expected)
 
 
 class _Marks:
@@ -277,10 +286,13 @@ def test_next_cluster_cycles_through_every_block():
 
 # -- scheduler wrapper --
 
+# equal to the roster, one above it and far above it
+@pytest.mark.parametrize("size", [4, 5, 10])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_scheduler_caps_cluster_at_roster_size(policy):
-    scheduler = Scheduler(policy, 10, addresses(4), random.Random(11))
+def test_scheduler_caps_cluster_at_roster_size(policy, size):
+    scheduler = Scheduler(policy, size, addresses(4), random.Random(11))
     cluster = scheduler.next_cluster()
+    assert len(cluster) == min(size, 4)
     assert sorted(cluster) == sorted(addresses(4))
 
 
