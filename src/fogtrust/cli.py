@@ -297,9 +297,11 @@ def _simulate_state(settings: dict, out_dir: str) -> list:
     # the adaptive-population study is this scenario's whole point, and it
     # needs a deposit that survives the learning phase
     config = _scenario({"adaptive": True, "deposit": 10, **settings})
+    trials = config.trials
 
     trial_lines = ["trial,final_malicious,final_reputation,live_fogs"]
-    # per-step sums, added in trial order; every trial has the same horizon
+    # per-step sums in trial order: the first trial's series, then each
+    # later trial added to new lists; every trial has the same horizon
     sums = None
     for index, metrics in enumerate(run_state_scenario(config)):
         trial_lines.append("%d,%s,%s,%d"
@@ -308,25 +310,24 @@ def _simulate_state(settings: dict, out_dir: str) -> list:
                               metrics.live_fogs[-1]))
         series = (metrics.mean_malicious, metrics.mean_reputation,
                   metrics.live_fogs)
-        if sums is None:
-            sums = [[0.0] * len(values) for values in series]
-        sums = [list(map(add, total, values))
-                for total, values in zip(sums, series)]
+        sums = series if sums is None else [
+            list(map(add, total, values))
+            for total, values in zip(sums, series)]
+    # each distinct mean formatted once; 0.0 + keeps the bytes of -0.0, ints
     malicious, reputation, live = (
-        [total / config.trials for total in column] for column in sums)
+        list(map({total: "%.6f" % ((0.0 + total) / trials)
+                  for total in set(column)}.__getitem__, column))
+        for column in sums)
 
-    # each value as _fmt writes it, one format per row
     series_lines = ["step,mean_malicious,mean_reputation,mean_live"]
-    series_lines += map("%d,%.6f,%.6f,%.6f".__mod__,
-                        zip(range(1, len(live) + 1), malicious, reputation,
-                            live))
+    series_lines += map(",".join, zip(map(str, range(1, len(live) + 1)),
+                                      malicious, reputation, live))
 
     print("state scenario: %d trials, %d fog nodes, horizon %d steps"
-          % (config.trials, config.fog_count, len(live)))
+          % (trials, config.fog_count, len(live)))
     print("mean malicious rate  start %s  end %s"
-          % (_fmt(malicious[0]), _fmt(malicious[-1])))
-    print("mean live fog nodes  start %s  end %s"
-          % (_fmt(live[0]), _fmt(live[-1])))
+          % (malicious[0], malicious[-1]))
+    print("mean live fog nodes  start %s  end %s" % (live[0], live[-1]))
 
     trials_path = os.path.join(out_dir, "state_trials.csv")
     series_path = os.path.join(out_dir, "state_series.csv")
@@ -399,6 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing reads the parser and never changes it
+_PARSER = build_parser()
+
+
 def _settings(args: argparse.Namespace, schema: dict) -> dict:
     """The --config file's settings under ``schema``; flags override them."""
     settings = {}
@@ -412,12 +417,11 @@ def _settings(args: argparse.Namespace, schema: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.subcommand == "keygen":
             if args.count < 1:
-                parser.error("--count must be at least 1")
+                _PARSER.error("--count must be at least 1")
             rng = random.Random(args.seed) if args.seed is not None else None
             for path in cmd_keygen(args.count, args.out, rng):
                 print("wrote %s" % path)

@@ -1,10 +1,16 @@
 """Command-line behavior: flags, config files, outputs, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import random
+import tempfile
+from operator import add
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogtrust import cli, errors, keys
 from fogtrust.errors import (
@@ -19,7 +25,12 @@ from fogtrust.errors import (
     ReputationBelowThreshold,
 )
 from fogtrust.scheduling import Policy
-from fogtrust.simulation import ScenarioConfig, run_state_trial, trial_seed
+from fogtrust.simulation import (
+    ScenarioConfig,
+    TrialMetrics,
+    run_state_trial,
+    trial_seed,
+)
 
 
 def run_cli(args):
@@ -460,6 +471,85 @@ def test_simulate_state_series_is_the_pointwise_mean_of_its_trials(tmp_path):
     assert series == expected
 
 
+def _zero_started_state_outputs(metrics, trials):
+    """state_series.csv and stdout as sums started at 0.0, each mean
+    divided out and formatted per value, would write them."""
+    horizon = len(metrics[0].live_fogs)
+    sums = [[0.0] * horizon for _ in range(3)]
+    for trial in metrics:
+        sums = [list(map(add, total, values)) for total, values in zip(
+            sums, (trial.mean_malicious, trial.mean_reputation,
+                   trial.live_fogs))]
+    malicious, reputation, live = ([total / trials for total in column]
+                                   for column in sums)
+    series = "step,mean_malicious,mean_reputation,mean_live\n" + "".join(
+        "%d,%.6f,%.6f,%.6f\n" % row
+        for row in zip(range(1, horizon + 1), malicious, reputation, live))
+    stdout = ("state scenario: %d trials, %d fog nodes, horizon %d steps\n"
+              "mean malicious rate  start %.6f  end %.6f\n"
+              "mean live fog nodes  start %.6f  end %.6f\n"
+              % (trials, ScenarioConfig().fog_count, horizon, malicious[0],
+                 malicious[-1], live[0], live[-1]))
+    return series, stdout
+
+
+def _check_state_outputs(metrics):
+    """Run ``simulate state`` over crafted trials; its series file and
+    stdout must equal the zero-started reference, and no trial's lists may
+    change."""
+    trials = len(metrics)
+    before = [[list(map(repr, values)) for values in vars(trial).values()]
+              for trial in metrics]
+
+    def crafted(config):
+        assert config.trials == trials
+        return iter(metrics)
+
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() \
+            as patch, contextlib.redirect_stdout(io.StringIO()) as stdout:
+        patch.setattr(cli, "run_state_scenario", crafted)
+        assert run_cli(["simulate", "state", "--trials", str(trials),
+                        "--out", out]) == 0
+        series = (Path(out) / "state_series.csv").read_text()
+    assert (series, stdout.getvalue()) \
+        == _zero_started_state_outputs(metrics, trials)
+    assert [[list(map(repr, values)) for values in vars(trial).values()]
+            for trial in metrics] == before
+
+
+# -0.0 and -1e-17 print "-0.000000" alone but "0.000000" in a sum from 0.0,
+# and an int prints as the float it sums to
+SPECIAL_VALUES = [0.0, -0.0, -1e-17, 1e-17, 0, 1, 7, 0.25, 5e-7, 2.5e-7]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_state_series_formats_as_zero_started_sums(trials):
+    runs = [value for value in SPECIAL_VALUES for _ in range(4)]
+    metrics = [TrialMetrics(runs[index:] + runs[:index],
+                            [-value for value in runs],
+                            [int(value * 4) for value in runs])
+               for index in range(trials)]
+    _check_state_outputs(metrics)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), trials=st.integers(1, 3), horizon=st.integers(1, 40))
+def test_state_series_formats_any_trials_as_zero_started_sums(
+        data, trials, horizon):
+    values = st.one_of(st.sampled_from(SPECIAL_VALUES),
+                       st.integers(-1000, 1000),
+                       st.floats(-1e6, 1e6, allow_nan=False))
+
+    def series():
+        runs = data.draw(st.lists(st.tuples(values, st.integers(1, horizon)),
+                                  min_size=1, max_size=6))
+        expanded = [value for value, length in runs for _ in range(length)]
+        return (expanded * horizon)[:horizon]
+
+    _check_state_outputs([TrialMetrics(series(), series(), series())
+                          for _ in range(trials)])
+
+
 # sha256 of every file and of stdout at seed 7, keyed by test id; a change
 # that alters an RNG stream on purpose updates these and says so
 PINNED_SIMULATE_DIGESTS = {
@@ -652,3 +742,22 @@ def test_simulate_unknown_scenario_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["simulate", "drift"])
     assert excinfo.value.code == 2
+
+
+def test_consecutive_runs_share_no_state_through_the_parser(tmp_path):
+    config = tmp_path / "tiny.cfg"
+    config.write_text("fog_count = 4\ncluster = 2\n")
+
+    def policies(flags):
+        assert run_cli(["simulate", "cost", *flags, "--config", str(config),
+                        "--trials", "1", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "cost_summary.csv").read_text().splitlines()
+        return [line.split(",")[0] for line in lines[1:]]
+
+    assert policies(["--policy", "random"]) == ["random"]
+    assert policies([]) == [policy.value for policy in Policy]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["keygen", "--count", "0", "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert run_cli(["keygen", "--seed", "1", "--out", str(tmp_path)]) == 0

@@ -3,16 +3,24 @@
 import copy
 import math
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from fogtrust.errors import InvalidDesign
 from fogtrust.scheduling import (
     Policy,
     Scheduler,
-    _sample_weighted,
+    _pick_weighted,
     update_weight,
 )
 
@@ -21,6 +29,13 @@ import oracles
 
 def addresses(count):
     return ["0x%040x" % n for n in range(1, count + 1)]
+
+
+def _sample_weighted(roster, slot_weights, cluster_size, rng):
+    """The scheduler's weighted draw from the weights alone: their prefix
+    sums, then the picker that the scheduler calls with the sums it keeps."""
+    return _pick_weighted(roster, slot_weights,
+                          list(accumulate(slot_weights)), cluster_size, rng)
 
 
 def live_weights(scheduler):
@@ -247,6 +262,83 @@ def test_scheduler_mark_one_ulp_below_a_shifted_boundary():
         _Marks(ULP_BELOW_A_SHIFTED_BOUNDARY))
     assert expected == roster[:2]
     assert scheduler.next_cluster() == expected
+
+
+class KeptSumsMachine(RuleBasedStateMachine):
+    """A weighted scheduler under random draws, verdicts, misses and
+    ejections: its kept prefix sums are current whenever they are not
+    marked stale, and every cluster is the one ``_sample_weighted`` draws
+    from the weights alone on a clone of the scheduler's rng."""
+
+    @initialize(count=st.integers(1, 12), cluster=st.integers(1, 12),
+                seed=st.integers(0, 2**32 - 1))
+    def build(self, count, cluster, seed):
+        self.roster = addresses(count)
+        self.scheduler = Scheduler(Policy.WEIGHTED, cluster, self.roster,
+                                   random.Random(seed))
+
+    @invariant()
+    def kept_sums_are_current_unless_stale(self):
+        scheduler = self.scheduler
+        if not scheduler._stale:
+            assert scheduler._totals == list(
+                accumulate(scheduler.slot_weights))
+
+    @rule()
+    def draw(self):
+        scheduler = self.scheduler
+        clone = random.Random()
+        clone.setstate(scheduler.rng.getstate())
+        size = min(scheduler.cluster_size, len(scheduler.roster))
+        expected = _sample_weighted(scheduler.slot_addresses,
+                                    list(scheduler.slot_weights), size, clone)
+        assert scheduler.next_cluster() == expected
+        assert scheduler.rng.getstate() == clone.getstate()
+        if size:  # an empty roster draws nothing and sums nothing
+            # the sums that draw picked over, as the draw left them
+            assert not scheduler._stale
+            assert scheduler._totals == list(
+                accumulate(scheduler.slot_weights))
+
+    @precondition(lambda self: self.scheduler.roster)
+    @rule(data=st.data(), outcome=st.sampled_from(["pass", "fail", "removed"]))
+    def record_outcome(self, data, outcome):
+        scheduler = self.scheduler
+        address = data.draw(st.sampled_from(scheduler.roster))
+        weights = live_weights(scheduler)
+        scheduler.record_outcome(address, passed=outcome == "pass",
+                                 removed=outcome == "removed")
+        if outcome == "removed":
+            del weights[address]
+        else:
+            weights[address] = update_weight(weights[address],
+                                             outcome == "pass")
+        assert live_weights(scheduler) == weights
+
+    @rule(index=st.integers(0, 11))
+    def record_outcome_of_a_node_with_no_weight(self, index):
+        address = self.roster[index % len(self.roster)]
+        if address not in self.scheduler.roster:
+            with pytest.raises(InvalidDesign):
+                self.scheduler.record_outcome(address, passed=True,
+                                              removed=False)
+
+    @rule(index=st.integers(0, 11))
+    def record_miss(self, index):
+        weights = list(self.scheduler.slot_weights)
+        self.scheduler.record_miss(self.roster[index % len(self.roster)])
+        assert self.scheduler.slot_weights == weights
+
+    @rule(index=st.integers(0, 11))
+    def eject(self, index):
+        address = self.roster[index % len(self.roster)]
+        self.scheduler.eject(address)
+        assert address not in live_weights(self.scheduler)
+
+
+KeptSumsMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=30, deadline=None)
+test_weighted_kept_sums_follow_every_weight_change = KeptSumsMachine.TestCase
 
 
 # -- block designs --

@@ -470,8 +470,9 @@ def test_running_means_match_direct_recomputation():
             assert mean == 0.0
 
 
-def _reference_weighted_draw(roster, slot_weights, cluster_size, rng):
-    """``_sample_weighted`` through the plain reference draw."""
+def _reference_weighted_draw(roster, slot_weights, totals, cluster_size, rng):
+    """``_pick_weighted`` through the plain reference draw, which reads no
+    prefix sums."""
     weights = dict(zip(roster, slot_weights))
     live = [address for address in roster if weights[address]]
     return oracles.weighted_cluster(live, weights, cluster_size, rng)
@@ -487,7 +488,7 @@ def test_weighted_trials_equal_trials_under_the_reference_draw(monkeypatch):
                 run_state_trial(state_config, random.Random(52)))
 
     cost, state = run_both()
-    monkeypatch.setattr(scheduling, "_sample_weighted",
+    monkeypatch.setattr(scheduling, "_pick_weighted",
                         _reference_weighted_draw)
     reference_cost, reference_state = run_both()
     assert cost == reference_cost
