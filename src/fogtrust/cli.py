@@ -17,17 +17,11 @@ from dataclasses import fields
 from operator import add
 
 from .errors import (
-    AuthError,
-    CryptoError,
     FogTrustError,
     InvalidConfig,
     InvalidParams,
     IoError,
-    LedgerError,
-    ProtocolError,
-    SchedulingError,
     SessionKeyMismatch,
-    SimulationError,
 )
 from .keys import KeyPair, derive_public, public_to_hex, secret_from_hex, secret_to_hex
 from .ledger import Ledger, Params
@@ -42,33 +36,6 @@ from .simulation import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_CONFIG = 3
-EXIT_IO = 4
-EXIT_AUTH = 5
-EXIT_LEDGER = 6
-EXIT_PROTOCOL = 7
-EXIT_SIMULATION = 8
-EXIT_CRYPTO = 9
-EXIT_SCHEDULING = 10
-
-_EXIT_FAMILIES = (
-    (InvalidConfig, EXIT_CONFIG),
-    (IoError, EXIT_IO),
-    (AuthError, EXIT_AUTH),
-    (LedgerError, EXIT_LEDGER),
-    (ProtocolError, EXIT_PROTOCOL),
-    (SimulationError, EXIT_SIMULATION),
-    (CryptoError, EXIT_CRYPTO),
-    (SchedulingError, EXIT_SCHEDULING),
-)
-
-
-def exit_code_for(error: FogTrustError) -> int:
-    for family, code in _EXIT_FAMILIES:
-        if isinstance(error, family):
-            return code
-    return 1
 
 
 # -- configuration --
@@ -432,7 +399,7 @@ def main(argv=None) -> int:
                          args.out)
     except FogTrustError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
     return EXIT_OK
 
 

@@ -592,21 +592,9 @@ def link_x(s: int, c: int, point: Point):
 
 
 def point_add(a, b):
-    """Affine addition; None is the identity."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    p = FIELD_PRIME
-    if a.x == b.x and (a.y + b.y) % p == 0:
-        return None
-    if a.x == b.x:
-        lam = 3 * a.x * a.x * pow(2 * a.y, -1, p) % p
-    else:
-        lam = (b.y - a.y) * pow(b.x - a.x, -1, p) % p
-    x3 = (lam * lam - a.x - b.x) % p
-    y3 = (lam * (a.x - x3) - a.y) % p
-    return Point(x3, y3)
+    """a + b; None is the identity."""
+    terms = [(t.x, t.y) for t in (a, b) if t is not None]
+    return _to_point(_accumulate(_INFINITY, terms))
 
 
 GENERATOR = Point(

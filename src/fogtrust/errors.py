@@ -1,12 +1,16 @@
 """Exception hierarchy.
 
 Every error the package raises descends from FogTrustError so callers can
-catch by family. The CLI maps each family to a distinct exit code.
+catch by family. Each family carries its own exit status, ``exit_code``,
+which the CLI returns for any error in it; the classes below a family
+inherit it.
 """
 
 
 class FogTrustError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 # ---------------------------------------------------------------- crypto
@@ -14,6 +18,8 @@ class FogTrustError(Exception):
 
 class CryptoError(FogTrustError):
     """Base class for cryptographic failures."""
+
+    exit_code = 9
 
 
 class InvalidScalar(CryptoError):
@@ -57,6 +63,8 @@ class MalformedRingSignature(CryptoError):
 
 class LedgerError(FogTrustError):
     """Base class for ledger operation failures."""
+
+    exit_code = 6
 
 
 class InvalidParams(LedgerError):
@@ -109,6 +117,8 @@ class RingMemberNotInIoTTable(LedgerError):
 class SchedulingError(FogTrustError):
     """Base class for audit scheduling failures."""
 
+    exit_code = 10
+
 
 class InvalidDesign(SchedulingError):
     """Scheduler settings are unusable (policy, cluster size or roster), or
@@ -120,6 +130,8 @@ class InvalidDesign(SchedulingError):
 
 class AuthError(FogTrustError):
     """Base class for mutual-authentication failures."""
+
+    exit_code = 5
 
 
 class IoTNotRegistered(AuthError):
@@ -145,6 +157,8 @@ class SessionKeyMismatch(AuthError):
 class ProtocolError(FogTrustError):
     """Base class for service-exchange failures."""
 
+    exit_code = 7
+
 
 class PaymentFailed(ProtocolError):
     pass
@@ -158,7 +172,7 @@ class ChannelFailure(ProtocolError):
 
 
 class SimulationError(FogTrustError):
-    pass
+    exit_code = 8
 
 
 class NonTerminating(SimulationError):
@@ -171,6 +185,10 @@ class NonTerminating(SimulationError):
 class InvalidConfig(FogTrustError):
     """Config file or CLI overrides are unusable."""
 
+    exit_code = 3
+
 
 class IoError(FogTrustError):
     """A file the command needs could not be read or written."""
+
+    exit_code = 4

@@ -109,30 +109,25 @@ def ring_sign(message: bytes, ring: Sequence[Point], signer_index: int,
 
     j = signer_index
     ring_digest = _ring_digest(ring)
-    commitments = [None] * n
     responses = [0] * n
-    challenges = [0] * n
-
     q = random_scalar(rng)
-    commitments[j] = scalar_mult(q, GENERATOR).x
+    commitment = scalar_mult(q, GENERATOR).x
 
-    # walk j+1, j+2, ..., wrapping, until the slot before j
-    for step in range(1, n):
-        i = (j + step) % n
-        prev = (i - 1) % n
-        challenges[i] = _chain_challenge(ring_digest, commitments[prev], message)
-        while True:
-            responses[i] = random_scalar(rng)
-            commitment = link_x(responses[i], challenges[i], ring[i])
-            if commitment is not None:
-                break
-        commitments[i] = commitment
+    # walk j+1, j+2, ..., wrapping, and close the loop at j; the published
+    # challenge is the one derived for slot 0
+    for i in (*range(j + 1, n), *range(j + 1)):
+        challenge = _chain_challenge(ring_digest, commitment, message)
+        if i == 0:
+            first_challenge = challenge
+        if i == j:
+            responses[j] = (q - challenge * secret) % CURVE_ORDER
+        else:
+            commitment = None
+            while commitment is None:
+                responses[i] = random_scalar(rng)
+                commitment = link_x(responses[i], challenge, ring[i])
 
-    challenges[j] = _chain_challenge(ring_digest, commitments[(j - 1) % n],
-                                     message)
-    responses[j] = (q - challenges[j] * secret) % CURVE_ORDER
-
-    return RingSignature(challenge=challenges[0],
+    return RingSignature(challenge=first_challenge,
                          responses=tuple(responses),
                          ring=tuple(ring))
 

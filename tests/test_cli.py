@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import random
+import re
 import tempfile
 from operator import add
 from pathlib import Path
@@ -13,17 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogtrust import cli, errors, keys
-from fogtrust.errors import (
-    BadSignature,
-    ChannelFailure,
-    FogTrustError,
-    InvalidConfig,
-    InvalidDesign,
-    InvalidScalar,
-    IoError,
-    NonTerminating,
-    ReputationBelowThreshold,
-)
+from fogtrust.errors import FogTrustError, InvalidConfig
 from fogtrust.scheduling import Policy
 from fogtrust.simulation import (
     ScenarioConfig,
@@ -84,21 +75,56 @@ def test_flat_config_rejects_shapeless_line():
         cli.parse_flat_config("just some words", cli.SIMULATE_SCHEMA)
 
 
+# each family's exit status; the generic 1 is left for FogTrustError itself
+FAMILY_EXIT_CODES = {
+    errors.InvalidConfig: 3,
+    errors.IoError: 4,
+    errors.AuthError: 5,
+    errors.LedgerError: 6,
+    errors.ProtocolError: 7,
+    errors.SimulationError: 8,
+    errors.CryptoError: 9,
+    errors.SchedulingError: 10,
+}
+ERROR_CLASSES = [error for error in vars(errors).values()
+                 if isinstance(error, type) and issubclass(error, FogTrustError)]
+
+
 def test_exit_codes_are_distinct_per_family():
-    # one error of each family, in the order of cli._EXIT_FAMILIES
-    members = (InvalidConfig, IoError, ReputationBelowThreshold, BadSignature,
-               ChannelFailure, NonTerminating, InvalidScalar, InvalidDesign)
-    assert len(members) == len(cli._EXIT_FAMILIES)
-    for error, (family, _) in zip(members, cli._EXIT_FAMILIES):
-        assert issubclass(error, family)
-    codes = [cli.exit_code_for(error("boom")) for error in members]
-    assert codes == [3, 4, 5, 6, 7, 8, 9, 10]
+    codes = [family.exit_code for family in FAMILY_EXIT_CODES]
+    assert codes == list(FAMILY_EXIT_CODES.values())
     assert len(set(codes)) == len(codes)
-    # the generic code 1 is left for errors the package does not define
-    for error in vars(errors).values():
-        if (isinstance(error, type) and issubclass(error, FogTrustError)
-                and error is not FogTrustError):
-            assert cli.exit_code_for(error("boom")) != 1, error.__name__
+    assert FogTrustError.exit_code == 1
+    # a family's status is said once: no class below a family sets its own
+    for error in ERROR_CLASSES:
+        if error is not FogTrustError and error not in FAMILY_EXIT_CODES:
+            assert "exit_code" not in vars(error), error.__name__
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+def test_every_error_exits_with_its_family_code(error, monkeypatch, capsys):
+    # every error but FogTrustError itself lies in exactly one family
+    codes = [code for family, code in FAMILY_EXIT_CODES.items()
+             if issubclass(error, family)]
+    assert len(codes) == (0 if error is FogTrustError else 1)
+
+    def fail(*_):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_demo_auth", fail)
+    assert run_cli(["demo-auth"]) == (codes + [1])[0]
+    assert "error: %s: boom" % error.__name__ in capsys.readouterr().err
+
+
+def test_readme_exit_codes_are_the_families_codes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme[readme.index("name the error family"):]
+    listing = listing[listing.index("(") + 1:listing.index(")")]
+    named = [int(code) for code in re.findall(r"\b(\d+) [a-z]", listing)]
+    assert 2 in named
+    # 2 is argparse's usage exit, not a family's
+    assert sorted(code for code in named if code != 2) == sorted(
+        FAMILY_EXIT_CODES.values())
 
 
 # -- keygen --
@@ -201,7 +227,7 @@ def test_demo_auth_refuses_session_keys_that_disagree(monkeypatch, capsys):
         return key if len(derived) == 1 else bytes([key[0] ^ 1]) + key[1:]
 
     monkeypatch.setattr(keys, "shared_secret", fog_side_off_by_one_bit)
-    assert run_cli(["demo-auth", "--seed", "11"]) == cli.EXIT_AUTH
+    assert run_cli(["demo-auth", "--seed", "11"]) == errors.AuthError.exit_code
     captured = capsys.readouterr()
     assert len(derived) == 2
     assert "session established" not in captured.out

@@ -1,5 +1,6 @@
 """Ring signature construction, rejection paths and signer anonymity."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -39,6 +40,26 @@ def test_sign_verify_spot_checks_in_larger_rings():
             message = rng.randbytes(48)
             sig = ring.ring_sign(message, pubs, j, members[j].secret, rng)
             assert ring.ring_verify(message, sig)
+
+
+# sha256 over seeded signatures: the signer at the first, a middle and the
+# last slot of rings of 2, 3 and 8; a change here changes signature bytes
+PINNED_RING_SIGN_DIGEST = (
+    "ed12968f904c1ba3c37bbc4a52d1a273de8f0e1c687bcf5724ea7d0cd738c2c7")
+
+
+def test_seeded_signature_bytes_are_pinned():
+    rng = random.Random(17)
+    signatures = bytearray()
+    for n in (2, 3, 8):
+        members, pubs = make_ring(n, rng)
+        for j in sorted({0, n // 2, n - 1}):
+            message = b"pin %d/%d" % (j, n)
+            sig = ring.ring_sign(message, pubs, j, members[j].secret, rng)
+            signatures += sig.challenge.to_bytes(16, "big")
+            for s in sig.responses:
+                signatures += s.to_bytes(32, "big")
+    assert hashlib.sha256(signatures).hexdigest() == PINNED_RING_SIGN_DIGEST
 
 
 def test_verification_fails_for_different_message():
