@@ -195,7 +195,7 @@ def cmd_demo_auth(settings: dict) -> None:
     print("2. fog         recovered device address, registration confirmed")
     print("3. fog -> iot  identity proof (%s, %d bytes)"
           % (frames[1][1], frames[1][2]))
-    print("4. iot         recovered fog address, registration confirmed")
+    print("4. iot         verified fog key, registration confirmed")
     print("5. iot         fog reputation %d meets threshold %d"
           % (ledger.fog_table[fog_pair.address].reputation, threshold))
     print("6. iot         session key derived")

@@ -154,6 +154,10 @@ class SessionKeyMismatch(AuthError):
     """The two sides of a handshake derived different session keys."""
 
 
+class PeerSignatureInvalid(AuthError):
+    """A peer's signature does not verify against the key it presented."""
+
+
 class ProtocolError(FogTrustError):
     """Base class for service-exchange failures."""
 

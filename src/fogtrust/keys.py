@@ -54,15 +54,15 @@ def shared_secret(secret: int, peer_public: Point) -> bytes:
 class KeyPair:
     secret: int
     public: Point = field(compare=False)
+    address: str = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "address", address_of(self.public))
 
     @classmethod
     def generate(cls, rng=None) -> "KeyPair":
         secret = random_scalar(rng)
         return cls(secret=secret, public=derive_public(secret))
-
-    @property
-    def address(self) -> str:
-        return address_of(self.public)
 
 
 # ---------------------------------------------------------------- encodings

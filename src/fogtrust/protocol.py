@@ -19,15 +19,17 @@ from typing import Callable, Optional
 from . import aead, keys, ring, signing
 from . import ledger as ledger_mod
 from .constants import digest
+from .curve import Point
 from .errors import (
-    BadSignature,
     ChannelFailure,
     DecryptionFailed,
     FogNotRegistered,
+    InvalidPoint,
     IoTNotRegistered,
     LedgerError,
     NoSession,
     PaymentFailed,
+    PeerSignatureInvalid,
     ReputationBelowThreshold,
     RingTooSmall,
     SignerMismatch,
@@ -165,10 +167,12 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
                         channel: Optional[Channel] = None) -> Session:
     """Seven-step handshake ending in a shared symmetric key.
 
-    The device proves itself first; the fog node answers only after finding
-    the device's address in the registry, and the device in turn checks the
-    node's registration and reputation before deriving the key.  Nothing on
-    the ledger changes on any failure path.
+    The device proves itself first; the fog node recovers the device's key
+    and answers only after finding its address in the registry.  The answer
+    carries the fog's public key beside its signature, so the device
+    verifies the signature against that key rather than recovering one, and
+    then checks the key's registration and reputation before deriving the
+    session key.  Nothing on the ledger changes on any failure path.
     """
     if channel is None:
         channel = Channel()
@@ -184,13 +188,22 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
     if iot_address not in ledger.iot_table:
         raise IoTNotRegistered("%s is not in the device registry" % iot_address)
 
-    # Step 4: fog answers with its own signed context.
+    # Step 4: fog answers with its signed context and its public key.
     fog_sig = signing.sign(FOG_AUTH_CONTEXT, fog.keypair.secret, fog.rng)
-    if not channel.send("fog", Frame(FrameType.AUTH2, fog_sig.to_bytes())):
+    answer = fog_sig.to_bytes() + fog.keypair.public.to_bytes()
+    if not channel.send("fog", Frame(FrameType.AUTH2, answer)):
         raise ChannelFailure("fog answer lost")
 
-    # Steps 5-6: device recovers the fog key, checks registry and reputation.
-    fog_public = signing.recover(FOG_AUTH_CONTEXT, fog_sig)
+    # Steps 5-6: device decodes the key the fog sent, verifies the fog's
+    # signature against it, then checks its registration and reputation.
+    try:
+        fog_public = Point.from_bytes(answer[65:])
+    except InvalidPoint as exc:
+        raise PeerSignatureInvalid("fog sent no valid public key: %s"
+                                   % exc) from exc
+    if not signing.verify(FOG_AUTH_CONTEXT, fog_sig, fog_public):
+        raise PeerSignatureInvalid("fog signature does not verify against "
+                                   "the key it sent")
     fog_address = keys.address_of(fog_public)
     record = ledger.fog_table.get(fog_address)
     if record is None:
@@ -201,7 +214,7 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
             % (record.reputation, iot.reputation_threshold))
 
     # Step 7: both sides derive the key from their own secret and the
-    # recovered peer key; the constructions agree by ECDH symmetry.
+    # peer's authenticated key; the constructions agree by ECDH symmetry.
     iot_key = keys.shared_secret(iot.keypair.secret, fog_public)
     fog_key = keys.shared_secret(fog.keypair.secret, iot_public)
     iot.sessions[fog_address] = iot_key
@@ -273,7 +286,7 @@ def _fog_reply(session: Session, fog: FogAgent,
     claimed = int.from_bytes(payload[:8], "big")
     request_sig = signing.Signature.from_bytes(payload[8:73])
     if not signing.verify(request_message(claimed, opened), request_sig, peer):
-        raise BadSignature("request was not signed by the session peer")
+        raise PeerSignatureInvalid("request was not signed by the session peer")
 
     outcome = fog.serve(opened)
     if outcome is None:
@@ -342,7 +355,6 @@ def select_ring(oracle: OracleAgent, ledger) -> list:
     then shuffles the oracle's own device address in among them, drawing
     from the oracle's rng.
     """
-    # device_address hashes the key on every read, so it is read once
     device = oracle.device_address
     pool = [address for address in ledger.iot_table
             if address != device and address in oracle.key_directory]

@@ -88,6 +88,20 @@ def test_keypair_generation_deterministic_with_rng():
     assert pair1.public == keys.derive_public(pair1.secret)
 
 
+def test_keypair_address_is_computed_once_from_its_public_key(monkeypatch):
+    pair = keys.KeyPair.generate(random.Random(6))
+    other = keys.KeyPair.generate(random.Random(7))
+    expected = keys.address_of(pair.public)
+    # equality is by secret alone: neither the key nor its address compares
+    assert keys.KeyPair(secret=pair.secret, public=other.public) == pair
+    with pytest.raises(TypeError):
+        keys.KeyPair(secret=pair.secret, public=pair.public,
+                     address=pair.address)
+    monkeypatch.setattr(keys, "address_of", lambda public: pytest.fail(
+        "a built key pair hashed its key again"))
+    assert pair.address == expected
+
+
 def test_keypair_generation_without_rng_gives_valid_key():
     pair = keys.KeyPair.generate()
     assert 1 <= pair.secret < CURVE_ORDER

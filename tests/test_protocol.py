@@ -13,14 +13,15 @@ import pytest
 
 from fogtrust import cli, keys, protocol, signing
 from fogtrust.constants import digest
+from fogtrust.curve import Point
 from fogtrust.errors import (
-    BadSignature,
     ChannelFailure,
     DecryptionFailed,
     FogNotRegistered,
     IoTNotRegistered,
     NoSession,
     PaymentFailed,
+    PeerSignatureInvalid,
     ReputationBelowThreshold,
     RingTooSmall,
     SignerMismatch,
@@ -85,7 +86,60 @@ def test_handshake_establishes_matching_keys():
     assert session.symmetric_key == fog.sessions[iot.address]
     assert session.symmetric_key == iot.sessions[fog.address]
     assert channel.framing_summary() == [
-        ("iot", "AUTH1", 65), ("fog", "AUTH2", 65)]
+        ("iot", "AUTH1", 65), ("fog", "AUTH2", 129)]
+
+
+def test_handshake_recovers_only_the_devices_key(monkeypatch):
+    # the fog recovers the caller, as the contract does; the device checks
+    # the fog's answer against the key that answer carries
+    ledger, iot, fog, _, _ = build_world()
+    calls = {"recover": 0, "verify": 0}
+
+    def counting(name):
+        original = getattr(signing, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(signing, name, counting(name))
+    session = mutual_authenticate(iot, fog, ledger)
+    assert session.fog_address == fog.address
+    assert calls == {"recover": 1, "verify": 1}
+
+
+def _refused_after_answer(ledger, iot, fog):
+    """Runs a handshake the device must refuse once it reads AUTH2."""
+    before = ledger.to_snapshot()
+    channel = Channel()
+    with pytest.raises(PeerSignatureInvalid):
+        mutual_authenticate(iot, fog, ledger, channel)
+    kinds = [entry.frame.frame_type for entry in channel.transcript]
+    assert kinds == [FrameType.AUTH1, FrameType.AUTH2]
+    assert iot.sessions == {}
+    assert fog.sessions == {} and fog.peer_keys == {}
+    assert ledger.to_snapshot() == before
+
+
+def test_handshake_refuses_a_fog_presenting_another_fogs_key():
+    ledger, iot, fog, _, _ = build_world()
+    signer = KeyPair.generate(RNG)
+    FogAgent(signer, rng=RNG).register(ledger, 8)
+    # signs as one registered fog while presenting the other's key
+    posing = FogAgent(KeyPair(secret=signer.secret, public=fog.keypair.public),
+                      rng=RNG)
+    _refused_after_answer(ledger, iot, posing)
+
+
+def test_handshake_refuses_a_fog_key_that_does_not_decode():
+    ledger, iot, fog, _, _ = build_world()
+    off_curve = object.__new__(Point)  # skips the constructor's curve check
+    off_curve.x, off_curve.y = fog.keypair.public.x, 1
+    broken = FogAgent(KeyPair(secret=fog.keypair.secret, public=off_curve),
+                      rng=RNG)
+    _refused_after_answer(ledger, iot, broken)
 
 
 def test_handshake_rejects_unregistered_device_before_fog_answers():
@@ -205,7 +259,7 @@ def test_exchange_request_must_be_signed_by_session_peer():
     ledger, iot, fog, _, extras = build_world()
     session = mutual_authenticate(iot, fog, ledger)
     impostor = extras[0]
-    with pytest.raises(BadSignature):
+    with pytest.raises(PeerSignatureInvalid):
         service_exchange(session, impostor, fog, b"job", 10, ledger)
 
 
@@ -346,7 +400,7 @@ def test_select_ring_hides_oracle_among_devices():
     assert len(positions) > 1  # placement varies
 
 
-def test_select_ring_hashes_the_oracle_key_once(monkeypatch):
+def test_select_ring_hashes_no_key(monkeypatch):
     ledger, _, _, oracle, _ = build_world(devices=10)
     hashed = []
     original = keys.address_of
@@ -357,7 +411,7 @@ def test_select_ring_hashes_the_oracle_key_once(monkeypatch):
 
     monkeypatch.setattr(keys, "address_of", counting)
     ring = select_ring(oracle, ledger)
-    assert hashed == [oracle.iot_keypair.public]
+    assert hashed == []
     assert len(ring) == 4
 
 
@@ -424,24 +478,24 @@ def test_audit_framing_matches_genuine_request():
 PINNED_PROTOCOL_DIGESTS = {
     "frames": [
         "b55589e9cbb1f989bb84c4009dfb672b43c7968a8b1cfe6cef82c3f125492b4a",
-        "b738272641d45c4d1a3acf0d28fdc05335a9a5916c796243422b80f6c35df53e",
+        "09a3ca8dc10f47996609e10851115714b4f712e3d89352459e9f514d017d4d05",
         "8729677d7a43ad6eb33053fa206f60dd65d8f166e6e4cca5f02560b58addf6d0",
         "6ae8c3ff55392b625fc94156cc22d9d155dc2d3706cf34a7349a7b60a9d4ae11",
         "31381f91a46dbcab82464280518a3a27e4aa46c96ecd2a5ea68a657c946bf16f",
         "8b48c3587ca0285292ace8041940c1801719dfbc58ce5a09f4efc344a516a17c",
         "9bace385b8a43354f44f280798dc81d9c9810e78581046b014a746e5210814c4",
-        "97ade62d4ea947194fb3d3635ce38596c639fdccc96aea5dd6b2a67f05caad38",
+        "a24bcb65d59b6e6a30a190fad5a1afb53311197bf2021274ac1cd183650fa8f3",
         "0452f20312c50e195d2d0f126543b222da2090cfcb633a6453989f563d8e230f",
         "574649c1646b81c124e98c50ebba596acac14e69278d1da0abafa48dbe942b85",
         "042e8eab1475d6181ea50087fe80048a26568f3718070e9694d5072b75936c04",
-        "c6bdcf46fc86218f7ec147185df8a4e5b0203a0d9f28561ec601debeec7c855d",
+        "8601714128ca0a18132904f14f3fac89c9612ce23842eda12652e41d34ed45df",
         "8c4e72e7142d5ab348515c471ad7641eee888fd586a19806ec02beea9c734857",
         "d6d4f1ca76ab699fd800c5cb8b6ef11c6ca34695ba6a9c7056d8ef5d1a86ea4b",
     ],
     "iot_session_key": "ebd27e24eafff2ecfc91b98a9f2695b6a325acb2fa01f3a662022444399948f6",
     "fog_session_key": "ebd27e24eafff2ecfc91b98a9f2695b6a325acb2fa01f3a662022444399948f6",
     "snapshot": "01c90782feef0ae4b97e831bcae1db5cee4a53c051cd921bf236b4d36a515d4f",
-    "demo_auth_stdout": "cb56c7f909239ee5c644edb61fed3c9d47fd2844958baac92a6a217ebcf471e9",
+    "demo_auth_stdout": "e5302e24fa596ae08589fdfe26685456bd65c25882f0add6af630dcfe0e18d69",
 }
 
 
