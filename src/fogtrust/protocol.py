@@ -6,7 +6,9 @@ only the ledger's verifier is swappable.  Agents talk over an in-process
 channel that records a transcript and can drop frames, which is enough to
 reproduce timeouts and tampering deterministically.  The disguised
 audit reuses the exact same request path as a genuine device, so a fog node
-cannot tell the two apart by framing.
+cannot tell the two apart by framing: the oracle's first audit of a fog
+runs the handshake, and a repeat audit sends its request over the session
+that handshake opened, as a device's follow-up request does.
 """
 
 from __future__ import annotations
@@ -310,8 +312,11 @@ class OracleAgent:
     The device identity makes audits look like ordinary paid requests; the
     oracle identity is the one the contract trusts to submit verdicts.  The
     key directory maps device addresses to public keys so rings can be
-    assembled from registry addresses.  Without an rng the oracle draws
-    rings, packages and nonces from ``secrets.SystemRandom()``.
+    assembled from registry addresses.  ``sessions`` maps each fog address
+    to the Session its first audit's handshake opened; later audits of that
+    fog reuse it, and a verdict that expels the fog drops it.  Without an
+    rng the oracle draws rings, packages and nonces from
+    ``secrets.SystemRandom()``.
     """
 
     iot_keypair: KeyPair
@@ -319,6 +324,7 @@ class OracleAgent:
     ring_size: int = DEFAULT_RING_SIZE
     rng: object = None
     key_directory: dict = field(default_factory=dict, init=False)
+    sessions: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.rng is None:
@@ -336,6 +342,10 @@ class OracleAgent:
         return self.oracle_keypair.address
 
     def learn_key(self, address: str, public):
+        """Record a device's key; a key that hashes to another address
+        would put a stranger in the rings, so it is refused."""
+        if keys.address_of(public) != address:
+            raise SignerMismatch("key does not belong to %s" % address)
         self.key_directory[address] = public
 
     def register(self, ledger, device_funds: int) -> tuple:
@@ -349,11 +359,13 @@ class OracleAgent:
 
 
 def select_ring(oracle: OracleAgent, ledger) -> list:
-    """Uniform ring of registry addresses that hides the oracle's device.
+    """Uniform ring of registry addresses that holds the oracle's device.
 
     Picks ring_size - 1 other registered devices the oracle knows keys for,
     then shuffles the oracle's own device address in among them, drawing
-    from the oracle's rng.
+    from the oracle's rng.  The signature hides the signer within this one
+    ring only: the device is in every ring the oracle draws, so the rings
+    of several audits intersect in it.
     """
     device = oracle.device_address
     pool = [address for address in ledger.iot_table
@@ -376,6 +388,15 @@ def service_audit(oracle: OracleAgent, fog: FogAgent, ledger,
     submits a ring-signed reward or penalty, the ring drawn by select_ring.
     A fog node that stays silent, rejects, tampers, or loses a handshake
     frame is judged failed.
+
+    The first audit of a fog runs mutual_authenticate and keeps the session
+    in ``oracle.sessions``.  While the fog and the oracle's device are both
+    still registered, a later audit reuses it and sends only REQUEST and
+    RESULT, like a device's follow-up request; static-static ECDH would
+    derive the same key again.  Otherwise the audit runs the handshake,
+    which raises FogNotRegistered or IoTNotRegistered as for any device.
+    A fog that refuses the kept session with NoSession gets a handshake and
+    the request again within the same audit.
     """
     if oracle.oracle_address not in ledger.oracle_table:
         raise UnknownOracle("%s is not a registered oracle"
@@ -389,12 +410,26 @@ def service_audit(oracle: OracleAgent, fog: FogAgent, ledger,
     requester = IoTAgent(keypair=oracle.iot_keypair,
                          reputation_threshold=ledger.params.reputation_min,
                          rng=oracle.rng)
+    payment = ledger.params.audit_payment
     exchange = None
+    session = oracle.sessions.get(fog.address)
+    if (fog.address not in ledger.fog_table
+            or oracle.device_address not in ledger.iot_table):
+        session = None
     try:
-        session = mutual_authenticate(requester, fog, ledger, channel)
-        exchange = service_exchange(session, requester, fog, package,
-                                    ledger.params.audit_payment, ledger,
-                                    channel)
+        if session is not None:
+            try:
+                exchange = service_exchange(session, requester, fog, package,
+                                            payment, ledger, channel)
+            except NoSession:
+                # a fog that dropped the session is asked for a new one, as
+                # a device would ask; refusing it must not dodge the verdict
+                session = None
+        if session is None:
+            session = mutual_authenticate(requester, fog, ledger, channel)
+            oracle.sessions[fog.address] = session
+            exchange = service_exchange(session, requester, fog, package,
+                                        payment, ledger, channel)
     except (ChannelFailure, DecryptionFailed):
         pass
     passed = (exchange is not None
@@ -410,7 +445,8 @@ def submit_verdict(oracle: OracleAgent, fog_address: str, passed: bool,
                    ledger, ring_members: list):
     """Ring-sign the verdict and apply it through the contract.  A ring
     without the oracle's device or with a member of unknown key signs
-    nothing."""
+    nothing.  A verdict that expels the fog drops the oracle's session
+    with it."""
     device = oracle.device_address
     directory = oracle.key_directory
     if device not in ring_members or not all(
@@ -423,4 +459,7 @@ def submit_verdict(oracle: OracleAgent, fog_address: str, passed: bool,
                                  oracle.iot_keypair.secret, oracle.rng)
     op = "fog_reward" if passed else "fog_penalize"
     approval = _approval(oracle.oracle_keypair, oracle.rng, op, fog=fog_address)
-    return getattr(ledger, op)(fog_address, attestation, approval)
+    application = getattr(ledger, op)(fog_address, attestation, approval)
+    if application.removed:
+        oracle.sessions.pop(fog_address, None)
+    return application

@@ -3,9 +3,11 @@
 A verifier that holds no keys works blockchain-style: it recovers the
 signer's public point from (message, signature) and compares the derived
 address against the ledger, so no public key travels with the call.  A
-verifier that already holds the signer's key, as a fog node does after the
-handshake, checks against it with ``verify``, which accepts exactly the
-signatures whose recovery returns that key.
+verifier that already holds the signer's key checks against it with
+``verify``, which accepts exactly the signatures whose recovery returns that
+key.  The protocol has two such verifiers: a fog node checks each request
+against the device key it recovered in the handshake, and a device checks
+the fog's handshake answer (AUTH2) against the key that answer carries.
 """
 
 from __future__ import annotations

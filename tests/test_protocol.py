@@ -470,6 +470,111 @@ def test_audit_framing_matches_genuine_request():
     assert genuine.framing_summary() == audited.framing_summary()
 
 
+def _kinds(channel):
+    return [entry.frame.frame_type.name for entry in channel.transcript]
+
+
+def test_oracle_refuses_a_key_that_is_not_the_addresses():
+    # a stranger's key under a helper's address would put the stranger in
+    # the ring, and the contract would refuse the verdict after payment
+    ledger, _, fog, oracle, extras = build_world()
+    directory = dict(oracle.key_directory)
+    with pytest.raises(SignerMismatch):
+        oracle.learn_key(extras[0].address, KeyPair.generate(RNG).public)
+    assert oracle.key_directory == directory
+    assert service_audit(oracle, fog, ledger).passed
+
+
+def test_repeat_audit_reuses_the_session(monkeypatch):
+    # the second audit sends the frames of a device's follow-up request and
+    # recovers only the contract's two callers: the payer and the verdict
+    ledger, iot, fog, oracle, _ = build_world()
+    assert service_audit(oracle, fog, ledger).passed
+
+    payment = ledger.params.audit_payment
+    session = mutual_authenticate(iot, fog, ledger)
+    service_exchange(session, iot, fog, bytes(16), payment, ledger)
+    follow_up = Channel()
+    service_exchange(session, iot, fog, bytes(range(16)), payment, ledger,
+                     follow_up)
+
+    calls = []
+    recover = signing.recover
+
+    def counting_recover(message, signature):
+        calls.append(message)
+        return recover(message, signature)
+
+    monkeypatch.setattr(signing, "recover", counting_recover)
+    audited = Channel()
+    report = service_audit(oracle, fog, ledger, channel=audited)
+    assert report.passed
+    assert len(calls) == 2
+    assert _kinds(audited) == ["REQUEST", "RESULT"]
+    assert audited.framing_summary() == follow_up.framing_summary()
+    assert oracle.sessions[fog.address].fog_address == fog.address
+    assert oracles.conservation_gap(ledger) == 0
+
+
+def test_expelled_fog_loses_the_session_and_refuses_the_next_audit():
+    ledger, _, fog, oracle, _ = build_world(behavior=lambda p, r: r[::-1])
+    transcripts = []
+    for _ in range(3):
+        channel = Channel()
+        report = service_audit(oracle, fog, ledger, channel=channel)
+        assert not report.passed
+        transcripts.append(_kinds(channel))
+    assert transcripts == [["AUTH1", "AUTH2", "REQUEST", "RESULT"]] + [
+        ["REQUEST", "RESULT"]] * 2
+    assert report.application.removed
+    assert fog.address not in oracle.sessions
+    channel = Channel()
+    with pytest.raises(FogNotRegistered):
+        service_audit(oracle, fog, ledger, channel=channel)
+    assert _kinds(channel) == ["AUTH1", "AUTH2"]
+
+
+def test_audit_after_the_oracles_device_leaves_runs_a_refused_handshake():
+    ledger, _, fog, oracle, _ = build_world()
+    assert service_audit(oracle, fog, ledger).passed
+    assert fog.address in oracle.sessions
+    ledger.iot_remove(protocol._approval(oracle.iot_keypair, RNG, "iot_remove"))
+    before = ledger.to_snapshot()
+    channel = Channel()
+    with pytest.raises(IoTNotRegistered):
+        service_audit(oracle, fog, ledger, channel=channel)
+    assert _kinds(channel) == ["AUTH1"]
+    assert ledger.to_snapshot() == before
+
+
+@pytest.mark.parametrize("honest", [True, False])
+def test_fog_that_drops_the_session_cannot_dodge_the_verdict(honest):
+    behavior = None if honest else (lambda package, result: result[::-1])
+    ledger, _, fog, oracle, _ = build_world(behavior=behavior)
+    service_audit(oracle, fog, ledger)
+    reputation = ledger.fog_table[fog.address].reputation
+    fog.sessions.clear()
+    fog.peer_keys.clear()
+    channel = Channel()
+    report = service_audit(oracle, fog, ledger, channel=channel)
+    assert report.passed is honest
+    assert _kinds(channel) == ["REQUEST", "AUTH1", "AUTH2", "REQUEST", "RESULT"]
+    assert ledger.fog_table[fog.address].reputation == (
+        reputation + 1 if honest else reputation - 2)
+
+
+def test_audit_that_loses_its_hello_stores_no_session():
+    ledger, _, fog, oracle, _ = build_world()
+    lossy = Channel(loss=lambda index, sender, frame: index == 0)
+    report = service_audit(oracle, fog, ledger, channel=lossy)
+    assert not report.passed and report.exchange is None
+    assert oracle.sessions == {}
+    channel = Channel()
+    assert service_audit(oracle, fog, ledger, channel=channel).passed
+    assert _kinds(channel) == ["AUTH1", "AUTH2", "REQUEST", "RESULT"]
+    assert fog.address in oracle.sessions
+
+
 # -- pinned outputs --
 
 # sha256 of each frame payload, both session keys and the ledger snapshot
