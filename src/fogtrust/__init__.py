@@ -2,8 +2,9 @@
 
 The package splits into layers that can be used independently:
 
-- ``keys``, ``signing``, ``ring``, ``aead``: curve arithmetic, recoverable
-  signatures, unlinkable ring signatures, and authenticated encryption.
+- ``keys``, ``signing``, ``ring``, ``aead``: curve arithmetic, signatures
+  that carry their signer's key, unlinkable ring signatures, and
+  authenticated encryption.
 - ``ledger``: the registry/payment/reputation contract emulation.
 - ``protocol``: mutual authentication, paid service exchange, and the
   disguised integrity audit, all over a lossy channel model.

@@ -25,9 +25,9 @@ Tables live in one module-level cache keyed by coordinates, not on Point
 objects, so a key decoded afresh from bytes finds the table of an equal
 key decoded earlier. The policy:
 
-- ``scalar_mult`` and ``link_x`` count one use of their point per call;
-  a point gets a width-8 table (16 rows and a one-entry top row, 2049
-  entries, about 213 KB) on its third use.
+- ``scalar_mult`` and ``key_mult_add`` (and ``link_x``, its x) count one
+  use of their point per call; a point gets a width-8 table (16 rows and
+  a one-entry top row, 2049 entries, about 213 KB) on its third use.
 - The cache holds at most ``_CACHE_ENTRIES`` (128) tables and as many
   admission counts, each evicted least recently used first. 128 is above
   every key set the workloads keep in use at once, so a full cache is
@@ -53,8 +53,9 @@ mixed additions in all, before the final Z times ``scale`` maps the sum
 back. A cold product thus takes no inversion of its own.
 
 ``mult_add`` computes s * G + c * P in a single accumulator that ends in
-one inversion, whether or not P has a table; ``link_x`` is the same sum
-for the ring-signature link, returning only the x-coordinate. Every
+one inversion, whether or not P has a table; ``key_mult_add`` is the same
+sum for a public key (a signature's signer, a ring member), and ``link_x``
+is its x-coordinate, the ring-signature link. Every
 product leaves its accumulator through ``_to_point``, so each result is a
 ``Point``, curve-checked there.
 
@@ -581,13 +582,19 @@ def mult_add(s: int, c: int, point: Point):
     return _to_point(_mult_add_xyzz(s, c, point, _cached(point)))
 
 
-def link_x(s: int, c: int, point: Point):
-    """x of s * G + c * point, or None when that sum is infinity.
+def key_mult_add(s: int, c: int, point: Point):
+    """s * G + c * point, or None when that sum is infinity.
 
     As mult_add, but each call counts one use of point towards a table:
-    a ring member recurs across signatures.
+    point is a public key, which recurs across signatures and rings.
     """
-    link = _to_point(_mult_add_xyzz(s, c, point, _table_of(point)))
+    return _to_point(_mult_add_xyzz(s, c, point, _table_of(point)))
+
+
+def link_x(s: int, c: int, point: Point):
+    """x of key_mult_add(s, c, point), or None when that sum is infinity:
+    the ring-signature link."""
+    link = key_mult_add(s, c, point)
     return None if link is None else link.x
 
 

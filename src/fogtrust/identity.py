@@ -1,31 +1,40 @@
 """The verifier the ledger checks caller signatures and attestations with.
 
 Agents always sign with ``signing`` and ``ring`` directly; only the ledger's
-side is swappable.  It recovers each caller's address and reads each
-verified ring attestation's members through this object, so a ledger whose
-calls are signed in bulk can take ``simulation.TokenIdentity`` and verify
-bearer tokens instead of curve signatures.  The studies need neither: they
-call the ledger's state transitions directly and sign nothing.
+side is swappable.  It names each caller's address and reads each verified
+ring attestation's members through this object, so a ledger whose calls are
+signed in bulk can take ``simulation.TokenIdentity`` and verify bearer
+tokens instead of curve signatures.  The studies need neither: they call
+the ledger's state transitions directly and sign nothing.
 """
 
 from __future__ import annotations
 
 from . import keys, ring, signing
-from .errors import (BadSignature, InvalidRingSignature, InvalidSignature,
-                     MalformedRingSignature, RecoveryFailed, RingTooSmall)
+from .curve import Point
+from .errors import (BadSignature, InvalidRingSignature,
+                     MalformedRingSignature, RingTooSmall)
 
 
 class Secp256k1Identity:
-    """Production scheme: ECDSA public-key recovery plus the audit ring signature."""
+    """Production scheme: ECDSA verified against the key each signature
+    carries, plus the audit ring signature."""
 
-    def recover_address(self, message: bytes, signature) -> str:
-        if not isinstance(signature, signing.Signature):
-            raise BadSignature("not an ECDSA signature")
-        try:
-            public = signing.recover(message, signature)
-        except (InvalidSignature, RecoveryFailed) as exc:
-            raise BadSignature(str(exc)) from exc
-        return keys.address_of(public)
+    def caller_address(self, message: bytes, signature) -> str:
+        """The address of the key ``signature`` carries, when the signature
+        verifies over ``message`` against that key; else BadSignature.
+
+        ``signing.verify`` accepts exactly the signatures whose recovery
+        returns the key, so this names the caller a recovery would, with
+        one sum on the key's table and no square root.
+        """
+        if not (isinstance(signature, signing.Signature)
+                and isinstance(signature.public, Point)):
+            raise BadSignature("not an ECDSA signature carrying its key")
+        if not signing.verify(message, signature, signature.public):
+            raise BadSignature("signature does not verify against the key "
+                               "it carries")
+        return keys.address_of(signature.public)
 
     def ring_members(self, message: bytes, attestation) -> tuple:
         """The member addresses of a ring that verifies over ``message``;

@@ -2,16 +2,19 @@
 
 The ledger keeps three registry tables (IoT devices, fog nodes, audit
 oracles) and a shared fee pool.  Every mutating call carries an ECDSA
-signature over a canonical call message; the caller's address is recovered
-from that signature, never passed in.  All currency amounts are integers in
-the smallest unit, so conservation can be checked exactly: everything
-deposited either sits in a table, sits in the pool, or has been withdrawn.
+signature over a canonical call message, and the signature carries its
+signer's public key; the contract verifies the signature against that key
+and takes the caller's address from it, never from an argument.  All
+currency amounts are integers in the smallest unit, so conservation can be
+checked exactly: everything deposited either sits in a table, sits in the
+pool, or has been withdrawn.
 
 Three signed ops authenticate, then apply: ``iot_registration``,
 ``fog_registration`` and ``_audit`` (for ``fog_reward`` and ``fog_penalize``)
-recover the caller and verify what they must, then run the private state
-transitions ``_register_iot``, ``_register_fog`` and ``_apply_verdict``,
-which keep every other check.  The studies call those three directly.
+authenticate the caller and verify what they must, then run the private
+state transitions ``_register_iot``, ``_register_fog`` and
+``_apply_verdict``, which keep every other check.  The studies call those
+three directly.
 
 Reputation bookkeeping follows the audit contract: a passed audit rewards
 the fog node up to a ceiling, a failed audit deducts reputation and seizes
@@ -218,11 +221,12 @@ class Ledger:
     # -- helpers --
 
     def _caller(self, message: bytes, signature) -> str:
-        """Recover the calling address from its signature over ``message``.
+        """The calling address, authenticated by its signature over
+        ``message``.
 
-        The one path from a contract call to ``recover_address``.
+        The one path from a contract call to ``caller_address``.
         """
-        return self.identity.recover_address(message, signature)
+        return self.identity.caller_address(message, signature)
 
     def _require_iot(self, address: str) -> IoTRecord:
         record = self.iot_table.get(address)

@@ -21,17 +21,17 @@ from typing import Callable, Optional
 from . import aead, keys, ring, signing
 from . import ledger as ledger_mod
 from .constants import digest
-from .curve import Point
 from .errors import (
     ChannelFailure,
     DecryptionFailed,
     FogNotRegistered,
-    InvalidPoint,
+    InvalidSignature,
     IoTNotRegistered,
     LedgerError,
     NoSession,
     PaymentFailed,
     PeerSignatureInvalid,
+    RecoveryFailed,
     ReputationBelowThreshold,
     RingTooSmall,
     SignerMismatch,
@@ -169,40 +169,50 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
                         channel: Optional[Channel] = None) -> Session:
     """Seven-step handshake ending in a shared symmetric key.
 
-    The device proves itself first; the fog node recovers the device's key
-    and answers only after finding its address in the registry.  The answer
-    carries the fog's public key beside its signature, so the device
-    verifies the signature against that key rather than recovering one, and
-    then checks the key's registration and reputation before deriving the
-    session key.  Nothing on the ledger changes on any failure path.
+    Each side decodes the frame its peer sent; every signature carries its
+    signer's public key.  The device proves itself first; the fog node
+    recovers the device's key, refuses with PeerSignatureInvalid a hello
+    that names no signer or carries another key, and answers only after
+    finding the device's address in the registry.
+    The device verifies the fog's answer against the key it carries rather
+    than recovering one, and then checks that key's registration and
+    reputation before deriving the session key.  Nothing on the ledger
+    changes on any failure path.
     """
     if channel is None:
         channel = Channel()
 
     # Step 1: device signs its context and opens.
-    iot_sig = signing.sign(IOT_AUTH_CONTEXT, iot.keypair.secret, iot.rng)
-    if not channel.send("iot", Frame(FrameType.AUTH1, iot_sig.to_bytes())):
+    hello = Frame(FrameType.AUTH1, signing.sign(
+        IOT_AUTH_CONTEXT, iot.keypair.secret, iot.rng).to_bytes())
+    if not channel.send("iot", hello):
         raise ChannelFailure("device hello lost")
 
-    # Steps 2-3: fog recovers the device key and checks the registry.
-    iot_public = signing.recover(IOT_AUTH_CONTEXT, iot_sig)
+    # Steps 2-3: fog recovers the device key, holds it to the key the hello
+    # carries, and checks the registry.
+    iot_sig = _peer_signature(hello.payload, "device")
+    try:
+        iot_public = signing.recover(IOT_AUTH_CONTEXT, iot_sig)
+    except (InvalidSignature, RecoveryFailed) as exc:
+        raise PeerSignatureInvalid("device hello names no signer: %s"
+                                   % exc) from exc
+    if iot_public != iot_sig.public:
+        raise PeerSignatureInvalid("device hello carries a key other than "
+                                   "its signer's")
     iot_address = keys.address_of(iot_public)
     if iot_address not in ledger.iot_table:
         raise IoTNotRegistered("%s is not in the device registry" % iot_address)
 
-    # Step 4: fog answers with its signed context and its public key.
-    fog_sig = signing.sign(FOG_AUTH_CONTEXT, fog.keypair.secret, fog.rng)
-    answer = fog_sig.to_bytes() + fog.keypair.public.to_bytes()
-    if not channel.send("fog", Frame(FrameType.AUTH2, answer)):
+    # Step 4: fog answers with its signed context, which carries its key.
+    answer = Frame(FrameType.AUTH2, signing.sign(
+        FOG_AUTH_CONTEXT, fog.keypair.secret, fog.rng).to_bytes())
+    if not channel.send("fog", answer):
         raise ChannelFailure("fog answer lost")
 
-    # Steps 5-6: device decodes the key the fog sent, verifies the fog's
-    # signature against it, then checks its registration and reputation.
-    try:
-        fog_public = Point.from_bytes(answer[65:])
-    except InvalidPoint as exc:
-        raise PeerSignatureInvalid("fog sent no valid public key: %s"
-                                   % exc) from exc
+    # Steps 5-6: device verifies the fog's signature against the key it
+    # carries, then checks that key's registration and reputation.
+    fog_sig = _peer_signature(answer.payload, "fog")
+    fog_public = fog_sig.public
     if not signing.verify(FOG_AUTH_CONTEXT, fog_sig, fog_public):
         raise PeerSignatureInvalid("fog signature does not verify against "
                                    "the key it sent")
@@ -224,6 +234,16 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
     fog.peer_keys[iot_address] = iot_public
     return Session(iot_address=iot_address, fog_address=fog_address,
                    symmetric_key=iot_key)
+
+
+def _peer_signature(raw: bytes, peer: str) -> signing.Signature:
+    """The signature a peer sent, or PeerSignatureInvalid when its bytes
+    (the signer's key among them) do not decode."""
+    try:
+        return signing.Signature.from_bytes(raw)
+    except InvalidSignature as exc:
+        raise PeerSignatureInvalid("%s sent no valid signature: %s"
+                                   % (peer, exc)) from exc
 
 
 def request_message(payment: int, package: bytes) -> bytes:
@@ -252,10 +272,11 @@ def service_exchange(session: Session, iot: IoTAgent, fog: FogAgent,
     request_sig = signing.sign(request_message(payment, package),
                                iot.keypair.secret, iot.rng)
     sealed = aead.encrypt(session.symmetric_key, package, iot.rng)
-    payload = payment.to_bytes(8, "big") + request_sig.to_bytes() + sealed
+    request = Frame(FrameType.REQUEST, payment.to_bytes(8, "big")
+                    + request_sig.to_bytes() + sealed)
     reply = None
-    if channel.send("iot", Frame(FrameType.REQUEST, payload)):
-        reply = _fog_reply(session, fog, payload)
+    if channel.send("iot", request):
+        reply = _fog_reply(session, fog, request.payload)
     if reply is None or not channel.send("fog", reply):
         return ServiceExchange(ExchangeStatus.TIMED_OUT)
     if reply.frame_type is FrameType.REJECT:
@@ -276,18 +297,21 @@ def _fog_reply(session: Session, fog: FogAgent,
     """Fog side of a REQUEST: unseal with the fog's own session key, verify
     the request signature against the device key from the handshake, serve.
     Returns the RESULT or REJECT frame, or None for silence.  A fog node
-    without a session for the device refuses with NoSession; only the
-    contract recovers signers on every call."""
-    # payload: 8-byte payment | 65-byte signature | sealed package
+    without a session for the device refuses with NoSession, and a request
+    whose signature carries any other key than the handshake's is refused
+    as one its peer did not sign."""
+    # payload: 8-byte payment | signature | sealed package
     fog_key = fog.sessions.get(session.iot_address)
     peer = fog.peer_keys.get(session.iot_address)
     if fog_key is None or peer is None:
         raise NoSession("%s holds no session with %s"
                         % (fog.address, session.iot_address))
-    opened = aead.decrypt(fog_key, payload[73:])
+    sealed_at = 8 + signing.SIGNATURE_BYTES
+    opened = aead.decrypt(fog_key, payload[sealed_at:])
     claimed = int.from_bytes(payload[:8], "big")
-    request_sig = signing.Signature.from_bytes(payload[8:73])
-    if not signing.verify(request_message(claimed, opened), request_sig, peer):
+    request_sig = _peer_signature(payload[8:sealed_at], "device")
+    if request_sig.public != peer or not signing.verify(
+            request_message(claimed, opened), request_sig, peer):
         raise PeerSignatureInvalid("request was not signed by the session peer")
 
     outcome = fog.serve(opened)

@@ -1,13 +1,18 @@
-"""ECDSA signing with public-key recovery.
+"""ECDSA signatures that carry their signer's public key.
 
-A verifier that holds no keys works blockchain-style: it recovers the
-signer's public point from (message, signature) and compares the derived
-address against the ledger, so no public key travels with the call.  A
-verifier that already holds the signer's key checks against it with
-``verify``, which accepts exactly the signatures whose recovery returns that
-key.  The protocol has two such verifiers: a fog node checks each request
-against the device key it recovered in the handshake, and a device checks
-the fog's handshake answer (AUTH2) against the key that answer carries.
+A signature is (r, s, hint) and the signer's 64-byte public point, 129
+bytes on the wire: ``r || s || hint || x || y``, as a Bitcoin P2PKH input
+carries its key beside its signature.  A verifier checks the signature
+against the key it carries with ``verify`` and takes the signer's address
+from that key, so it needs no key of its own: the contract checks every
+call this way.  ``verify`` accepts exactly the signatures whose recovery
+returns that key, so a signature verifies against at most one key.
+
+``recover`` still computes the signer's key from (message, r, s, hint)
+alone, the SEC 1 v2 4.1.6 recovery Ethereum uses for its senders: a
+square root, then a product on the nonce point, which never gets a
+table.  Its one caller is the fog's handshake step, which checks that the
+key it recovers is the key the device's hello carries.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import digest
-from .curve import (CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, _sqrt, mult_add,
-                    scalar_mult)
-from .errors import InvalidSignature, RecoveryFailed
-from .keys import random_scalar, require_secret
+from .curve import (CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, _sqrt,
+                    key_mult_add, mult_add, scalar_mult)
+from .errors import InvalidPoint, InvalidSignature, RecoveryFailed
+from .keys import derive_public, random_scalar
+
+SIGNATURE_BYTES = 129  # r, s, hint and the signer's 64-byte key
 
 
 @dataclass(frozen=True)
@@ -26,21 +33,28 @@ class Signature:
     r: int
     s: int
     recovery_hint: int  # bit 0: parity of R.y, bit 1: R.x overflowed the order
+    public: Point  # the signer's key, which verify checks the rest against
 
     def to_bytes(self) -> bytes:
         return (self.r.to_bytes(32, "big")
                 + self.s.to_bytes(32, "big")
-                + bytes([self.recovery_hint]))
+                + bytes([self.recovery_hint])
+                + self.public.to_bytes())
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Signature":
         if not isinstance(raw, bytes):
             raise InvalidSignature("signature must be bytes")
-        if len(raw) != 65:
-            raise InvalidSignature(f"expected 65 bytes, got {len(raw)}")
+        if len(raw) != SIGNATURE_BYTES:
+            raise InvalidSignature(f"expected {SIGNATURE_BYTES} bytes, "
+                                   f"got {len(raw)}")
+        try:
+            public = Point.from_bytes(raw[65:])
+        except InvalidPoint as exc:
+            raise InvalidSignature(f"signer key: {exc}") from exc
         return cls(r=int.from_bytes(raw[:32], "big"),
                    s=int.from_bytes(raw[32:64], "big"),
-                   recovery_hint=raw[64])
+                   recovery_hint=raw[64], public=public)
 
 
 def _hash_to_int(message: bytes) -> int:
@@ -48,7 +62,7 @@ def _hash_to_int(message: bytes) -> int:
 
 
 def sign(message: bytes, secret: int, rng=None) -> Signature:
-    require_secret(secret)
+    public = derive_public(secret)
     z = _hash_to_int(message)
     while True:
         nonce = random_scalar(rng)
@@ -60,7 +74,7 @@ def sign(message: bytes, secret: int, rng=None) -> Signature:
         if s == 0:
             continue
         hint = (R.y & 1) | (2 if R.x >= CURVE_ORDER else 0)
-        return Signature(r=r, s=s, recovery_hint=hint)
+        return Signature(r=r, s=s, recovery_hint=hint, public=public)
 
 
 def _fields(signature: Signature) -> tuple:
@@ -105,15 +119,16 @@ def verify(message: bytes, signature: Signature, public: Point) -> bool:
     (SEC 1 v2, 4.1.4), summed in one accumulator with one inversion. R
     must be the point the hint names: x equal to r (plus the order when
     bit 1 is set) and y of the parity in bit 0. That pins the one R whose
-    recovery gives public, with no square root taken. public uses its
-    table when one is cached; this call does not count towards one.
+    recovery gives public, with no square root taken. Each call counts
+    one use of public towards a table, as a ring link counts its member:
+    a signer's key recurs across calls.
     """
     try:
         r, s, hint = _fields(signature)
     except InvalidSignature:
         return False
     w = pow(s, -1, CURVE_ORDER)
-    nonce = mult_add(_hash_to_int(message) * w, r * w, public)
+    nonce = key_mult_add(_hash_to_int(message) * w, r * w, public)
     return (nonce is not None
             and nonce.x == (r + CURVE_ORDER if hint & 2 else r)
             and nonce.y & 1 == hint & 1)

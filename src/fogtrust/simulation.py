@@ -50,12 +50,12 @@ class TokenRingSignature:
 class TokenIdentity:
     """Drop-in identity scheme whose signatures are bearer tokens.
 
-    recover_address returns the address baked into the token if and only if
+    caller_address returns the address baked into the token if and only if
     the token was minted for exactly the message being checked, mirroring
-    how a curve signature only recovers over the signed message.
+    how a curve signature only verifies over the signed message.
     """
 
-    def recover_address(self, message: bytes, signature) -> str:
+    def caller_address(self, message: bytes, signature) -> str:
         if not isinstance(signature, TokenSignature):
             raise BadSignature("not a token signature")
         if signature.message != message:

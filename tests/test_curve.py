@@ -484,6 +484,22 @@ def test_recovering_one_signature_five_times_admits_nothing():
     assert not curve._use_counts
 
 
+def test_verify_gives_the_signers_key_its_table_on_the_third_call():
+    pair = keys.KeyPair.generate(random.Random(0x3E7))
+    rng = random.Random(2)
+    calls = [(b"call %d" % i, signing.sign(b"call %d" % i, pair.secret, rng))
+             for i in range(4)]
+    empty_cache()
+    for count, (message, signature) in enumerate(calls, start=1):
+        # the key arrives decoded afresh, as the contract reads it
+        key = curve.Point.from_bytes(pair.public.to_bytes())
+        assert signing.verify(message, signature, key)
+        assert (curve._cached(pair.public) is not None) == (count >= 3), count
+    # the key's table is the only one: no nonce point was counted
+    assert list(curve._tables) == [(pair.public.x, pair.public.y)]
+    assert not curve._use_counts
+
+
 def test_packed_table_entries_and_products_match_oracle():
     rng = random.Random(0x9AC)
     base = oracles.affine_scalar_mult(0xC0DE, oracles.GEN)

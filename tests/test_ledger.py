@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogtrust import ledger as ledger_mod
-from fogtrust import signing
+from fogtrust import keys, signing
+from fogtrust.curve import GENERATOR
 from fogtrust.errors import (
     AlreadyRegistered,
     BadSignature,
@@ -23,9 +24,11 @@ from fogtrust.errors import (
     InvalidAmount,
     InvalidParams,
     InvalidRingSignature,
+    InvalidSignature,
     LedgerError,
     MalformedRingSignature,
     NotRegistered,
+    RecoveryFailed,
     RingMemberNotInIoTTable,
     RingTooSmall,
     UnknownFog,
@@ -179,7 +182,7 @@ def test_only_caller_recovers_and_every_signed_op_names_itself():
                if isinstance(node, ast.FunctionDef)}
 
     def recovers(node):
-        return sum(isinstance(sub, ast.Attribute) and sub.attr == "recover_address"
+        return sum(isinstance(sub, ast.Attribute) and sub.attr == "caller_address"
                    for sub in ast.walk(node))
 
     assert recovers(tree) == recovers(methods["_caller"]) == 1
@@ -219,6 +222,40 @@ def test_only_caller_recovers_and_every_signed_op_names_itself():
     message = audit_call.args[0]
     assert message.func.id == "call_message"
     assert message.args[0].id == methods["_audit"].args.args[1].arg == "op"
+
+
+def test_only_the_fogs_handshake_step_recovers_a_key():
+    """signing.recover has one caller, the fog's step of the handshake;
+    the contract and its verifier verify against carried keys instead."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "recover"
+                    or isinstance(child.func, ast.Name)
+                    and child.func.id == "recover"):
+                calls.append(".".join(scope))
+            visit(child, inner)
+
+    def names_recover(tree):
+        return any(isinstance(node, ast.Attribute) and node.attr == "recover"
+                   or isinstance(node, ast.Name) and node.id == "recover"
+                   or isinstance(node, ast.alias) and node.name == "recover"
+                   for node in ast.walk(tree))
+
+    package = Path(ledger_mod.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        visit(tree, (path.stem,))
+        if path.stem in ("ledger", "identity"):
+            assert not names_recover(tree), path.name
+    assert calls == ["protocol.mutual_authenticate"]
 
 
 @pytest.mark.parametrize("name, signed_op, study", [
@@ -319,9 +356,11 @@ def test_oracle_registration_and_duplicate():
 def test_malformed_signature_rejected_before_any_state_change():
     bench = Bench()
     with pytest.raises(BadSignature):
-        bench.ledger.oracle_registration(Signature(r=1, s=0, recovery_hint=0))
+        bench.ledger.oracle_registration(Signature(r=1, s=0, recovery_hint=0,
+                                                   public=GENERATOR))
     with pytest.raises(BadSignature):
-        bench.ledger.iot_registration(10, Signature(r=0, s=1, recovery_hint=0))
+        bench.ledger.iot_registration(10, Signature(r=0, s=1, recovery_hint=0,
+                                                    public=GENERATOR))
     assert bench.ledger.oracle_table == {}
     assert bench.ledger.iot_table == {}
     assert bench.ledger.total_deposited == 0
@@ -329,7 +368,7 @@ def test_malformed_signature_rejected_before_any_state_change():
 
 @pytest.mark.parametrize("field, value", [
     ("r", 1.5), ("s", "1"), ("recovery_hint", 0.0), ("r", True),
-    ("recovery_hint", True),
+    ("recovery_hint", True), ("public", None), ("public", (1, 2)),
 ])
 def test_signature_fields_that_are_not_ints_change_nothing(field, value):
     bench = Bench()
@@ -342,14 +381,101 @@ def test_signature_fields_that_are_not_ints_change_nothing(field, value):
 
 
 def test_signature_over_different_arguments_is_a_different_caller():
-    # Recovery-style authentication: a signature over other arguments still
-    # recovers, but to an address that owns nothing here.
+    # A signature over other arguments does not verify against the key it
+    # carries, so it names no caller at all.
     bench = Bench()
     pair = bench.iot(funds=50)
     stale = bench.approve(pair, "iot_add_funds", amount=5)
-    with pytest.raises(NotRegistered):
+    with pytest.raises(BadSignature):
         bench.ledger.iot_add_funds(6, stale)
     assert bench.ledger.iot_table[pair.address].available_funds == 50
+
+
+def _signed_world(rng):
+    """A ledger with two devices, a fog node and an oracle, and for each
+    signed op its signer, its call_message fields and the arguments before
+    its signature, each call one the contract accepts."""
+    ledger = Ledger(small_params())
+
+    def sign(pair, op, **fields):
+        return signing.sign(call_message(op, **fields), pair.secret, rng)
+
+    devices = [KeyPair.generate(rng) for _ in range(2)]
+    for pair in devices:
+        ledger.iot_registration(100, sign(pair, "iot_registration", amount=100))
+    fog, oracle, newcomer = (KeyPair.generate(rng) for _ in range(3))
+    ledger.fog_registration(5, sign(fog, "fog_registration", amount=5))
+    ledger.oracle_registration(sign(oracle, "oracle_registration"))
+
+    def attestation(passed):
+        return ring_sign(audit_message(fog.address, passed),
+                         [pair.public for pair in devices], 0,
+                         devices[0].secret, rng)
+
+    device = devices[0]
+    calls = {
+        "iot_registration": (newcomer, {"amount": 10}, (10,)),
+        "iot_add_funds": (device, {"amount": 5}, (5,)),
+        "iot_withdraw_funds": (device, {"amount": 5}, (5,)),
+        "iot_remove": (device, {}, ()),
+        "fog_registration": (newcomer, {"amount": 3}, (3,)),
+        "fog_withdraw_funds": (fog, {"amount": 1}, (1,)),
+        "fog_remove": (fog, {}, ()),
+        "iot_fog_payment": (device, {"amount": 10, "fog": fog.address},
+                            (fog.address, 10)),
+        "oracle_registration": (newcomer, {}, ()),
+        "fog_reward": (oracle, {"fog": fog.address},
+                       (fog.address, attestation(True))),
+        "fog_penalize": (oracle, {"fog": fog.address},
+                         (fog.address, attestation(False))),
+    }
+    return ledger, devices, calls
+
+
+SIGNED_OPS = sorted(_signed_world(random.Random(0))[2])
+
+
+@pytest.mark.parametrize("op", SIGNED_OPS)
+def test_contract_names_the_recovered_signer_and_refuses_a_swapped_key(op):
+    rng = random.Random(0x5161)
+    ledger, devices, calls = _signed_world(rng)
+    signer, fields, arguments = calls[op]
+    message = call_message(op, **fields)
+    genuine = signing.sign(message, signer.secret, rng)
+    assert ledger._caller(message, genuine) == keys.address_of(
+        signing.recover(message, genuine)) == signer.address
+
+    # the same signature carrying another registered device's key
+    other = devices[1] if signer is devices[0] else devices[0]
+    swapped = replace(genuine, public=other.public)
+    before = ledger.to_snapshot()
+    with pytest.raises(BadSignature):
+        getattr(ledger, op)(*arguments, swapped)
+    assert ledger.to_snapshot() == before
+    getattr(ledger, op)(*arguments, genuine)
+    assert ledger.to_snapshot() != before
+
+
+@pytest.mark.parametrize("op", SIGNED_OPS)
+def test_a_flipped_bit_is_refused_where_recovery_names_another_signer(op):
+    rng = random.Random(0xF11B)
+    ledger, _, calls = _signed_world(rng)
+    signer, fields, arguments = calls[op]
+    message = call_message(op, **fields)
+    raw = signing.sign(message, signer.secret, rng).to_bytes()
+    before = ledger.to_snapshot()
+    for bit in rng.sample(range(8 * 65), 4):  # r, s or the hint
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        signature = Signature.from_bytes(bytes(flipped))
+        try:
+            recovered = keys.address_of(signing.recover(message, signature))
+        except (InvalidSignature, RecoveryFailed):
+            recovered = None
+        assert recovered != signer.address
+        with pytest.raises(BadSignature):
+            getattr(ledger, op)(*arguments, signature)
+        assert ledger.to_snapshot() == before
 
 
 # -- funds management --
@@ -931,14 +1057,14 @@ def test_penalty_distribution_is_exact(devices, deduction):
 def test_token_signature_recovers_its_address():
     identity = TokenIdentity()
     signature = TokenSignature("alice", b"msg")
-    assert identity.recover_address(b"msg", signature) == "alice"
+    assert identity.caller_address(b"msg", signature) == "alice"
 
 
 def test_token_signature_fails_on_other_message():
     identity = TokenIdentity()
     signature = TokenSignature("alice", b"msg")
     with pytest.raises(BadSignature):
-        identity.recover_address(b"other", signature)
+        identity.caller_address(b"other", signature)
 
 
 def test_token_ring_verifies_only_its_message():

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -86,7 +87,7 @@ def test_handshake_establishes_matching_keys():
     assert session.symmetric_key == fog.sessions[iot.address]
     assert session.symmetric_key == iot.sessions[fog.address]
     assert channel.framing_summary() == [
-        ("iot", "AUTH1", 65), ("fog", "AUTH2", 129)]
+        ("iot", "AUTH1", 129), ("fog", "AUTH2", 129)]
 
 
 def test_handshake_recovers_only_the_devices_key(monkeypatch):
@@ -123,23 +124,65 @@ def _refused_after_answer(ledger, iot, fog):
     assert ledger.to_snapshot() == before
 
 
-def test_handshake_refuses_a_fog_presenting_another_fogs_key():
+def _tamper_signatures(monkeypatch, prefix, **changes):
+    """Makes every signature over a message starting with ``prefix`` carry
+    ``changes`` (another key, another r) in place of the signed values."""
+    sign = signing.sign
+
+    def tampering(message, secret, rng=None):
+        signature = sign(message, secret, rng)
+        if message.startswith(prefix):
+            signature = replace(signature, **changes)
+        return signature
+
+    monkeypatch.setattr(signing, "sign", tampering)
+
+
+def _off_curve(point):
+    off_curve = object.__new__(Point)  # skips the constructor's curve check
+    off_curve.x, off_curve.y = point.x, 1
+    return off_curve
+
+
+def test_handshake_refuses_a_fog_presenting_another_fogs_key(monkeypatch):
     ledger, iot, fog, _, _ = build_world()
     signer = KeyPair.generate(RNG)
-    FogAgent(signer, rng=RNG).register(ledger, 8)
+    posing = FogAgent(signer, rng=RNG)
+    posing.register(ledger, 8)
     # signs as one registered fog while presenting the other's key
-    posing = FogAgent(KeyPair(secret=signer.secret, public=fog.keypair.public),
-                      rng=RNG)
+    _tamper_signatures(monkeypatch, protocol.FOG_AUTH_CONTEXT,
+                       public=fog.keypair.public)
     _refused_after_answer(ledger, iot, posing)
 
 
-def test_handshake_refuses_a_fog_key_that_does_not_decode():
+def test_handshake_refuses_a_fog_key_that_does_not_decode(monkeypatch):
     ledger, iot, fog, _, _ = build_world()
-    off_curve = object.__new__(Point)  # skips the constructor's curve check
-    off_curve.x, off_curve.y = fog.keypair.public.x, 1
-    broken = FogAgent(KeyPair(secret=fog.keypair.secret, public=off_curve),
-                      rng=RNG)
-    _refused_after_answer(ledger, iot, broken)
+    _tamper_signatures(monkeypatch, protocol.FOG_AUTH_CONTEXT,
+                       public=_off_curve(fog.keypair.public))
+    _refused_after_answer(ledger, iot, fog)
+
+
+@pytest.mark.parametrize("fault", ["other-device-key", "off-curve-key",
+                                   "r-out-of-range", "r-off-the-curve"])
+def test_fog_refuses_a_hello_that_does_not_name_its_signer(monkeypatch,
+                                                            fault):
+    ledger, iot, fog, _, extras = build_world()
+    changes = {
+        "other-device-key": {"public": extras[0].keypair.public},
+        "off-curve-key": {"public": _off_curve(iot.keypair.public)},
+        "r-out-of-range": {"r": 0},
+        # x = 5 has no curve point: 5^3 + 7 is not a square mod p
+        "r-off-the-curve": {"r": 5, "recovery_hint": 0},
+    }[fault]
+    _tamper_signatures(monkeypatch, protocol.IOT_AUTH_CONTEXT, **changes)
+    before = ledger.to_snapshot()
+    channel = Channel()
+    with pytest.raises(PeerSignatureInvalid):
+        mutual_authenticate(iot, fog, ledger, channel)
+    assert _kinds(channel) == ["AUTH1"]
+    assert iot.sessions == {}
+    assert fog.sessions == {} and fog.peer_keys == {}
+    assert ledger.to_snapshot() == before
 
 
 def test_handshake_rejects_unregistered_device_before_fog_answers():
@@ -263,6 +306,20 @@ def test_exchange_request_must_be_signed_by_session_peer():
         service_exchange(session, impostor, fog, b"job", 10, ledger)
 
 
+def test_exchange_refuses_a_request_carrying_another_key(monkeypatch):
+    # signed by the session's device, but carrying another device's key
+    ledger, iot, fog, _, extras = build_world()
+    session = mutual_authenticate(iot, fog, ledger)
+    _tamper_signatures(monkeypatch, b"request|",
+                       public=extras[0].keypair.public)
+    before = ledger.to_snapshot()
+    channel = Channel()
+    with pytest.raises(PeerSignatureInvalid):
+        service_exchange(session, iot, fog, b"job", 10, ledger, channel)
+    assert _kinds(channel) == ["REQUEST"]
+    assert ledger.to_snapshot() == before
+
+
 @pytest.mark.parametrize("forgotten", ["sessions", "peer_keys"])
 def test_exchange_refused_by_fog_without_session(forgotten):
     ledger, iot, fog, _, _ = build_world()
@@ -280,8 +337,8 @@ def test_exchange_refused_by_fog_without_session(forgotten):
 
 
 def test_exchange_recovers_only_the_contracts_caller(monkeypatch):
-    # the fog verifies against the handshake's key; the ledger recovers
-    # the payer, so a paid exchange costs exactly one recovery
+    # the fog verifies against the handshake's key and the contract against
+    # the key the payment carries, so a paid exchange recovers nothing
     ledger, iot, fog, _, _ = build_world()
     session = mutual_authenticate(iot, fog, ledger)
     calls = []
@@ -294,7 +351,7 @@ def test_exchange_recovers_only_the_contracts_caller(monkeypatch):
     monkeypatch.setattr(signing, "recover", counting_recover)
     exchange = service_exchange(session, iot, fog, b"job", 10, ledger)
     assert exchange.status is ExchangeStatus.PAID
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_exchange_payment_failure_propagates():
@@ -487,7 +544,8 @@ def test_oracle_refuses_a_key_that_is_not_the_addresses():
 
 def test_repeat_audit_reuses_the_session(monkeypatch):
     # the second audit sends the frames of a device's follow-up request and
-    # recovers only the contract's two callers: the payer and the verdict
+    # recovers nothing: the contract verifies the payer and the verdict
+    # against the keys their signatures carry
     ledger, iot, fog, oracle, _ = build_world()
     assert service_audit(oracle, fog, ledger).passed
 
@@ -509,7 +567,7 @@ def test_repeat_audit_reuses_the_session(monkeypatch):
     audited = Channel()
     report = service_audit(oracle, fog, ledger, channel=audited)
     assert report.passed
-    assert len(calls) == 2
+    assert len(calls) == 0
     assert _kinds(audited) == ["REQUEST", "RESULT"]
     assert audited.framing_summary() == follow_up.framing_summary()
     assert oracle.sessions[fog.address].fog_address == fog.address
@@ -582,25 +640,25 @@ def test_audit_that_loses_its_hello_stores_no_session():
 # tampering fog, all seeded; plus the stdout of `demo-auth --seed 7`.
 PINNED_PROTOCOL_DIGESTS = {
     "frames": [
-        "b55589e9cbb1f989bb84c4009dfb672b43c7968a8b1cfe6cef82c3f125492b4a",
+        "72afe8e7c5284ef93015608be713e654a9c80fb025b4075f5a92db35891798d6",
         "09a3ca8dc10f47996609e10851115714b4f712e3d89352459e9f514d017d4d05",
-        "8729677d7a43ad6eb33053fa206f60dd65d8f166e6e4cca5f02560b58addf6d0",
+        "d78065c3a4964f37012683d544aebf98c75ffe585f189be06b339f470ea344fc",
         "6ae8c3ff55392b625fc94156cc22d9d155dc2d3706cf34a7349a7b60a9d4ae11",
-        "31381f91a46dbcab82464280518a3a27e4aa46c96ecd2a5ea68a657c946bf16f",
+        "8d6b2a850bce375f225969d33f1140711b539e24aba17283204e5d1c06ed637c",
         "8b48c3587ca0285292ace8041940c1801719dfbc58ce5a09f4efc344a516a17c",
-        "9bace385b8a43354f44f280798dc81d9c9810e78581046b014a746e5210814c4",
+        "252e0c2772a225cd627e453f4e913bfd4a8770c3b495a45d0b082ebbfd0f0859",
         "a24bcb65d59b6e6a30a190fad5a1afb53311197bf2021274ac1cd183650fa8f3",
-        "0452f20312c50e195d2d0f126543b222da2090cfcb633a6453989f563d8e230f",
+        "f0be4fac82fd7f1e95b206d69bdb03cac40757e4ac4070b9b08a07ccb0d3b7fa",
         "574649c1646b81c124e98c50ebba596acac14e69278d1da0abafa48dbe942b85",
-        "042e8eab1475d6181ea50087fe80048a26568f3718070e9694d5072b75936c04",
+        "0df3a06a575ba0c779eb1a2247a4dd6ea4b11d9a2b490e7bd10650f6bbc28569",
         "8601714128ca0a18132904f14f3fac89c9612ce23842eda12652e41d34ed45df",
-        "8c4e72e7142d5ab348515c471ad7641eee888fd586a19806ec02beea9c734857",
+        "c632060124eb946eed98ac6ecaca85628b352fdce635378b63016272f795db94",
         "d6d4f1ca76ab699fd800c5cb8b6ef11c6ca34695ba6a9c7056d8ef5d1a86ea4b",
     ],
     "iot_session_key": "ebd27e24eafff2ecfc91b98a9f2695b6a325acb2fa01f3a662022444399948f6",
     "fog_session_key": "ebd27e24eafff2ecfc91b98a9f2695b6a325acb2fa01f3a662022444399948f6",
     "snapshot": "01c90782feef0ae4b97e831bcae1db5cee4a53c051cd921bf236b4d36a515d4f",
-    "demo_auth_stdout": "e5302e24fa596ae08589fdfe26685456bd65c25882f0add6af630dcfe0e18d69",
+    "demo_auth_stdout": "334f319ee04f28b5f98559c8a925233221ca33cb776f602e8a555cce75ca88fa",
 }
 
 

@@ -60,11 +60,11 @@ def test_recover_rejects_out_of_range_fields():
     rng = random.Random(3)
     sig = signing.sign(b"x", 555, rng)
     for broken in (
-        signing.Signature(0, sig.s, sig.recovery_hint),
-        signing.Signature(sig.r, 0, sig.recovery_hint),
-        signing.Signature(CURVE_ORDER, sig.s, sig.recovery_hint),
-        signing.Signature(sig.r, CURVE_ORDER, sig.recovery_hint),
-        signing.Signature(sig.r, sig.s, 4),
+        signing.Signature(0, sig.s, sig.recovery_hint, sig.public),
+        signing.Signature(sig.r, 0, sig.recovery_hint, sig.public),
+        signing.Signature(CURVE_ORDER, sig.s, sig.recovery_hint, sig.public),
+        signing.Signature(sig.r, CURVE_ORDER, sig.recovery_hint, sig.public),
+        signing.Signature(sig.r, sig.s, 4, sig.public),
     ):
         with pytest.raises(InvalidSignature):
             signing.recover(b"x", broken)
@@ -73,10 +73,27 @@ def test_recover_rejects_out_of_range_fields():
 def test_signature_bytes_roundtrip():
     sig = signing.sign(b"frame", 31337, random.Random(4))
     raw = sig.to_bytes()
-    assert len(raw) == 65
+    assert len(raw) == signing.SIGNATURE_BYTES == 129
+    assert raw[65:] == keys.derive_public(31337).to_bytes()
     assert signing.Signature.from_bytes(raw) == sig
     with pytest.raises(InvalidSignature):
-        signing.Signature.from_bytes(raw[:64])
+        signing.Signature.from_bytes(raw[:128])
+
+
+def test_signature_bytes_with_a_key_off_the_curve_or_no_key_do_not_decode():
+    rng = random.Random(0x0FFC)
+    for _ in range(3):
+        sig = signing.sign(b"frame", rng.randrange(1, CURVE_ORDER), rng)
+        raw = sig.to_bytes()
+        # the key's y moved by one is off the curve, and the old 65-byte
+        # encoding carries no key at all
+        y = (sig.public.y + 1) % FIELD_PRIME
+        for broken in (raw[:-32] + y.to_bytes(32, "big"),
+                       raw[:65] + bytes(64),
+                       raw[:65] + FIELD_PRIME.to_bytes(32, "big") + raw[-32:],
+                       raw[:65]):
+            with pytest.raises(InvalidSignature):
+                signing.Signature.from_bytes(broken)
 
 
 @pytest.mark.parametrize("raw", ["x" * 65, list(range(65)), None],
@@ -129,7 +146,8 @@ def test_recover_fails_when_the_sum_is_infinity():
     sig = signing.Signature(r=nonce.x % CURVE_ORDER,
                             s=z * pow(rho, -1, CURVE_ORDER) % CURVE_ORDER,
                             recovery_hint=(nonce.y & 1)
-                            | (2 if nonce.x >= CURVE_ORDER else 0))
+                            | (2 if nonce.x >= CURVE_ORDER else 0),
+                            public=nonce)
     assert oracle_recover(message, sig) is None
     with pytest.raises(RecoveryFailed):
         signing.recover(message, sig)
