@@ -25,39 +25,37 @@ Tables live in one module-level cache keyed by coordinates, not on Point
 objects, so a key decoded afresh from bytes finds the table of an equal
 key decoded earlier. The policy:
 
-- ``scalar_mult`` and ``key_mult_add`` (and ``link_x``, its x) count one
-  use of their point per call; a point gets a width-8 table (16 rows and
-  a one-entry top row, 2049 entries, about 213 KB) on its third use.
+- ``mult_add``, the one variable-base product, counts one use of its
+  point per call; a point gets a width-8 table (16 rows and a one-entry
+  top row, 2049 entries, about 213 KB) on its third use. A signature's
+  nonce point is counted like any other, so it gets a table only when
+  one signature is recovered three times.
 - The cache holds at most ``_CACHE_ENTRIES`` (128) tables and as many
   admission counts, each evicted least recently used first. 128 is above
   every key set the workloads keep in use at once, so a full cache is
   about 27 MB.
-- ``mult_add``'s point is a signature's nonce point, which recurs only
-  when that signature is replayed: it uses a table it finds but is never
-  counted.
 - ``GENERATOR``, the object every fixed-base multiplication passes, keeps
   its own width-13 table (9 rows and a 2048-entry top row, 38912
   entries, about 4 MB) outside the cache. It is built on the first
-  fixed-base multiplication rather than at import, so processes that
-  never touch the curve never pay for it, and it is never evicted. A
+  product rather than at import, so processes that never touch the
+  curve never pay for it, and it is never evicted. A
   separately built copy of the generator is counted like any other
   point.
 
-A point without a table (a nonce point, any other point before its third
-use) is multiplied over the same GLV split: the odd multiples P, 3P, ...,
-15P are brought to one common Z with multiplications only, which makes
-them affine on an isomorphic curve y^2 = x^3 + 7 * scale^6; the lambda
-column is beta * x of the same rows, and the two halves' width-5 signed
-digits run interleaved on that curve, about 128 Jacobian doublings and 43
-mixed additions in all, before the final Z times ``scale`` maps the sum
-back. A cold product thus takes no inversion of its own.
+A point without a table (any point before its third use) is multiplied
+over the same GLV split: the odd multiples P, 3P, ..., 15P are brought to
+one common Z with multiplications only, which makes them affine on an
+isomorphic curve y^2 = x^3 + 7 * scale^6; the lambda column is beta * x
+of the same rows, and the two halves' width-5 signed digits run
+interleaved on that curve, about 128 Jacobian doublings and 43 mixed
+additions in all, before the final Z times ``scale`` maps the sum back.
+A cold product thus takes no inversion of its own.
 
 ``mult_add`` computes s * G + c * P in a single accumulator that ends in
-one inversion, whether or not P has a table; ``key_mult_add`` is the same
-sum for a public key (a signature's signer, a ring member), and ``link_x``
-is its x-coordinate, the ring-signature link. Every
-product leaves its accumulator through ``_to_point``, so each result is a
-``Point``, curve-checked there.
+one inversion, whether or not P has a table. ``scalar_mult`` is that sum
+with s = 0 and ``link_x``, the ring-signature link, its x-coordinate.
+Every product leaves its accumulator through ``_to_point``, so each
+result is a ``Point``, curve-checked there.
 
 Infinity is represented as None at the public API; it never appears as a
 stored key or signature component.
@@ -319,11 +317,6 @@ def _table_of(point):
     return table
 
 
-def _cached(point):
-    """The cached table of point's coordinates, or None; counts nothing."""
-    return _tables.get((point.x, point.y))
-
-
 def _gather(k, table, plain, mapped):
     """Append the affine terms of k * P, k in [0, order), to plain (those
     of the first GLV half) and mapped (the second half, whose sum is still
@@ -544,57 +537,35 @@ def _cold_xyzz(k, point):
     return X, Y, ZZ, ZZ * Z % p
 
 
-def _mult_add_xyzz(s, c, point, table):
-    """s * G + c * point in one XYZZ accumulator, s and c any integers,
-    table point's table or None.
+def mult_add(s: int, c: int, point: Point):
+    """s * G + c * point, or None when that sum is infinity; s and c are
+    any integers.
 
-    Every table term of both products goes into the accumulator; a point
-    without a table starts it from its cold product instead.
+    Each call counts one use of point towards a table. Every table term of
+    both products goes into one XYZZ accumulator, which ends in one
+    inversion; a point without a table starts it from its cold product
+    instead.
     """
     c %= CURVE_ORDER
     products = [(s % CURVE_ORDER, _table_of(GENERATOR))]
     start = _INFINITY
+    table = _table_of(point)
     if table is not None:
         products.append((c, table))
     elif c:
         start = _cold_xyzz(c, point)
-    return _table_sum(start, products)
+    return _to_point(_table_sum(start, products))
 
 
 def scalar_mult(k: int, point: Point):
     """k * point, or None when k is a multiple of the group order."""
-    k %= CURVE_ORDER
-    if k == 0:
-        return None
-    table = _table_of(point)
-    if table is None:
-        return _to_point(_cold_xyzz(k, point))
-    return _to_point(_table_sum(_INFINITY, [(k, table)]))
-
-
-def mult_add(s: int, c: int, point: Point):
-    """s * G + c * point, or None when that sum is infinity.
-
-    The two products share one accumulator and its final inversion. point
-    is a signature's nonce point, which recurs only when that signature is
-    replayed, so it is never counted towards a table.
-    """
-    return _to_point(_mult_add_xyzz(s, c, point, _cached(point)))
-
-
-def key_mult_add(s: int, c: int, point: Point):
-    """s * G + c * point, or None when that sum is infinity.
-
-    As mult_add, but each call counts one use of point towards a table:
-    point is a public key, which recurs across signatures and rings.
-    """
-    return _to_point(_mult_add_xyzz(s, c, point, _table_of(point)))
+    return mult_add(0, k, point)
 
 
 def link_x(s: int, c: int, point: Point):
-    """x of key_mult_add(s, c, point), or None when that sum is infinity:
+    """x of mult_add(s, c, point), or None when that sum is infinity:
     the ring-signature link."""
-    link = key_mult_add(s, c, point)
+    link = mult_add(s, c, point)
     return None if link is None else link.x
 
 

@@ -73,7 +73,8 @@ class RingSignature:
                 responses=tuple(int(s, 16) for s in responses),
                 ring=tuple(public_from_hex(p) for p in ring),
             )
-        except (KeyError, TypeError, ValueError, InvalidPoint) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError,
+                InvalidPoint) as exc:
             raise MalformedRingSignature(str(exc)) from exc
 
 

@@ -10,9 +10,11 @@ returns that key, so a signature verifies against at most one key.
 
 ``recover`` still computes the signer's key from (message, r, s, hint)
 alone, the SEC 1 v2 4.1.6 recovery Ethereum uses for its senders: a
-square root, then a product on the nonce point, which never gets a
-table.  Its one caller is the fog's handshake step, which checks that the
-key it recovers is the key the device's hello carries.
+square root, then a product on the nonce point.  That point is counted
+towards a table like any other, so it gets one only when one signature
+is recovered three times.  Its one caller is the fog's handshake step,
+which checks that the key it recovers is the key the device's hello
+carries.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .constants import digest
 from .curve import (CURVE_ORDER, FIELD_PRIME, GENERATOR, Point, _sqrt,
-                    key_mult_add, mult_add, scalar_mult)
+                    mult_add, scalar_mult)
 from .errors import InvalidPoint, InvalidSignature, RecoveryFailed
 from .keys import derive_public, random_scalar
 
@@ -119,16 +121,16 @@ def verify(message: bytes, signature: Signature, public: Point) -> bool:
     (SEC 1 v2, 4.1.4), summed in one accumulator with one inversion. R
     must be the point the hint names: x equal to r (plus the order when
     bit 1 is set) and y of the parity in bit 0. That pins the one R whose
-    recovery gives public, with no square root taken. Each call counts
-    one use of public towards a table, as a ring link counts its member:
-    a signer's key recurs across calls.
+    recovery gives public, with no square root taken. Like every product,
+    each call counts one use of public towards a table: a signer's key
+    recurs across calls, so a frequent signer is checked on a warm table.
     """
     try:
         r, s, hint = _fields(signature)
     except InvalidSignature:
         return False
     w = pow(s, -1, CURVE_ORDER)
-    nonce = key_mult_add(_hash_to_int(message) * w, r * w, public)
+    nonce = mult_add(_hash_to_int(message) * w, r * w, public)
     return (nonce is not None
             and nonce.x == (r + CURVE_ORDER if hint & 2 else r)
             and nonce.y & 1 == hint & 1)

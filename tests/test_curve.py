@@ -1,6 +1,8 @@
 """Curve arithmetic against the independent affine oracle."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,11 @@ def empty_cache():
     curve._use_counts.clear()
 
 
+def cached(point):
+    """The cached table of point's coordinates, or None; counts nothing."""
+    return curve._tables.get((point.x, point.y))
+
+
 @pytest.fixture(autouse=True)
 def _empty_table_cache():
     """Every test starts with no member table, so "cold" stays cold."""
@@ -50,7 +57,7 @@ def cold_mult(k, pt):
     """k * pt on a fresh Point, which has no table and stays without one."""
     point = cold_point(pt)
     got = as_tuple(curve.scalar_mult(k, point))
-    assert curve._cached(point) is None
+    assert cached(point) is None
     return got
 
 
@@ -107,7 +114,7 @@ def test_cached_table_path_matches_cold_path():
     warm = []
     for uses, k in enumerate(scalars, start=1):
         warm.append(as_tuple(curve.scalar_mult(k, point)))
-        assert (curve._cached(point) is not None) == (uses >= 3), f"after use {uses}"
+        assert (cached(point) is not None) == (uses >= 3), f"after use {uses}"
     for k, got in zip(scalars, warm):
         assert got == oracles.affine_scalar_mult(k, (point.x, point.y))
     for k, got, again in zip(scalars, cold, warm):
@@ -214,7 +221,7 @@ def warm_point(pt):
     point = from_tuple(pt)
     for _ in range(3):
         curve.scalar_mult(2, point)
-    assert curve._cached(point) is not None
+    assert cached(point) is not None
     return point
 
 
@@ -282,7 +289,7 @@ def test_link_x_matches_oracle_on_table_and_cold_points():
         assert curve.link_x(s, c, warm_point(base)) == want
         cold = cold_point(base)
         assert curve.link_x(s, c, cold) == want
-        assert curve._cached(cold) is None
+        assert cached(cold) is None
 
 
 def test_link_x_zero_scalars_and_scalars_past_the_order():
@@ -337,7 +344,7 @@ def test_half_length_scalars_match_oracle_on_a_member_and_the_generator():
 
 def test_half_length_scalars_take_no_split_on_a_warm_table():
     rng = random.Random(0x17)
-    table = curve._cached(warm_point(oracles.affine_scalar_mult(0x17AB, oracles.GEN)))
+    table = cached(warm_point(oracles.affine_scalar_mult(0x17AB, oracles.GEN)))
     for c in half_length_scalars(rng) + [rng.randrange(1 << 128) for _ in range(20)]:
         plain, mapped = [], []
         curve._gather(c, table, plain, mapped)
@@ -384,7 +391,7 @@ def test_mult_add_matches_oracle_on_table_and_cold_points():
         assert as_tuple(curve.mult_add(s, c, warm_point(base))) == want
         cold = cold_point(base)
         assert as_tuple(curve.mult_add(s, c, cold)) == want
-        assert curve._cached(cold) is None
+        assert cached(cold) is None
         assert curve.link_x(s, c, cold_point(base)) == want[0]
 
 
@@ -444,7 +451,7 @@ def test_separately_decoded_equal_points_build_one_table(monkeypatch):
     for _ in range(3):
         curve.link_x(5, 7, second)
     assert [entry[:2] for entry in built] == [(first.x, first.y)]
-    assert curve._cached(second) is curve._cached(first) is not None
+    assert cached(second) is cached(first) is not None
 
 
 def test_point_gets_its_table_on_the_third_use_per_coordinate():
@@ -454,7 +461,7 @@ def test_point_gets_its_table_on_the_third_use_per_coordinate():
             lambda: curve.scalar_mult(19, from_tuple(pt))]
     for count, use in enumerate(uses, start=1):
         use()
-        assert (curve._cached(from_tuple(pt)) is not None) == (count == 3), count
+        assert (cached(from_tuple(pt)) is not None) == (count == 3), count
     assert not curve._use_counts
 
 
@@ -465,7 +472,7 @@ def test_cache_evicts_least_recently_used_at_its_cap(monkeypatch):
     warm_point(b)
     curve.scalar_mult(5, from_tuple(a))  # a is now the most recently used
     warm_point(c)
-    assert [curve._cached(from_tuple(pt)) is not None for pt in (a, b, c)] == \
+    assert [cached(from_tuple(pt)) is not None for pt in (a, b, c)] == \
         [True, False, True]
     # the admission counts are bounded by the same cap
     for k in (201, 202, 203):
@@ -474,14 +481,26 @@ def test_cache_evicts_least_recently_used_at_its_cap(monkeypatch):
     assert oracles.affine_scalar_mult(201, oracles.GEN) not in curve._use_counts
 
 
-def test_recovering_one_signature_five_times_admits_nothing():
+def test_recovering_one_signature_three_times_gives_its_nonce_point_a_table(
+        monkeypatch):
     pair = keys.KeyPair.generate(random.Random(0x5EC))
     signature = signing.sign(b"replayed call", pair.secret, random.Random(1))
+    built = counting_builds(monkeypatch)
+    nonce_x = signature.r + (curve.CURVE_ORDER if signature.recovery_hint & 2 else 0)
     empty_cache()
-    for _ in range(5):
+    for count in range(1, 4):
         assert signing.recover(b"replayed call", signature) == pair.public
-    assert not curve._tables
+        assert len(curve._tables) == (count == 3), count
+    # the one table is the nonce point's, built on its third use like any
+    # other point's; the recovered key was never counted
+    ((x, y),) = curve._tables
+    assert x == nonce_x and y & 1 == signature.recovery_hint & 1
+    assert [entry[:2] for entry in built] == [(x, y)]
     assert not curve._use_counts
+    # later recoveries sum over the warm table and build nothing more
+    for _ in range(2):
+        assert signing.recover(b"replayed call", signature) == pair.public
+    assert len(built) == 1
 
 
 def test_verify_gives_the_signers_key_its_table_on_the_third_call():
@@ -494,7 +513,7 @@ def test_verify_gives_the_signers_key_its_table_on_the_third_call():
         # the key arrives decoded afresh, as the contract reads it
         key = curve.Point.from_bytes(pair.public.to_bytes())
         assert signing.verify(message, signature, key)
-        assert (curve._cached(pair.public) is not None) == (count >= 3), count
+        assert (cached(pair.public) is not None) == (count >= 3), count
     # the key's table is the only one: no nonce point was counted
     assert list(curve._tables) == [(pair.public.x, pair.public.y)]
     assert not curve._use_counts
@@ -504,7 +523,7 @@ def test_packed_table_entries_and_products_match_oracle():
     rng = random.Random(0x9AC)
     base = oracles.affine_scalar_mult(0xC0DE, oracles.GEN)
     point = warm_point(base)
-    width, entries = curve._cached(point)
+    width, entries = cached(point)
     half = 1 << (width - 1)
     mask = (1 << 256) - 1
     rows = (len(entries) - 1) // half
@@ -582,3 +601,36 @@ def test_cold_products_take_one_inversion_and_recover_two(pow_calls):
         # r^-1 mod n and the accumulator's final inversion, and nothing
         # else: the nonce's y comes from the square-root chain, not from pow
         assert pow_calls == [(-1, n), (-1, p)]
+
+
+def test_only_mult_add_counts_a_point_and_only_table_of_reads_the_cache():
+    """One admission rule: every variable-base sum in the package passes
+    mult_add, the one caller of _table_of, and only _table_of reads the
+    cache and its admission counts."""
+    guarded = {"_table_of": "curve.mult_add", "_cold_xyzz": "curve.mult_add",
+               "_table_sum": "curve.mult_add", "_tables": "curve._table_of",
+               "_use_counts": "curve._table_of"}
+    readers = {name: set() for name in guarded}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.name
+            else:
+                name = None
+            if name in readers:
+                readers[name].add(".".join(scope))
+            visit(child, inner)
+
+    package = Path(curve.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    assert readers == {name: {reader} for name, reader in guarded.items()}

@@ -229,6 +229,7 @@ def test_from_json_raises_its_typed_error_on_malformed_documents():
         _edited_json(sig, ring=[ring_hex[0], "0xzz"]),
         "[]",
         "not json",
+        "[" * 100_000,                                  # nested past the stack
     ]
     for document in documents:
         with pytest.raises(MalformedRingSignature) as caught:
