@@ -108,12 +108,18 @@ def _scenario(settings: dict) -> ScenarioConfig:
                              if key in _FIELDS})
 
 
-def _write_text(path, text: str):
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise IoError("cannot write %s: %s" % (path, exc))
+def _write_files(out_dir: str, files) -> list:
+    """Write each (name, text) pair into out_dir; return the paths in order."""
+    paths = []
+    for name, text in files:
+        path = os.path.join(out_dir, name)
+        try:
+            with open(path, "w", encoding="ascii", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise IoError("cannot write %s: %s" % (path, exc))
+        paths.append(path)
+    return paths
 
 
 # -- keygen --
@@ -123,16 +129,13 @@ KEY_FILE_PATTERN = "key-%02d.txt"
 
 def cmd_keygen(count: int, out_dir: str, rng) -> list:
     """Write ``count`` fresh key pair files and return their paths."""
-    paths = []
-    for index in range(count):
-        pair = KeyPair.generate(rng)
-        text = ("private = %s\npublic = %s\naddress = %s\n"
-                % (secret_to_hex(pair.secret), public_to_hex(pair.public),
-                   pair.address))
-        path = os.path.join(out_dir, KEY_FILE_PATTERN % index)
-        _write_text(path, text)
-        paths.append(path)
-    return paths
+    pairs = [KeyPair.generate(rng) for _ in range(count)]
+    return _write_files(out_dir, [
+        (KEY_FILE_PATTERN % index,
+         "private = %s\npublic = %s\naddress = %s\n"
+         % (secret_to_hex(pair.secret), public_to_hex(pair.public),
+            pair.address))
+        for index, pair in enumerate(pairs)])
 
 
 def _load_keypair(path: str) -> KeyPair:
@@ -225,12 +228,12 @@ def cmd_simulate(scenario: str, settings: dict, out_dir: str) -> list:
         raise IoError("output directory %s does not exist" % out_dir)
     if not os.access(out_dir, os.W_OK | os.X_OK):
         raise IoError("output directory %s is not writable" % out_dir)
-    if scenario == "cost":
-        return _simulate_cost(settings, out_dir)
-    return _simulate_state(settings, out_dir)
+    study = _simulate_cost if scenario == "cost" else _simulate_state
+    return _write_files(out_dir, study(settings))
 
 
-def _simulate_cost(settings: dict, out_dir: str) -> list:
+def _simulate_cost(settings: dict) -> list:
+    """Run the cost study; return its (file name, text) pairs."""
     policies = [settings["policy"]] if "policy" in settings else list(Policy)
     configs = [(policy, _scenario(dict(settings, policy=policy)))
                for policy in policies]
@@ -251,16 +254,13 @@ def _simulate_cost(settings: dict, out_dir: str) -> list:
               % (policy.value, config.cluster_size, summary.count,
                  _fmt(summary.mean), _fmt(summary.variance)))
 
-    trials_path = os.path.join(out_dir, "cost_trials.csv")
-    summary_path = os.path.join(out_dir, "cost_summary.csv")
-    plot_path = os.path.join(out_dir, "cost_plot.gp")
-    _write_text(trials_path, "\n".join(trial_lines) + "\n")
-    _write_text(summary_path, "\n".join(summary_lines) + "\n")
-    _write_text(plot_path, COST_PLOT_SCRIPT)
-    return [trials_path, summary_path, plot_path]
+    return [("cost_trials.csv", "\n".join(trial_lines) + "\n"),
+            ("cost_summary.csv", "\n".join(summary_lines) + "\n"),
+            ("cost_plot.gp", COST_PLOT_SCRIPT)]
 
 
-def _simulate_state(settings: dict, out_dir: str) -> list:
+def _simulate_state(settings: dict) -> list:
+    """Run the state study; return its (file name, text) pairs."""
     # the adaptive-population study is this scenario's whole point, and it
     # needs a deposit that survives the learning phase
     config = _scenario({"adaptive": True, "deposit": 10, **settings})
@@ -296,13 +296,9 @@ def _simulate_state(settings: dict, out_dir: str) -> list:
           % (malicious[0], malicious[-1]))
     print("mean live fog nodes  start %s  end %s" % (live[0], live[-1]))
 
-    trials_path = os.path.join(out_dir, "state_trials.csv")
-    series_path = os.path.join(out_dir, "state_series.csv")
-    plot_path = os.path.join(out_dir, "state_plot.gp")
-    _write_text(trials_path, "\n".join(trial_lines) + "\n")
-    _write_text(series_path, "\n".join(series_lines) + "\n")
-    _write_text(plot_path, STATE_PLOT_SCRIPT)
-    return [trials_path, series_path, plot_path]
+    return [("state_trials.csv", "\n".join(trial_lines) + "\n"),
+            ("state_series.csv", "\n".join(series_lines) + "\n"),
+            ("state_plot.gp", STATE_PLOT_SCRIPT)]
 
 
 COST_PLOT_SCRIPT = """\

@@ -11,7 +11,6 @@ the ledger's state transitions directly and sign nothing.
 from __future__ import annotations
 
 from . import keys, ring, signing
-from .curve import Point
 from .errors import (BadSignature, InvalidRingSignature,
                      MalformedRingSignature, RingTooSmall)
 
@@ -25,22 +24,17 @@ class Secp256k1Identity:
         verifies over ``message`` against that key; else BadSignature.
 
         ``signing.verify`` accepts exactly the signatures whose recovery
-        returns the key, so this names the caller a recovery would, with
-        one sum on the key's table and no square root.
+        returns the key they carry, so this names the caller a recovery
+        would, with one sum on the key's table and no square root.
         """
-        if not (isinstance(signature, signing.Signature)
-                and isinstance(signature.public, Point)):
-            raise BadSignature("not an ECDSA signature carrying its key")
-        if not signing.verify(message, signature, signature.public):
-            raise BadSignature("signature does not verify against the key "
-                               "it carries")
+        if not signing.verify(message, signature):
+            raise BadSignature("not a signature that verifies against the "
+                               "key it carries")
         return keys.address_of(signature.public)
 
     def ring_members(self, message: bytes, attestation) -> tuple:
         """The member addresses of a ring that verifies over ``message``;
         else InvalidRingSignature, caused by the ring check that refused."""
-        if not isinstance(attestation, ring.RingSignature):
-            raise InvalidRingSignature("not a ring signature")
         try:
             verified = ring.ring_verify(message, attestation)
         except (MalformedRingSignature, RingTooSmall) as exc:

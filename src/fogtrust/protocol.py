@@ -21,6 +21,7 @@ from typing import Callable, Optional
 from . import aead, keys, ring, signing
 from . import ledger as ledger_mod
 from .constants import digest
+from .curve import Point
 from .errors import (
     ChannelFailure,
     DecryptionFailed,
@@ -139,16 +140,15 @@ class FogAgent:
 
     ``behavior(package, result)`` may return the (possibly modified) result
     bytes, REJECT_REQUEST to refuse, or None to stay silent.  ``sessions``
-    maps each authenticated device's address to the session key and
-    ``peer_keys`` to the public key recovered in its handshake, which the
-    fog checks every request against.
+    maps each authenticated device's address to its session key.  The fog
+    keeps no copy of the device's public key: each request carries it,
+    and the fog accepts it only under the address the handshake named.
     """
 
     keypair: KeyPair
     behavior: Optional[Callable] = None
     rng: object = None
     sessions: dict = field(default_factory=dict, init=False)
-    peer_keys: dict = field(default_factory=dict, init=False)
 
     @property
     def address(self) -> str:
@@ -174,10 +174,10 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
     recovers the device's key, refuses with PeerSignatureInvalid a hello
     that names no signer or carries another key, and answers only after
     finding the device's address in the registry.
-    The device verifies the fog's answer against the key it carries rather
-    than recovering one, and then checks that key's registration and
-    reputation before deriving the session key.  Nothing on the ledger
-    changes on any failure path.
+    The device verifies the fog's answer against the key it carries, then
+    checks that key's registration and reputation before deriving the
+    session key.  Each side keeps only that key, under its peer's address;
+    nothing on the ledger changes on any failure path.
     """
     if channel is None:
         channel = Channel()
@@ -213,7 +213,7 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
     # carries, then checks that key's registration and reputation.
     fog_sig = _peer_signature(answer.payload, "fog")
     fog_public = fog_sig.public
-    if not signing.verify(FOG_AUTH_CONTEXT, fog_sig, fog_public):
+    if not signing.verify(FOG_AUTH_CONTEXT, fog_sig):
         raise PeerSignatureInvalid("fog signature does not verify against "
                                    "the key it sent")
     fog_address = keys.address_of(fog_public)
@@ -231,7 +231,6 @@ def mutual_authenticate(iot: IoTAgent, fog: FogAgent, ledger,
     fog_key = keys.shared_secret(fog.keypair.secret, iot_public)
     iot.sessions[fog_address] = iot_key
     fog.sessions[iot_address] = fog_key
-    fog.peer_keys[iot_address] = iot_public
     return Session(iot_address=iot_address, fog_address=fog_address,
                    symmetric_key=iot_key)
 
@@ -295,23 +294,23 @@ def service_exchange(session: Session, iot: IoTAgent, fog: FogAgent,
 def _fog_reply(session: Session, fog: FogAgent,
                payload: bytes) -> Optional[Frame]:
     """Fog side of a REQUEST: unseal with the fog's own session key, verify
-    the request signature against the device key from the handshake, serve.
-    Returns the RESULT or REJECT frame, or None for silence.  A fog node
-    without a session for the device refuses with NoSession, and a request
-    whose signature carries any other key than the handshake's is refused
-    as one its peer did not sign."""
+    the request signature against the key it carries, serve.  Returns the
+    RESULT or REJECT frame, or None for silence.  A fog node without a
+    session for the device refuses with NoSession, and a request whose key
+    hashes to another address than the handshake's (a 160-bit second
+    preimage) is refused as one its peer did not sign."""
     # payload: 8-byte payment | signature | sealed package
     fog_key = fog.sessions.get(session.iot_address)
-    peer = fog.peer_keys.get(session.iot_address)
-    if fog_key is None or peer is None:
+    if fog_key is None:
         raise NoSession("%s holds no session with %s"
                         % (fog.address, session.iot_address))
     sealed_at = 8 + signing.SIGNATURE_BYTES
     opened = aead.decrypt(fog_key, payload[sealed_at:])
     claimed = int.from_bytes(payload[:8], "big")
     request_sig = _peer_signature(payload[8:sealed_at], "device")
-    if request_sig.public != peer or not signing.verify(
-            request_message(claimed, opened), request_sig, peer):
+    signer = keys.address_of(request_sig.public)
+    if signer != session.iot_address or not signing.verify(
+            request_message(claimed, opened), request_sig):
         raise PeerSignatureInvalid("request was not signed by the session peer")
 
     outcome = fog.serve(opened)
@@ -366,9 +365,10 @@ class OracleAgent:
         return self.oracle_keypair.address
 
     def learn_key(self, address: str, public):
-        """Record a device's key; a key that hashes to another address
-        would put a stranger in the rings, so it is refused."""
-        if keys.address_of(public) != address:
+        """Record a device's key.  Anything but a curve point that hashes to
+        ``address`` would put a stranger in the rings, so it is refused."""
+        if not (isinstance(public, Point)
+                and keys.address_of(public) == address):
             raise SignerMismatch("key does not belong to %s" % address)
         self.key_directory[address] = public
 

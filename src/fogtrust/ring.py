@@ -134,6 +134,8 @@ def ring_sign(message: bytes, ring: Sequence[Point], signer_index: int,
 
 
 def ring_verify(message: bytes, signature: RingSignature) -> bool:
+    if not isinstance(signature, RingSignature):
+        raise MalformedRingSignature("not a ring signature")
     ring = signature.ring
     responses = signature.responses
     if not (type(ring) is tuple and type(responses) is tuple):

@@ -119,8 +119,8 @@ class Scheduler:
 
     Each address holds one slot, so a roster that repeats an address is
     rejected with ``InvalidDesign``, as are a policy that is not a
-    ``Policy`` and a cluster size below 1 under any policy once the roster
-    is non-empty.
+    ``Policy``, a cluster size that is not an int, and a cluster size
+    below 1 under any policy once the roster is non-empty.
 
     The block design is cyclic and replication-balanced: block i covers
     roster positions i..i+B-1 mod |F|, so each of the |F| blocks holds B
@@ -151,8 +151,10 @@ class Scheduler:
         self._totals = list(accumulate(self.slot_weights))
         self._stale = False
         self.block_cursor = 0
-        if self.roster and cluster_size < 1:
-            raise InvalidDesign("cluster size %d is below 1" % cluster_size)
+        # type() rather than isinstance(): True is an int but not a size
+        if type(cluster_size) is not int or (self.roster and cluster_size < 1):
+            raise InvalidDesign("cluster size %r is not an int of at least 1"
+                                % (cluster_size,))
 
     def next_cluster(self) -> list:
         roster = self.roster

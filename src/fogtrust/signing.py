@@ -80,7 +80,11 @@ def sign(message: bytes, secret: int, rng=None) -> Signature:
 
 
 def _fields(signature: Signature) -> tuple:
-    """(r, s, hint), or InvalidSignature when they are not in range."""
+    """(r, s, hint), or InvalidSignature when they are not in range or
+    signature is not a Signature carrying a Point."""
+    if not (isinstance(signature, Signature)
+            and isinstance(signature.public, Point)):
+        raise InvalidSignature("not a signature carrying its signer's key")
     r, s, hint = signature.r, signature.s, signature.recovery_hint
     # type() rather than isinstance(): True is an int but not a field value
     if not (type(r) is int and type(s) is int and type(hint) is int):
@@ -113,9 +117,9 @@ def recover(message: bytes, signature: Signature) -> Point:
     return public
 
 
-def verify(message: bytes, signature: Signature, public: Point) -> bool:
-    """True exactly when recover(message, signature) would return public;
-    False wherever recover would raise.
+def verify(message: bytes, signature) -> bool:
+    """True exactly when recover(message, signature) would return the key
+    the signature carries; False wherever recover would raise.
 
     With w = 1/s, the nonce point is R = (z * w) * G + (r * w) * public
     (SEC 1 v2, 4.1.4), summed in one accumulator with one inversion. R
@@ -130,7 +134,7 @@ def verify(message: bytes, signature: Signature, public: Point) -> bool:
     except InvalidSignature:
         return False
     w = pow(s, -1, CURVE_ORDER)
-    nonce = mult_add(_hash_to_int(message) * w, r * w, public)
+    nonce = mult_add(_hash_to_int(message) * w, r * w, signature.public)
     return (nonce is not None
             and nonce.x == (r + CURVE_ORDER if hint & 2 else r)
             and nonce.y & 1 == hint & 1)

@@ -2,6 +2,7 @@
 
 import ast
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -512,7 +513,7 @@ def test_verify_gives_the_signers_key_its_table_on_the_third_call():
     for count, (message, signature) in enumerate(calls, start=1):
         # the key arrives decoded afresh, as the contract reads it
         key = curve.Point.from_bytes(pair.public.to_bytes())
-        assert signing.verify(message, signature, key)
+        assert signing.verify(message, replace(signature, public=key))
         assert (cached(pair.public) is not None) == (count >= 3), count
     # the key's table is the only one: no nonce point was counted
     assert list(curve._tables) == [(pair.public.x, pair.public.y)]

@@ -457,6 +457,23 @@ def test_contract_names_the_recovered_signer_and_refuses_a_swapped_key(op):
 
 
 @pytest.mark.parametrize("op", SIGNED_OPS)
+def test_contract_refuses_a_call_that_is_not_a_signature_carrying_a_point(op):
+    rng = random.Random(0x5A9E)
+    ledger, _, calls = _signed_world(rng)
+    signer, fields, arguments = calls[op]
+    genuine = signing.sign(call_message(op, **fields), signer.secret, rng)
+    before = ledger.to_snapshot()
+    for malformed in (object(), genuine.to_bytes(),
+                      replace(genuine, public=None),
+                      replace(genuine, public=genuine.public.to_bytes())):
+        with pytest.raises(BadSignature):
+            getattr(ledger, op)(*arguments, malformed)
+        assert ledger.to_snapshot() == before
+    getattr(ledger, op)(*arguments, genuine)
+    assert ledger.to_snapshot() != before
+
+
+@pytest.mark.parametrize("op", SIGNED_OPS)
 def test_a_flipped_bit_is_refused_where_recovery_names_another_signer(op):
     rng = random.Random(0xF11B)
     ledger, _, calls = _signed_world(rng)
@@ -716,6 +733,7 @@ MALFORMED_ATTESTATIONS = {
 # every other malformed input raises with no cause
 RING_CHECK_CAUSES = {
     "one-member-ring": RingTooSmall,
+    "not-a-ring-signature": MalformedRingSignature,
     "non-int-challenge": MalformedRingSignature,
     "full-length-challenge": MalformedRingSignature,
     "ring-is-none": MalformedRingSignature,

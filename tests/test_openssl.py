@@ -1,9 +1,10 @@
 """Keys, products and signatures against OpenSSL, an independent secp256k1.
 
 OpenSSL is reached through ``cryptography``, which no package module
-imports. The cases are seeded: the secrets and scalars 1, n - 1, one below
+imports. The seeded cases take the secrets and scalars 1, n - 1, one below
 2^128 (no GLV split) and one whose split has two nonzero halves, on points
-with and without a table.
+with and without a table; the Hypothesis cases draw random keys, scalars
+and messages, with those four among them.
 """
 
 import random
@@ -14,6 +15,8 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import (
     Prehashed, decode_dss_signature, encode_dss_signature)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fogtrust import curve, keys, signing
 from fogtrust.constants import digest
@@ -93,7 +96,7 @@ def verifying_hints(message, r, s, public, copy=lambda point: point):
     """The hints under which signing.verify accepts (r, s) for public,
     each checked against copy(public)."""
     return [hint for hint in range(4) if signing.verify(
-        message, signing.Signature(r, s, hint, public), copy(public))]
+        message, signing.Signature(r, s, hint, copy(public)))]
 
 
 def recovers(message, r, s, hint, public):
@@ -228,3 +231,40 @@ def test_scalar_mult_x_matches_openssl_ecdh_on_cold_and_warm_points(k):
         want = own.exchange(ec.ECDH(), openssl_public(peer))
         for point in (cold(peer), warm(peer)):
             assert curve.scalar_mult(k, point).x.to_bytes(32, "big") == want
+
+
+# the autouse fixture empties the cache once per test, not per example;
+# cold() and warm() set each example's point up themselves
+RANDOM_CASES = settings(max_examples=60, deadline=None, suppress_health_check=[
+    HealthCheck.function_scoped_fixture])
+scalars = st.one_of(st.sampled_from(SCALARS), st.integers(1, N - 1))
+
+
+@RANDOM_CASES
+@given(secret=scalars, message=st.binary(max_size=64),
+       copy=st.sampled_from([cold, warm]))
+def test_random_keys_and_messages_sign_and_verify_both_ways(secret, message,
+                                                           copy):
+    key = openssl_private(secret)
+    public = point_of(key)
+    assert keys.derive_public(secret) == public
+    # ours to OpenSSL: it accepts, and verify accepts only the signed hint
+    sig = signing.sign(message, secret, random.Random(secret))
+    assert sig.public == public
+    assert openssl_accepts(message, sig.r, sig.s, public)
+    assert verifying_hints(message, sig.r, sig.s, public, copy) == \
+        [sig.recovery_hint]
+    # OpenSSL to ours: one hint verifies, and it recovers the key
+    r, s = decode_dss_signature(key.sign(digest(message), ECDSA))
+    (hint,) = verifying_hints(message, r, s, public, copy)
+    assert signing.recover(message, signing.Signature(r, s, hint, public)) \
+        == public
+
+
+@RANDOM_CASES
+@given(k=scalars, peer_secret=st.integers(1, N - 1),
+       copy=st.sampled_from([cold, warm]))
+def test_random_scalars_match_openssl_ecdh(k, peer_secret, copy):
+    peer = point_of(openssl_private(peer_secret))
+    want = openssl_private(k).exchange(ec.ECDH(), openssl_public(peer))
+    assert curve.scalar_mult(k, copy(peer)).x.to_bytes(32, "big") == want

@@ -120,7 +120,7 @@ def _refused_after_answer(ledger, iot, fog):
     kinds = [entry.frame.frame_type for entry in channel.transcript]
     assert kinds == [FrameType.AUTH1, FrameType.AUTH2]
     assert iot.sessions == {}
-    assert fog.sessions == {} and fog.peer_keys == {}
+    assert fog.sessions == {}
     assert ledger.to_snapshot() == before
 
 
@@ -181,7 +181,7 @@ def test_fog_refuses_a_hello_that_does_not_name_its_signer(monkeypatch,
         mutual_authenticate(iot, fog, ledger, channel)
     assert _kinds(channel) == ["AUTH1"]
     assert iot.sessions == {}
-    assert fog.sessions == {} and fog.peer_keys == {}
+    assert fog.sessions == {}
     assert ledger.to_snapshot() == before
 
 
@@ -320,12 +320,11 @@ def test_exchange_refuses_a_request_carrying_another_key(monkeypatch):
     assert ledger.to_snapshot() == before
 
 
-@pytest.mark.parametrize("forgotten", ["sessions", "peer_keys"])
-def test_exchange_refused_by_fog_without_session(forgotten):
+def test_exchange_refused_by_fog_without_session():
     ledger, iot, fog, _, _ = build_world()
     channel = Channel()
     session = mutual_authenticate(iot, fog, ledger, channel)
-    getattr(fog, forgotten).clear()
+    fog.sessions.clear()
     before = ledger.to_snapshot()
     funds = ledger.iot_table[iot.address].available_funds
     with pytest.raises(NoSession):
@@ -337,8 +336,8 @@ def test_exchange_refused_by_fog_without_session(forgotten):
 
 
 def test_exchange_recovers_only_the_contracts_caller(monkeypatch):
-    # the fog verifies against the handshake's key and the contract against
-    # the key the payment carries, so a paid exchange recovers nothing
+    # the fog verifies the request and the contract the payment against the
+    # keys they carry, so a paid exchange recovers nothing
     ledger, iot, fog, _, _ = build_world()
     session = mutual_authenticate(iot, fog, ledger)
     calls = []
@@ -531,13 +530,22 @@ def _kinds(channel):
     return [entry.frame.frame_type.name for entry in channel.transcript]
 
 
-def test_oracle_refuses_a_key_that_is_not_the_addresses():
+@pytest.mark.parametrize("key", [
+    "stranger", "hex-string", "wire-bytes", "none"])
+def test_oracle_refuses_a_key_that_is_not_the_addresses(key):
     # a stranger's key under a helper's address would put the stranger in
     # the ring, and the contract would refuse the verdict after payment
     ledger, _, fog, oracle, extras = build_world()
+    genuine = extras[0].keypair.public
+    public = {
+        "stranger": KeyPair.generate(RNG).public,
+        "hex-string": genuine.to_bytes().hex(),
+        "wire-bytes": genuine.to_bytes(),
+        "none": None,
+    }[key]
     directory = dict(oracle.key_directory)
     with pytest.raises(SignerMismatch):
-        oracle.learn_key(extras[0].address, KeyPair.generate(RNG).public)
+        oracle.learn_key(extras[0].address, public)
     assert oracle.key_directory == directory
     assert service_audit(oracle, fog, ledger).passed
 
@@ -612,7 +620,6 @@ def test_fog_that_drops_the_session_cannot_dodge_the_verdict(honest):
     service_audit(oracle, fog, ledger)
     reputation = ledger.fog_table[fog.address].reputation
     fog.sessions.clear()
-    fog.peer_keys.clear()
     channel = Channel()
     report = service_audit(oracle, fog, ledger, channel=channel)
     assert report.passed is honest

@@ -171,6 +171,14 @@ def test_duplicate_ring_member_rejected():
         ring.ring_sign(b"m", duped, 1, members[1].secret, rng)
 
 
+@pytest.mark.parametrize("attestation", [
+    None, object(), b"{}", "{}", (1, (1, 1), ()),
+], ids=["none", "object", "bytes", "json-text", "fields-tuple"])
+def test_ring_verify_refuses_what_is_not_a_ring_signature(attestation):
+    with pytest.raises(MalformedRingSignature):
+        ring.ring_verify(b"m", attestation)
+
+
 def test_structural_validation_on_verify():
     rng = random.Random(12)
     members, pubs = make_ring(3, rng)

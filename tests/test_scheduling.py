@@ -462,6 +462,15 @@ def test_scheduler_block_design_rejects_an_empty_cluster(size, policy):
     assert Scheduler(policy, size, [], random.Random(19)).next_cluster() == []
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("size", [True, False, 2.5, 2.0, "2", None],
+                         ids=["true", "false", "2.5", "2.0", "str-2", "none"])
+def test_scheduler_rejects_a_cluster_size_that_is_not_an_int(size, policy):
+    for roster in (addresses(3), []):
+        with pytest.raises(InvalidDesign):
+            Scheduler(policy, size, roster, random.Random(19))
+
+
 def test_scheduler_single_survivor_keeps_returning_it():
     scheduler = Scheduler(Policy.BIBD, 1, addresses(3), random.Random(14))
     scheduler.eject(addresses(3)[0])

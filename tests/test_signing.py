@@ -70,6 +70,27 @@ def test_recover_rejects_out_of_range_fields():
             signing.recover(b"x", broken)
 
 
+NOT_A_SIGNATURE = {
+    "none": lambda sig: None,
+    "object": lambda sig: object(),
+    "wire-bytes": lambda sig: sig.to_bytes(),
+    "fields-tuple": lambda sig: (sig.r, sig.s, sig.recovery_hint, sig.public),
+    "key-none": lambda sig: replace(sig, public=None),
+    "key-bytes": lambda sig: replace(sig, public=sig.public.to_bytes()),
+    "key-tuple": lambda sig: replace(sig, public=(sig.public.x, sig.public.y)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NOT_A_SIGNATURE))
+def test_verify_refuses_what_is_not_a_signature_carrying_a_point(shape):
+    rng = random.Random(0x5A9E)
+    sig = signing.sign(b"shape", 555, rng)
+    assert signing.verify(b"shape", sig)
+    assert signing.verify(b"shape", NOT_A_SIGNATURE[shape](sig)) is False
+    with pytest.raises(InvalidSignature):
+        signing.recover(b"shape", NOT_A_SIGNATURE[shape](sig))
+
+
 def test_signature_bytes_roundtrip():
     sig = signing.sign(b"frame", 31337, random.Random(4))
     raw = sig.to_bytes()
@@ -201,6 +222,6 @@ def test_verify_agrees_with_recover_then_compare(message, secret, other,
     elif tampering == "other_key":
         public = keys.derive_public(other)
     expected = _recovers_to(message, sig, public)
-    assert signing.verify(message, sig, public) is expected
+    assert signing.verify(message, replace(sig, public=public)) is expected
     if tampering in ("none", "low_s_twin"):
         assert expected
